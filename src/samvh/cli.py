@@ -218,13 +218,14 @@ def cmd_grad_check(args) -> int:
     rng = np.random.default_rng(gc["seed"])
     tol = gc["tolerance"]
 
+    kind = model_mod.StructureKind(gc["structure"])
     worst = {"W": 0.0, "xi": 0.0, "lam": 0.0, "s": 0.0}
     worst_coord = None
-    skip_ds = gc["structure"] != "sa"
+    skip_ds = kind is not model_mod.StructureKind.SA
 
     for trial in range(gc["num_models"]):
-        params = _random_tiny_model(rng, gc["structure"])
-        data = _random_tiny_data(params, rng, n=6)
+        params = model_mod.make_tiny_model(rng, kind)
+        data = model_mod.make_binary_data(params, rng, n=6)
         exact = train_mod.exact_gradient(params, data)
         if args.self_test_break_sign:
             exact.dlam = -exact.dlam
@@ -253,33 +254,6 @@ def cmd_grad_check(args) -> int:
         print(f"FAIL: worst offender {worst_coord}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _random_tiny_model(rng, structure_kind: str) -> model_mod.HarmoniumParams:
-    views = [model_mod.ViewConfig("a", 3, Family.BERNOULLI),
-             model_mod.ViewConfig("b", 3, Family.BERNOULLI)]
-    J = 4
-    if structure_kind == "dwh":
-        structure = model_mod.StructureMode(model_mod.StructureKind.DWH)
-    elif structure_kind == "mvh":
-        structure = model_mod.StructureMode(model_mod.StructureKind.MVH,
-                                            rng.random((2, J)) < 0.7)
-    else:
-        structure = model_mod.StructureMode(model_mod.StructureKind.SA)
-    return model_mod.HarmoniumParams(
-        views=views, hidden_dim=J, hidden_family=Family.BERNOULLI,
-        W=[0.5 * rng.standard_normal((3, J)) for _ in range(2)],
-        xi=[0.5 * rng.standard_normal(3) for _ in range(2)],
-        lam=0.5 * rng.standard_normal(J),
-        s=rng.standard_normal((2, J)),
-        structure=structure,
-    )
-
-
-def _random_tiny_data(params, rng, n: int) -> list[model_mod.MultiViewSample]:
-    return [model_mod.MultiViewSample(
-        values=[(rng.random(v.dim) < 0.5).astype(float) for v in params.views])
-        for _ in range(n)]
 
 
 def _load_eval_inputs(args, config):
@@ -363,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic paired dataset")
@@ -401,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except train_mod.TrainingDivergedError as exc:

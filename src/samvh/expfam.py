@@ -22,10 +22,14 @@ class DomainError(ValueError):
     """Value outside the support of the family."""
 
 
+class NonFiniteError(ValueError):
+    """Natural parameter overflowed to inf or nan."""
+
+
 def _check_finite(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
     if not np.all(np.isfinite(eta)):
-        raise ValueError("natural parameter must be finite")
+        raise NonFiniteError("natural parameter must be finite")
     return eta
 
 

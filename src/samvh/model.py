@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .expfam import Family, log_partition, mean, sample, suff_stat
+from .expfam import DomainError, Family, mean, sample, suff_stat
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -42,7 +42,7 @@ class EnumerationBoundError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Sample or vector incongruent with the model's shapes."""
+    """Batch or vector incongruent with the model's shapes."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ class StructureMode:
 
 @dataclass
 class MultiViewSample:
+    """One row of a dataset, for callers that want samples one at a time.
+    Every computation takes per-view batch arrays instead."""
     values: list[np.ndarray]  # one vector per view
     label: int | None = None
 
@@ -158,6 +160,35 @@ def init_params(views: list[ViewConfig], hidden_dim: int, hidden_family: Family,
     )
 
 
+def make_tiny_model(rng: np.random.Generator, kind: StructureKind = StructureKind.SA,
+                    dims=(3, 3), J: int = 4, scale: float = 0.5,
+                    mask=None) -> HarmoniumParams:
+    """Random small all-Bernoulli model, by default within the enumeration
+    bounds. MVH masks are drawn (70% connected) unless given."""
+    views = [ViewConfig(f"v{i}", d, Family.BERNOULLI) for i, d in enumerate(dims)]
+    if kind is StructureKind.MVH and mask is None:
+        mask = rng.random((len(dims), J)) < 0.7
+    return HarmoniumParams(
+        views=views,
+        hidden_dim=J,
+        hidden_family=Family.BERNOULLI,
+        W=[scale * rng.standard_normal((d, J)) for d in dims],
+        xi=[scale * rng.standard_normal(d) for d in dims],
+        lam=scale * rng.standard_normal(J),
+        s=rng.standard_normal((len(dims), J)),
+        structure=StructureMode(kind, mask),
+    )
+
+
+def make_binary_data(params: HarmoniumParams, rng: np.random.Generator,
+                     n: int) -> list[np.ndarray]:
+    """n fair-coin rows per view, as (n, D_k) arrays. The rng is drawn row by
+    row, view by view."""
+    draws = [[rng.random(v.dim) < 0.5 for v in params.views] for _ in range(n)]
+    return [np.array([row[k] for row in draws], dtype=np.float64)
+            for k in range(params.num_views)]
+
+
 # ---------------------------------------------------------------------------
 # Gates and shifted parameters
 # ---------------------------------------------------------------------------
@@ -172,27 +203,37 @@ def gates(params: HarmoniumParams) -> np.ndarray:
     return expit(params.s)
 
 
-def gate(params: HarmoniumParams, k: int, j: int) -> float:
-    if not (0 <= k < params.num_views and 0 <= j < params.hidden_dim):
-        raise IndexError(f"gate index ({k}, {j}) out of range")
-    return float(gates(params)[k, j])
+def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
+    """Validate a batch against the model and return f(v) per view.
 
-
-def _check_sample(params: HarmoniumParams, v: MultiViewSample) -> list[np.ndarray]:
-    if len(v.values) != params.num_views:
-        raise ShapeMismatchError("sample has wrong number of views")
+    fv holds one (B, D_k) array per view with the same B >= 1 throughout,
+    every value finite and inside its view's family support.
+    """
+    if len(fv) != params.num_views:
+        raise ShapeMismatchError(
+            f"batch has {len(fv)} views, model has {params.num_views}")
     out = []
-    for cfg, val in zip(params.views, v.values):
-        val = np.asarray(val, dtype=np.float64)
-        if val.shape != (cfg.dim,):
+    for cfg, arr in zip(params.views, fv):
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != cfg.dim:
             raise ShapeMismatchError(
-                f"view {cfg.name!r} value has shape {val.shape}, want {(cfg.dim,)}")
-        out.append(val)
+                f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"view {cfg.name!r}: values must be finite")
+        try:
+            out.append(suff_stat(cfg.family, arr))
+        except DomainError as exc:
+            raise DomainError(f"view {cfg.name!r}: {exc}") from None
+    rows = {a.shape[0] for a in out}
+    if len(rows) != 1 or 0 in rows:
+        raise ShapeMismatchError(
+            f"every view needs the same nonzero number of rows, got {sorted(rows)}")
     return out
 
 
 def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
-    """lam_hat for a batch: (B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
+    """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
+    for a batch: (B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
     g = gates(params)
     out = np.broadcast_to(params.lam, (fv[0].shape[0], params.hidden_dim)).copy()
     for k in range(params.num_views):
@@ -200,59 +241,38 @@ def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     return out
 
 
-def hidden_shifted_params(params: HarmoniumParams, v: MultiViewSample) -> np.ndarray:
-    """Natural parameter of p(h | v): lam + sum_k sigma(s) W^k f(v^k)."""
-    values = _check_sample(params, v)
-    fv = [suff_stat(cfg.family, val)[None, :]
-          for cfg, val in zip(params.views, values)]
-    return hidden_shifted_batch(params, fv)[0]
-
-
 def visible_shifted_batch(params: HarmoniumParams, gh: np.ndarray, k: int) -> np.ndarray:
-    """xi_hat for view k over a batch of hidden statistics gh, shape (B, J)."""
+    """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
+    of hidden statistics gh, shape (B, J)."""
     g = gates(params)
     return params.xi[k][None, :] + gh @ (params.W[k] * g[k][None, :]).T
 
 
-def visible_shifted_params(params: HarmoniumParams, h: np.ndarray, k: int) -> np.ndarray:
-    """Natural parameter of p(v^k | h): xi^k + sigma(s) W^k g(h)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.hidden_dim,):
-        raise ShapeMismatchError(f"h has shape {h.shape}, want {(params.hidden_dim,)}")
-    if not 0 <= k < params.num_views:
-        raise IndexError(f"view index {k} out of range")
-    gh = suff_stat(params.hidden_family, h)
-    return visible_shifted_batch(params, gh[None, :], k)[0]
-
-
 def posterior_hidden_mean_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
+    """B'(lam_hat): the per-unit conditional mean, (B, J), used as the feature vector."""
     return mean(params.hidden_family, hidden_shifted_batch(params, fv))
-
-
-def posterior_hidden_mean(params: HarmoniumParams, v: MultiViewSample) -> np.ndarray:
-    """B'(lam_hat): the per-unit conditional mean, used as the feature vector."""
-    return mean(params.hidden_family, hidden_shifted_params(params, v))
 
 
 # ---------------------------------------------------------------------------
 # Joint, likelihood, sampling
 # ---------------------------------------------------------------------------
 
-def unnormalized_log_joint(params: HarmoniumParams, v: MultiViewSample,
-                           h: np.ndarray) -> float:
-    """Log of the unnormalized joint; see the module docstring for the sign
-    convention (plus on both bias terms)."""
-    values = _check_sample(params, v)
+def unnormalized_log_joint(params: HarmoniumParams, fv: list[np.ndarray],
+                           h: np.ndarray) -> np.ndarray:
+    """Log of the unnormalized joint of each row of a batch, shape (B,).
+
+    See the module docstring for the sign convention (plus on both bias
+    terms): the weight and hidden-bias terms together are lam_hat . g(h).
+    """
+    fv = check_views(params, fv)
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.hidden_dim,):
-        raise ShapeMismatchError(f"h has shape {h.shape}, want {(params.hidden_dim,)}")
-    g = gates(params)
+    want = (fv[0].shape[0], params.hidden_dim)
+    if h.shape != want:
+        raise ShapeMismatchError(f"h has shape {h.shape}, want {want}")
     gh = suff_stat(params.hidden_family, h)
-    total = float(params.lam @ gh)
-    for k, (cfg, val) in enumerate(zip(params.views, values)):
-        f = suff_stat(cfg.family, val)
-        total += float(f @ (params.W[k] * g[k][None, :]) @ gh)
-        total += float(params.xi[k] @ f)
+    total = np.sum(hidden_shifted_batch(params, fv) * gh, axis=1)
+    for k in range(params.num_views):
+        total += fv[k] @ params.xi[k]
     return total
 
 
@@ -304,13 +324,10 @@ def exact_log_partition(params: HarmoniumParams) -> float:
     return float(logsumexp(log_unnorm_marginal_batch(params, fv)))
 
 
-def exact_log_likelihood(params: HarmoniumParams, data: list[MultiViewSample]) -> float:
-    """Mean over data of log p(v), by exact enumeration."""
+def exact_log_likelihood(params: HarmoniumParams, fv: list[np.ndarray]) -> float:
+    """Mean over the rows of a batch of log p(v), by exact enumeration."""
     _check_enum_bounds(params)
-    if not data:
-        raise ValueError("data must be nonempty")
-    fv = [np.stack([_check_sample(params, smp)[k] for smp in data])
-          for k in range(params.num_views)]
+    fv = check_views(params, fv)
     log_z = exact_log_partition(params)
     return float(np.mean(log_unnorm_marginal_batch(params, fv))) - log_z
 
@@ -336,15 +353,6 @@ def gibbs_step_batch(params: HarmoniumParams, fv: list[np.ndarray],
         eta = visible_shifted_batch(params, gh, k)
         fv_next.append(sample(cfg.family, eta, rng))
     return h, fv_next
-
-
-def gibbs_step(params: HarmoniumParams, v: MultiViewSample,
-               rng: np.random.Generator) -> tuple[np.ndarray, MultiViewSample]:
-    values = _check_sample(params, v)
-    fv = [suff_stat(cfg.family, val)[None, :]
-          for cfg, val in zip(params.views, values)]
-    h, fv_next = gibbs_step_batch(params, fv, rng)
-    return h[0], MultiViewSample(values=[a[0] for a in fv_next], label=v.label)
 
 
 # ---------------------------------------------------------------------------

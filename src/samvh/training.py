@@ -13,6 +13,11 @@ data) in `cd_gradient` and computed exactly by visible-state enumeration in
 `exact_gradient`. `finite_diff_gradient` differentiates the exact
 log-likelihood numerically and is the oracle that pins down every sign and
 the sum-over-i in the switch gradient.
+
+Every function here takes a batch as `fv`, one (B, D_k) array per view, and
+validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
+checks its view arrays once before the first step, and slices minibatches
+out of them.
 """
 from __future__ import annotations
 
@@ -20,15 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expfam import Family, mean, suff_stat
-from .model import (
+from .data import MultiViewDataset
+# suff_stat and hidden_shifted_batch are not called here, but the span tracer
+# in bench/ rebinds them in this namespace and its tests look them up.
+from .expfam import NonFiniteError, mean, suff_stat  # noqa: F401
+from .model import (  # noqa: F401
     HarmoniumParams,
-    MultiViewSample,
     StructureKind,
-    _check_sample,
+    _check_enum_bounds,
+    _split_views,
+    check_views,
     exact_log_likelihood,
     exact_visible_distribution,
-    _split_views,
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
@@ -122,15 +130,6 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _stack_batch(params: HarmoniumParams, batch: list[MultiViewSample]) -> list[np.ndarray]:
-    """Stack sufficient statistics per view: list of (B, D_k) arrays."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    cols = [np.stack([_check_sample(params, smp)[k] for smp in batch])
-            for k in range(params.num_views)]
-    return [suff_stat(cfg.family, col) for cfg, col in zip(params.views, cols)]
-
-
 def _switch_derivative(params: HarmoniumParams) -> np.ndarray:
     """d gate / d s: sigmoid derivative in SA mode, zero for frozen modes."""
     if params.structure.kind is not StructureKind.SA:
@@ -160,22 +159,15 @@ def _batch_mean_stats(params, fv, hmean) -> GradientSet:
     return _weighted_stats(params, fv, hmean, np.full(B, 1.0 / B))
 
 
-def sufficient_stats_outer(params: HarmoniumParams, v: MultiViewSample,
-                           hmean: np.ndarray) -> GradientSet:
-    """Per-sample gradient statistics (one phase of the likelihood gradient)."""
-    hmean = np.asarray(hmean, dtype=np.float64)
-    fv = _stack_batch(params, [v])
-    return _batch_mean_stats(params, fv, hmean[None, :])
-
-
-def cd_gradient(params: HarmoniumParams, batch: list[MultiViewSample],
+def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
                 cd_steps: int, rng: np.random.Generator) -> GradientSet:
-    """Contrastive-divergence gradient estimate over a batch.
+    """Contrastive-divergence gradient estimate over a batch fv, one (B, D_k)
+    array per view.
 
     The negative phase uses the posterior mean at the chain's final visible
     state rather than a sampled h (lower variance, same expectation).
     """
-    fv = _stack_batch(params, batch)
+    fv = check_views(params, fv)
     pos_hmean = posterior_hidden_mean_batch(params, fv)
     pos = _batch_mean_stats(params, fv, pos_hmean)
 
@@ -187,9 +179,10 @@ def cd_gradient(params: HarmoniumParams, batch: list[MultiViewSample],
     return pos - neg
 
 
-def exact_gradient(params: HarmoniumParams, data: list[MultiViewSample]) -> GradientSet:
-    """Exact likelihood gradient via enumeration of all visible states."""
-    fv = _stack_batch(params, data)
+def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet:
+    """Exact likelihood gradient over the batch fv via enumeration of all
+    visible states."""
+    fv = check_views(params, fv)
     pos = _batch_mean_stats(params, fv, posterior_hidden_mean_batch(params, fv))
 
     states, probs = exact_visible_distribution(params)
@@ -199,12 +192,13 @@ def exact_gradient(params: HarmoniumParams, data: list[MultiViewSample]) -> Grad
     return pos - neg
 
 
-def finite_diff_gradient(params: HarmoniumParams, data: list[MultiViewSample],
+def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
                          step: float = 1e-5) -> GradientSet:
     """Central differences of the exact log-likelihood over every scalar
     parameter, including each switch logit."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError("step must be in [1e-7, 1e-3]")
+    fv = check_views(params, fv)
     work = params.copy()
     out = GradientSet.zeros_like(params)
 
@@ -213,9 +207,9 @@ def finite_diff_gradient(params: HarmoniumParams, data: list[MultiViewSample],
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = exact_log_likelihood(work, data)
+            hi = exact_log_likelihood(work, fv)
             flat[i] = orig - step
-            lo = exact_log_likelihood(work, data)
+            lo = exact_log_likelihood(work, fv)
             flat[i] = orig
             dflat[i] = (hi - lo) / (2.0 * step)
 
@@ -227,10 +221,10 @@ def finite_diff_gradient(params: HarmoniumParams, data: list[MultiViewSample],
     return out
 
 
-def reconstruction_error(params: HarmoniumParams,
-                         batch: list[MultiViewSample]) -> np.ndarray:
-    """Per-view mean squared error of the one-step mean-field reconstruction."""
-    fv = _stack_batch(params, batch)
+def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
+    """Per-view mean squared error of the one-step mean-field reconstruction
+    of the batch fv."""
+    fv = check_views(params, fv)
     hmean = posterior_hidden_mean_batch(params, fv)
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
@@ -248,27 +242,27 @@ def _check_finite_params(params: HarmoniumParams, epoch: int):
 
 
 def _enumeration_feasible(params: HarmoniumParams) -> bool:
-    from .model import MAX_ENUM_HIDDEN, MAX_ENUM_VISIBLE
-    return (sum(v.dim for v in params.views) <= MAX_ENUM_VISIBLE
-            and params.hidden_dim <= MAX_ENUM_HIDDEN
-            and params.hidden_family is Family.BERNOULLI
-            and all(v.family is Family.BERNOULLI for v in params.views))
+    try:
+        _check_enum_bounds(params)
+    except ValueError:
+        return False
+    return True
 
 
-def train(params: HarmoniumParams, data, config: TrainConfig,
+def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
           rng: np.random.Generator | None = None,
           gradient_fn=None) -> tuple[HarmoniumParams, TrainLog]:
     """Minibatch gradient ascent with momentum. Deterministic given the seed.
 
-    `data` is a MultiViewDataset (anything exposing `samples()` returning a
-    list of MultiViewSample). `gradient_fn(params, batch)` may replace the CD
-    estimator, e.g. with `exact_gradient` on tiny models.
+    The dataset's view arrays are checked against the model once, before the
+    first step; each minibatch is a row slice of them. `gradient_fn(params,
+    fv)` may replace the CD estimator, e.g. with `exact_gradient` on tiny
+    models.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    samples = data.samples() if hasattr(data, "samples") else list(data)
-    if not samples:
-        raise ValueError("training data must be nonempty")
+    arrays = check_views(params, data.view_arrays)
+    n = arrays[0].shape[0]
 
     cur = params.copy()
     vel = GradientSet.zeros_like(cur)
@@ -277,15 +271,16 @@ def train(params: HarmoniumParams, data, config: TrainConfig,
     log_ll = _enumeration_feasible(cur)
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(samples))
-        for start in range(0, len(samples), config.batch_size):
-            batch = [samples[i] for i in order[start:start + config.batch_size]]
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            fv = [a[idx] for a in arrays]
             try:
                 if gradient_fn is None:
-                    grad = cd_gradient(cur, batch, config.cd_steps, rng)
+                    grad = cd_gradient(cur, fv, config.cd_steps, rng)
                 else:
-                    grad = gradient_fn(cur, batch)
-            except ValueError:
+                    grad = gradient_fn(cur, fv)
+            except NonFiniteError:
                 # Overflowing activations before the parameters themselves
                 # go non-finite; report the largest parameter group.
                 biggest = max(
@@ -311,8 +306,8 @@ def train(params: HarmoniumParams, data, config: TrainConfig,
         g = gates(cur)
         log.records.append(EpochRecord(
             epoch=epoch,
-            recon_err=[float(e) for e in reconstruction_error(cur, samples)],
+            recon_err=[float(e) for e in reconstruction_error(cur, arrays)],
             mean_gate=[float(m) for m in g.mean(axis=1)],
-            exact_ll=exact_log_likelihood(cur, samples) if log_ll else None,
+            exact_ll=exact_log_likelihood(cur, arrays) if log_ll else None,
         ))
     return cur, log

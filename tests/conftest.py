@@ -1,43 +1,6 @@
 import numpy as np
 import pytest
 
-from samvh.expfam import Family
-from samvh.model import (
-    HarmoniumParams,
-    MultiViewSample,
-    StructureKind,
-    StructureMode,
-    ViewConfig,
-)
-
-
-def make_tiny_model(rng, kind=StructureKind.SA, dims=(3, 3), J=4,
-                    scale=0.5, mask=None):
-    """Random small all-Bernoulli model within the enumeration bounds."""
-    views = [ViewConfig(f"v{i}", d, Family.BERNOULLI) for i, d in enumerate(dims)]
-    if kind is StructureKind.MVH:
-        if mask is None:
-            mask = rng.random((len(dims), J)) < 0.7
-        structure = StructureMode(kind, mask)
-    else:
-        structure = StructureMode(kind)
-    return HarmoniumParams(
-        views=views,
-        hidden_dim=J,
-        hidden_family=Family.BERNOULLI,
-        W=[scale * rng.standard_normal((d, J)) for d in dims],
-        xi=[scale * rng.standard_normal(d) for d in dims],
-        lam=scale * rng.standard_normal(J),
-        s=rng.standard_normal((len(dims), J)),
-        structure=structure,
-    )
-
-
-def make_binary_data(params, rng, n):
-    return [MultiViewSample(
-        values=[(rng.random(v.dim) < 0.5).astype(float) for v in params.views])
-        for _ in range(n)]
-
 
 @pytest.fixture
 def rng():

@@ -12,9 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_binary_data, make_tiny_model
 from samvh import cli
-from samvh.data import SynthConfig, generate_synthetic_paired, train_test_split
+from samvh.data import (
+    MultiViewDataset,
+    SynthConfig,
+    generate_synthetic_paired,
+    train_test_split,
+)
 from samvh.evaluation import extract_features, knn_classify, line_mass_fraction
 from samvh.expfam import Family
 from samvh.model import (
@@ -22,7 +26,9 @@ from samvh.model import (
     StructureMode,
     gates,
     init_params,
-    posterior_hidden_mean,
+    make_binary_data,
+    make_tiny_model,
+    posterior_hidden_mean_batch,
     structure_report,
     unnormalized_log_joint,
 )
@@ -88,9 +94,9 @@ def test_criterion_2_likelihood_ascent(capsys):
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
     params = make_tiny_model(rng, StructureKind.SA, dims=(3, 3), J=4)
-    data = make_binary_data(params, rng, 12)
+    data = MultiViewDataset(params.views, make_binary_data(params, rng, 12))
     cfg = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=200,
-                      batch_size=len(data), switch_lr_scale=1.0)
+                      batch_size=data.num_samples, switch_lr_scale=1.0)
     _, log = train(params, data, cfg, gradient_fn=exact_gradient)
     lls = np.array([rec.exact_ll for rec in log.records])
     drops = np.diff(lls)
@@ -177,13 +183,14 @@ def test_criterion_6_mode_reductions(capsys):
     dwh = sibling(StructureKind.DWH)
     mvh = sibling(StructureKind.MVH, np.ones_like(sa.s, dtype=bool))
 
+    rows = [[a[n:n + 1] for a in data] for n in range(len(data[0]))]
     worst = 0.0
-    for smp in data:
-        worst = max(worst, float(np.abs(posterior_hidden_mean(sa, smp)
-                                        - posterior_hidden_mean(dwh, smp)).max()))
-        h = (rng.random(4) < 0.5).astype(float)
-        worst = max(worst, abs(unnormalized_log_joint(sa, smp, h)
-                               - unnormalized_log_joint(dwh, smp, h)))
+    for row in rows:
+        worst = max(worst, float(np.abs(posterior_hidden_mean_batch(sa, row)
+                                        - posterior_hidden_mean_batch(dwh, row)).max()))
+        h = (rng.random((1, 4)) < 0.5).astype(float)
+        worst = max(worst, float(np.abs(unnormalized_log_joint(sa, row, h)
+                                        - unnormalized_log_joint(dwh, row, h)).max()))
     g_sa, g_dwh = exact_gradient(sa, data), exact_gradient(dwh, data)
     for a, b in (list(zip(g_sa.dW, g_dwh.dW)) + list(zip(g_sa.dxi, g_dwh.dxi))
                  + [(g_sa.dlam, g_dwh.dlam)]):
@@ -191,9 +198,9 @@ def test_criterion_6_mode_reductions(capsys):
     ok = worst <= 1e-9
 
     exact_match = True
-    for smp in data:
-        exact_match &= np.array_equal(posterior_hidden_mean(mvh, smp),
-                                      posterior_hidden_mean(dwh, smp))
+    for row in rows:
+        exact_match &= np.array_equal(posterior_hidden_mean_batch(mvh, row),
+                                      posterior_hidden_mean_batch(dwh, row))
     g_mvh = exact_gradient(mvh, data)
     for a, b in (list(zip(g_mvh.dW, g_dwh.dW)) + list(zip(g_mvh.dxi, g_dwh.dxi))
                  + [(g_mvh.dlam, g_dwh.dlam)]):

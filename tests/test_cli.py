@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_tiny_model
 from samvh import cli
 from samvh.data import load_dataset_dir
 from samvh.expfam import Family
@@ -13,6 +12,7 @@ from samvh.model import (
     StructureMode,
     init_params,
     load_checkpoint,
+    make_tiny_model,
     save_checkpoint,
 )
 
@@ -69,11 +69,6 @@ class TestConfig:
         code = cli.main(["gen-data", "--out", str(tmp_path / "d")])
         assert code == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
-
-    def test_threads_validated(self, tmp_path, capsys):
-        code = cli.main(["--threads", "0", "--seed", "0", "gen-data",
-                         "--out", str(tmp_path / "d")])
-        assert code == cli.EXIT_CONFIG
 
 
 class TestGenData:
@@ -142,6 +137,24 @@ class TestTrain:
                          "--data", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_IO
+
+    def test_value_outside_support_is_config_error(self, tmp_path, capsys):
+        # A 0.5 in a Bernoulli view is bad input, not training divergence.
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        for path, rows in zip(paths, (["1,0", "0.5,1", "0,0"], ["1", "0", "1"])):
+            with open(path, "w") as fh:
+                fh.write("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {
+            "model": {"hidden_dim": 2},
+            "views": [{"name": "a", "family": "bernoulli"},
+                      {"name": "b", "family": "bernoulli"}],
+            "train": {"epochs": 1, "batch_size": 2}})
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", ",".join(paths), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "Bernoulli support" in err and "'a'" in err
+        assert "non-finite" not in err
 
     def test_bad_mvh_mask_shape(self, tmp_path, capsys):
         cfg = small_config(

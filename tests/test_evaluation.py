@@ -18,8 +18,7 @@ from samvh.evaluation import (
     write_pgm,
 )
 from samvh.expfam import Family
-from samvh.model import StructureKind, gates
-from conftest import make_tiny_model
+from samvh.model import StructureKind, gates, make_tiny_model
 
 
 def dataset_for(params, rng, n):

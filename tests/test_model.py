@@ -8,26 +8,24 @@ from samvh.expfam import Family
 from samvh.model import (
     EnumerationBoundError,
     HarmoniumParams,
-    MultiViewSample,
+    ShapeMismatchError,
     StructureKind,
     StructureMode,
     ViewConfig,
     exact_log_likelihood,
     exact_visible_distribution,
-    gate,
     gates,
-    gibbs_step,
     gibbs_step_batch,
-    hidden_shifted_params,
+    hidden_shifted_batch,
     load_checkpoint,
-    posterior_hidden_mean,
+    make_binary_data,
+    make_tiny_model,
+    posterior_hidden_mean_batch,
     save_checkpoint,
     structure_report,
     unnormalized_log_joint,
-    visible_shifted_params,
+    visible_shifted_batch,
 )
-
-from conftest import make_binary_data, make_tiny_model
 
 SIGMOID_2 = 0.88079707797788244405972914130239679520638429862897
 
@@ -43,6 +41,11 @@ def one_unit_model(W=2.0, s=0.0, xi=0.2, lam=0.3, kind=StructureKind.SA):
         s=np.array([[s]]),
         structure=StructureMode(kind),
     )
+
+
+def rows(*values):
+    """A B=1 batch: one (1, D_k) array per view."""
+    return [np.asarray(v, dtype=float)[None, :] for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +71,13 @@ def oracle_gates(params):
     return out
 
 
-def oracle_lam_hat(params, sample):
+def oracle_lam_hat(params, values):
     g = oracle_gates(params)
     out = np.array(params.lam, dtype=float, copy=True)
     for j in range(params.hidden_dim):
         for k, cfg in enumerate(params.views):
             for i in range(cfg.dim):
-                out[j] += g[k, j] * params.W[k][i, j] * sample.values[k][i]
+                out[j] += g[k, j] * params.W[k][i, j] * values[k][i]
     return out
 
 
@@ -118,14 +121,27 @@ def oracle_probability_table(params):
     return {key: w / z for key, w in table.items()}
 
 
-def oracle_log_likelihood(params, data):
+def oracle_log_likelihood(params, fv):
     table = oracle_probability_table(params)
     total = 0.0
-    for smp in data:
-        vbits = tuple(float(x) for arr in smp.values for x in arr)
+    for row in np.concatenate(fv, axis=1):
+        vbits = tuple(float(x) for x in row)
         p = sum(w for (vb, _), w in table.items() if vb == vbits)
         total += math.log(p)
-    return total / len(data)
+    return total / len(fv[0])
+
+
+def oracle_posterior_mean(params, fv):
+    """E[h | v] of a B=1 batch from the exact joint table."""
+    table = oracle_probability_table(params)
+    vbits = tuple(float(x) for arr in fv for x in arr[0])
+    num = np.zeros(params.hidden_dim)
+    den = 0.0
+    for (vb, hb), w in table.items():
+        if vb == vbits:
+            num += w * np.array(hb)
+            den += w
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +150,20 @@ def oracle_log_likelihood(params, data):
 
 class TestGate:
     def test_sa_at_zero(self):
-        assert gate(one_unit_model(s=0.0), 0, 0) == 0.5
+        assert gates(one_unit_model(s=0.0))[0, 0] == 0.5
 
     def test_dwh_always_one(self):
-        assert gate(one_unit_model(s=-5.0, kind=StructureKind.DWH), 0, 0) == 1.0
+        assert gates(one_unit_model(s=-5.0, kind=StructureKind.DWH))[0, 0] == 1.0
 
     def test_sa_logistic(self):
-        assert gate(one_unit_model(s=2.0), 0, 0) == pytest.approx(SIGMOID_2, abs=1e-12)
+        assert gates(one_unit_model(s=2.0))[0, 0] == pytest.approx(SIGMOID_2, abs=1e-12)
 
-    def test_index_out_of_range(self):
+    def test_index_out_of_range(self, rng):
+        # One gate per (view, hidden unit) and no more.
+        g = gates(make_tiny_model(rng, dims=(3, 2, 1), J=5))
+        assert g.shape == (3, 5)
         with pytest.raises(IndexError):
-            gate(one_unit_model(), 1, 0)
+            g[3, 0]
 
     def test_mvh_mask(self, rng):
         mask = np.array([[True, False, True, False], [False, True, True, False]])
@@ -152,7 +171,7 @@ class TestGate:
         assert np.array_equal(gates(p), mask.astype(float))
 
     def test_strictly_increasing_in_s(self):
-        vals = [gate(one_unit_model(s=s), 0, 0) for s in np.linspace(-4, 4, 30)]
+        vals = [gates(one_unit_model(s=s))[0, 0] for s in np.linspace(-4, 4, 30)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -165,42 +184,46 @@ class TestShiftedParams:
         p = make_tiny_model(rng)
         for w in p.W:
             w[:] = 0.0
-        smp = make_binary_data(p, rng, 1)[0]
-        assert np.array_equal(hidden_shifted_params(p, smp), p.lam)
+        fv = make_binary_data(p, rng, 1)
+        assert np.array_equal(hidden_shifted_batch(p, fv), p.lam[None, :])
 
     def test_zero_weights_visible(self, rng):
         p = make_tiny_model(rng)
         for w in p.W:
             w[:] = 0.0
-        assert np.array_equal(visible_shifted_params(p, np.ones(4), 0), p.xi[0])
+        assert np.array_equal(visible_shifted_batch(p, np.ones((1, 4)), 0),
+                              p.xi[0][None, :])
 
     def test_hand_computed_one_term(self):
         p = one_unit_model(W=2.0, s=0.0, lam=0.1)
-        smp = MultiViewSample([np.array([1.0])])
-        assert hidden_shifted_params(p, smp)[0] == pytest.approx(1.1)
+        assert hidden_shifted_batch(p, rows([1.0]))[0, 0] == pytest.approx(1.1)
 
     def test_hand_computed_visible_mirror(self):
         p = one_unit_model(W=2.0, s=0.0, xi=0.2)
-        got = visible_shifted_params(p, np.array([1.0]), 0)
-        assert got[0] == pytest.approx(0.2 + 0.5 * 2.0 * 1.0)
+        got = visible_shifted_batch(p, np.array([[1.0]]), 0)
+        assert got[0, 0] == pytest.approx(0.2 + 0.5 * 2.0 * 1.0)
 
     def test_matches_naive_loop_oracle(self, rng):
         for _ in range(5):
             p = make_tiny_model(rng)
-            smp = make_binary_data(p, rng, 1)[0]
+            fv = make_binary_data(p, rng, 1)
             np.testing.assert_allclose(
-                hidden_shifted_params(p, smp), oracle_lam_hat(p, smp), atol=1e-12)
+                hidden_shifted_batch(p, fv)[0],
+                oracle_lam_hat(p, [a[0] for a in fv]), atol=1e-12)
             h = (rng.random(p.hidden_dim) < 0.5).astype(float)
             for k in range(p.num_views):
                 np.testing.assert_allclose(
-                    visible_shifted_params(p, h, k), oracle_xi_hat(p, h, k),
-                    atol=1e-12)
+                    visible_shifted_batch(p, h[None, :], k)[0],
+                    oracle_xi_hat(p, h, k), atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         p = make_tiny_model(rng)
-        bad = MultiViewSample([np.zeros(2), np.zeros(3)])
-        with pytest.raises(ValueError):
-            hidden_shifted_params(p, bad)
+        h = np.zeros((1, 4))
+        for bad in (rows(np.zeros(2), np.zeros(3)), rows(np.zeros(3)),
+                    [np.zeros((1, 3)), np.zeros((2, 3))],
+                    [np.zeros((0, 3)), np.zeros((0, 3))], [np.zeros(3), np.zeros(3)]):
+            with pytest.raises(ShapeMismatchError):
+                unnormalized_log_joint(p, bad, h)
 
 
 class TestPosteriorHiddenMean:
@@ -209,8 +232,8 @@ class TestPosteriorHiddenMean:
         for w in p.W:
             w[:] = 0.0
         p.lam[:] = 0.0
-        smp = make_binary_data(p, rng, 1)[0]
-        assert np.array_equal(posterior_hidden_mean(p, smp), np.full(4, 0.5))
+        fv = make_binary_data(p, rng, 1)
+        assert np.array_equal(posterior_hidden_mean_batch(p, fv), np.full((1, 4), 0.5))
 
     def test_gaussian_identity(self, rng):
         p = make_tiny_model(rng)
@@ -218,24 +241,16 @@ class TestPosteriorHiddenMean:
             views=p.views, hidden_dim=p.hidden_dim,
             hidden_family=Family.GAUSSIAN_UNIT_VARIANCE,
             W=p.W, xi=p.xi, lam=p.lam, s=p.s, structure=p.structure)
-        smp = make_binary_data(p, rng, 1)[0]
+        fv = make_binary_data(p, rng, 1)
         np.testing.assert_array_equal(
-            posterior_hidden_mean(p, smp), hidden_shifted_params(p, smp))
+            posterior_hidden_mean_batch(p, fv), hidden_shifted_batch(p, fv))
 
     def test_matches_enumeration(self, rng):
         # Conditional expectation of each h_j from the exact joint table.
         p = make_tiny_model(rng, dims=(2, 2), J=3)
-        smp = make_binary_data(p, rng, 1)[0]
-        table = oracle_probability_table(p)
-        vbits = tuple(float(x) for arr in smp.values for x in arr)
-        num = np.zeros(p.hidden_dim)
-        den = 0.0
-        for (vb, hb), w in table.items():
-            if vb == vbits:
-                num += w * np.array(hb)
-                den += w
-        np.testing.assert_allclose(posterior_hidden_mean(p, smp), num / den,
-                                   atol=1e-10)
+        fv = make_binary_data(p, rng, 1)
+        np.testing.assert_allclose(posterior_hidden_mean_batch(p, fv)[0],
+                                   oracle_posterior_mean(p, fv), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +261,22 @@ class TestLogJoint:
     def test_all_zero_params(self, rng):
         p = make_tiny_model(rng, scale=0.0)
         p.s[:] = 0.0
-        smp = make_binary_data(p, rng, 1)[0]
-        assert unnormalized_log_joint(p, smp, np.ones(4)) == 0.0
+        fv = make_binary_data(p, rng, 1)
+        assert unnormalized_log_joint(p, fv, np.ones((1, 4)))[0] == 0.0
 
     def test_hand_arithmetic_one_unit(self):
         # Plus convention on the bias terms: 0.5*1*1*1 + 0.2*1 + 0.3*1.
         p = one_unit_model(W=1.0, s=0.0, xi=0.2, lam=0.3)
-        smp = MultiViewSample([np.array([1.0])])
-        got = unnormalized_log_joint(p, smp, np.array([1.0]))
-        assert got == pytest.approx(0.5 + 0.2 + 0.3)
+        got = unnormalized_log_joint(p, rows([1.0]), np.array([[1.0]]))
+        assert got[0] == pytest.approx(0.5 + 0.2 + 0.3)
 
     def test_matches_naive_oracle(self, rng):
         for _ in range(5):
             p = make_tiny_model(rng)
-            smp = make_binary_data(p, rng, 1)[0]
+            fv = make_binary_data(p, rng, 1)
             h = (rng.random(4) < 0.5).astype(float)
-            got = unnormalized_log_joint(p, smp, h)
-            want = oracle_log_joint(p, smp.values, h)
+            got = unnormalized_log_joint(p, fv, h[None, :])[0]
+            want = oracle_log_joint(p, [a[0] for a in fv], h)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_normalization_over_state_space(self, rng):
@@ -271,17 +285,12 @@ class TestLogJoint:
         # Normalizing exp(log joint) by the partition function sums to one.
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
         # And the implementation's log joint reproduces the same table weights.
-        total = 0.0
-        for (vb, hb) in table:
-            vals = [np.array(vb[:2]), np.array(vb[2:])]
-            total += math.exp(unnormalized_log_joint(
-                p, MultiViewSample(vals), np.array(hb)))
-        probs = {key: 0.0 for key in table}
-        for (vb, hb) in table:
-            vals = [np.array(vb[:2]), np.array(vb[2:])]
-            w = math.exp(unnormalized_log_joint(p, MultiViewSample(vals), np.array(hb)))
-            probs[(vb, hb)] = w / total
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
+        # One batch holds every (v, h) pair of the table.
+        vh = np.array([vb + hb for vb, hb in table])
+        weights = np.exp(unnormalized_log_joint(p, [vh[:, :2], vh[:, 2:4]], vh[:, 4:]))
+        probs = weights / weights.sum()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(probs, list(table.values()), atol=1e-10)
 
 
 class TestExactLogLikelihood:
@@ -292,14 +301,15 @@ class TestExactLogLikelihood:
             W=[np.zeros((2, 1))], xi=[np.zeros(2)], lam=np.zeros(1),
             s=np.zeros((1, 1)), structure=StructureMode(StructureKind.SA))
         for v in ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0]):
-            ll = exact_log_likelihood(p, [MultiViewSample([np.array(v)])])
+            ll = exact_log_likelihood(p, rows(v))
             assert ll == pytest.approx(-2 * math.log(2), abs=1e-12)
 
     def test_mean_over_data(self, rng):
         p = make_tiny_model(rng)
-        smp = make_binary_data(p, rng, 1)[0]
-        assert exact_log_likelihood(p, [smp, smp]) == pytest.approx(
-            exact_log_likelihood(p, [smp]), abs=1e-12)
+        fv = make_binary_data(p, rng, 1)
+        twice = [np.concatenate([a, a]) for a in fv]
+        assert exact_log_likelihood(p, twice) == pytest.approx(
+            exact_log_likelihood(p, fv), abs=1e-12)
 
     def test_matches_probability_table_oracle(self, rng):
         for _ in range(3):
@@ -345,26 +355,26 @@ class TestGibbs:
         p = make_tiny_model(rng, scale=0.0)
         p.lam[:] = 3.0
         p.xi[0][:] = -3.0
-        smp = make_binary_data(p, rng, 1)[0]
-        hs = np.array([gibbs_step(p, smp, rng)[0] for _ in range(2000)])
-        vs = np.array([gibbs_step(p, smp, rng)[1].values[0] for _ in range(2000)])
+        fv = make_binary_data(p, rng, 1)
+        hs = np.array([gibbs_step_batch(p, fv, rng)[0][0] for _ in range(2000)])
+        vs = np.array([gibbs_step_batch(p, fv, rng)[1][0][0] for _ in range(2000)])
         assert abs(hs.mean() - 1 / (1 + math.exp(-3))) < 0.03
         assert abs(vs.mean() - 1 / (1 + math.exp(3))) < 0.03
 
     def test_saturated_deterministic(self, rng):
         p = make_tiny_model(rng, scale=0.0)
         p.lam[:] = [1e9, -1e9, 1e9, -1e9]
-        smp = make_binary_data(p, rng, 1)[0]
-        h, _ = gibbs_step(p, smp, rng)
-        assert np.array_equal(h, [1.0, 0.0, 1.0, 0.0])
+        fv = make_binary_data(p, rng, 1)
+        h, _ = gibbs_step_batch(p, fv, rng)
+        assert np.array_equal(h, [[1.0, 0.0, 1.0, 0.0]])
 
     def test_deterministic_given_rng(self, rng):
         p = make_tiny_model(rng)
-        smp = make_binary_data(p, rng, 1)[0]
-        h1, v1 = gibbs_step(p, smp, np.random.default_rng(9))
-        h2, v2 = gibbs_step(p, smp, np.random.default_rng(9))
+        fv = make_binary_data(p, rng, 1)
+        h1, v1 = gibbs_step_batch(p, fv, np.random.default_rng(9))
+        h2, v2 = gibbs_step_batch(p, fv, np.random.default_rng(9))
         assert np.array_equal(h1, h2)
-        for a, b in zip(v1.values, v2.values):
+        for a, b in zip(v1, v2):
             assert np.array_equal(a, b)
 
     def test_long_run_marginals_match_enumeration(self, rng):
@@ -395,17 +405,9 @@ def test_conditional_consistency_50_draws():
     rng = np.random.default_rng(77)
     for _ in range(50):
         p = make_tiny_model(rng, dims=(2, 1), J=2)
-        smp = make_binary_data(p, rng, 1)[0]
-        vbits = tuple(float(x) for arr in smp.values for x in arr)
-        table = oracle_probability_table(p)
-        num = np.zeros(2)
-        den = 0.0
-        for (vb, hb), w in table.items():
-            if vb == vbits:
-                num += w * np.array(hb)
-                den += w
-        np.testing.assert_allclose(posterior_hidden_mean(p, smp), num / den,
-                                   atol=1e-10)
+        fv = make_binary_data(p, rng, 1)
+        np.testing.assert_allclose(posterior_hidden_mean_batch(p, fv)[0],
+                                   oracle_posterior_mean(p, fv), atol=1e-10)
 
 
 def test_dwh_as_saturation_limit(rng):
@@ -414,12 +416,12 @@ def test_dwh_as_saturation_limit(rng):
     q = p.copy()
     q.structure = StructureMode(StructureKind.DWH)
     data = make_binary_data(p, rng, 5)
-    smp = data[0]
-    h = (rng.random(4) < 0.5).astype(float)
-    assert np.max(np.abs(posterior_hidden_mean(p, smp)
-                         - posterior_hidden_mean(q, smp))) < 1e-9
-    assert abs(unnormalized_log_joint(p, smp, h)
-               - unnormalized_log_joint(q, smp, h)) < 1e-9
+    first = [a[:1] for a in data]
+    h = (rng.random((1, 4)) < 0.5).astype(float)
+    assert np.max(np.abs(posterior_hidden_mean_batch(p, first)
+                         - posterior_hidden_mean_batch(q, first))) < 1e-9
+    assert abs(unnormalized_log_joint(p, first, h)[0]
+               - unnormalized_log_joint(q, first, h)[0]) < 1e-9
     assert abs(exact_log_likelihood(p, data) - exact_log_likelihood(q, data)) < 1e-9
 
 

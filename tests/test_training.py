@@ -8,34 +8,33 @@ from samvh.data import MultiViewDataset
 from samvh.expfam import Family
 from samvh.model import (
     HarmoniumParams,
-    MultiViewSample,
+    ShapeMismatchError,
     StructureKind,
     StructureMode,
     ViewConfig,
-    exact_visible_distribution,
     gates,
-    posterior_hidden_mean,
+    make_binary_data,
+    make_tiny_model,
+    posterior_hidden_mean_batch,
 )
 from samvh.training import (
     GradientSet,
     TrainConfig,
     TrainingDivergedError,
+    _batch_mean_stats,
     cd_gradient,
     exact_gradient,
     finite_diff_gradient,
     reconstruction_error,
-    sufficient_stats_outer,
     train,
 )
-
-from conftest import make_binary_data, make_tiny_model
 
 
 def flatten(g: GradientSet) -> np.ndarray:
     return np.concatenate([a.ravel() for a in (*g.dW, *g.dxi, g.dlam, g.ds)])
 
 
-def oracle_stats(params, smp, hmean):
+def oracle_stats(params, values, hmean):
     """Naive index-loop reference for the per-sample statistics."""
     g = gates(params)
     sa = params.structure.kind is StructureKind.SA
@@ -46,21 +45,23 @@ def oracle_stats(params, smp, hmean):
             sprime = g[k, j] * (1 - g[k, j]) if sa else 0.0
             acc = 0.0
             for i in range(cfg.dim):
-                f = smp.values[k][i]
+                f = values[k][i]
                 out.dW[k][i, j] = g[k, j] * f * hmean[j]
                 acc += params.W[k][i, j] * f
             out.ds[k, j] = sprime * acc * hmean[j]
     for k, cfg in enumerate(params.views):
         for i in range(cfg.dim):
-            out.dxi[k][i] = smp.values[k][i]
+            out.dxi[k][i] = values[k][i]
     return out
 
 
-def dataset_from_samples(params, samples):
-    return MultiViewDataset(
-        views=list(params.views),
-        view_arrays=[np.stack([s.values[k] for s in samples])
-                     for k in range(params.num_views)])
+def as_dataset(params, fv):
+    return MultiViewDataset(views=list(params.views), view_arrays=fv)
+
+
+def sample_stats(params, fv):
+    """Positive-phase statistics of a batch, at its posterior hidden means."""
+    return _batch_mean_stats(params, fv, posterior_hidden_mean_batch(params, fv))
 
 
 # ---------------------------------------------------------------------------
@@ -72,23 +73,21 @@ class TestSufficientStats:
         p = make_tiny_model(rng)
         for w in p.W:
             w[:] = 0.0
-        smp = make_binary_data(p, rng, 1)[0]
-        stats = sufficient_stats_outer(p, smp, posterior_hidden_mean(p, smp))
+        stats = sample_stats(p, make_binary_data(p, rng, 1))
         assert np.array_equal(stats.ds, np.zeros((2, 4)))
 
     def test_ds_zero_in_dwh(self, rng):
         p = make_tiny_model(rng, StructureKind.DWH)
-        smp = make_binary_data(p, rng, 1)[0]
-        stats = sufficient_stats_outer(p, smp, posterior_hidden_mean(p, smp))
+        stats = sample_stats(p, make_binary_data(p, rng, 1))
         assert np.array_equal(stats.ds, np.zeros((2, 4)))
 
     def test_matches_naive_loop(self, rng):
         for kind in (StructureKind.SA, StructureKind.DWH):
             p = make_tiny_model(rng, kind)
-            smp = make_binary_data(p, rng, 1)[0]
-            hmean = posterior_hidden_mean(p, smp)
-            got = sufficient_stats_outer(p, smp, hmean)
-            want = oracle_stats(p, smp, hmean)
+            fv = make_binary_data(p, rng, 1)
+            hmean = posterior_hidden_mean_batch(p, fv)
+            got = _batch_mean_stats(p, fv, hmean)
+            want = oracle_stats(p, [a[0] for a in fv], hmean[0])
             for a, b in zip(got.dW, want.dW):
                 np.testing.assert_allclose(a, b, atol=1e-12)
             for a, b in zip(got.dxi, want.dxi):
@@ -111,7 +110,7 @@ class TestCdGradient:
 
     def test_empty_batch(self, rng):
         with pytest.raises(ValueError):
-            cd_gradient(make_tiny_model(rng), [], 1, rng)
+            cd_gradient(make_tiny_model(rng), [np.zeros((0, 3))] * 2, 1, rng)
 
     def test_fixed_point_at_decoupled_model(self, rng):
         # W=0 and batch drawn from the model itself: expected dxi and dlam
@@ -122,11 +121,10 @@ class TestCdGradient:
         p.xi[1][:] = -0.7
         p.lam[:] = 0.2
         n = 10 ** 4
-        batch = [MultiViewSample(
-            [(rng.random(3) < 1 / (1 + math.exp(-0.4))).astype(float),
-             (rng.random(3) < 1 / (1 + math.exp(0.7))).astype(float)])
-            for _ in range(n)]
-        g = cd_gradient(p, batch, 1, rng)
+        draws = [[rng.random(3) < 1 / (1 + math.exp(-0.4)),
+                  rng.random(3) < 1 / (1 + math.exp(0.7))] for _ in range(n)]
+        fv = [np.array([d[k] for d in draws], dtype=float) for k in range(2)]
+        g = cd_gradient(p, fv, 1, rng)
         for k, eta in enumerate((0.4, -0.7)):
             prob = 1 / (1 + math.exp(-eta))
             se = math.sqrt(2 * prob * (1 - prob) / n)  # data and model draws
@@ -163,9 +161,9 @@ class TestExactGradient:
         p.s[:] = 0.0
         data = make_binary_data(p, rng, 20)
         # Guarantee empirical means strictly inside (0, 1).
-        data[0] = MultiViewSample([np.zeros(3), np.zeros(3)])
-        data[1] = MultiViewSample([np.ones(3), np.ones(3)])
-        emp = [np.mean([s.values[k] for s in data], axis=0) for k in range(2)]
+        for a in data:
+            a[0], a[1] = 0.0, 1.0
+        emp = [a.mean(axis=0) for a in data]
         p.xi = [logit(e) for e in emp]
         # With W=0 the model mean is sigmoid(xi) = the empirical mean.
         g = exact_gradient(p, data)
@@ -211,8 +209,7 @@ class TestFiniteDiff:
     def test_symmetric_zero_model(self, rng):
         p = make_tiny_model(rng, scale=0.0)
         p.s[:] = 0.0
-        data = [MultiViewSample([np.ones(3), np.ones(3)])]
-        g = finite_diff_gradient(p, data, 1e-5)
+        g = finite_diff_gradient(p, [np.ones((1, 3))] * 2, 1e-5)
         assert np.allclose(g.dlam, g.dlam[0])
 
     def test_step_sensitivity(self, rng):
@@ -235,7 +232,7 @@ class TestFiniteDiff:
 class TestTrain:
     def test_zero_epochs_noop(self, rng):
         p = make_tiny_model(rng)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 10))
+        data = as_dataset(p, make_binary_data(p, rng, 10))
         cfg = TrainConfig(epochs=0, seed=1)
         out, log = train(p, data, cfg)
         assert np.array_equal(out.W[0], p.W[0])
@@ -244,18 +241,16 @@ class TestTrain:
 
     def test_exact_gradient_ascent_monotone(self, rng):
         p = make_tiny_model(rng, scale=0.1)
-        samples = make_binary_data(p, rng, 12)
-        data = dataset_from_samples(p, samples)
+        data = as_dataset(p, make_binary_data(p, rng, 12))
         cfg = TrainConfig(learning_rate=0.05, momentum=0.0, epochs=60,
-                          batch_size=len(samples), seed=3)
-        _, log = train(p, data, cfg,
-                       gradient_fn=lambda q, batch: exact_gradient(q, batch))
+                          batch_size=data.num_samples, seed=3)
+        _, log = train(p, data, cfg, gradient_fn=exact_gradient)
         lls = [rec.exact_ll for rec in log.records]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
     def test_same_seed_identical(self, rng):
         p = make_tiny_model(rng)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 16))
+        data = as_dataset(p, make_binary_data(p, rng, 16))
         cfg = TrainConfig(epochs=3, batch_size=4, seed=11)
         out1, log1 = train(p, data, cfg)
         out2, log2 = train(p, data, cfg)
@@ -267,7 +262,7 @@ class TestTrain:
         # Two 3-epoch legs sharing one rng stream match a single 6-epoch run
         # (momentum 0: the velocity buffer is not part of a checkpoint).
         p = make_tiny_model(rng)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 16))
+        data = as_dataset(p, make_binary_data(p, rng, 16))
         base = dict(learning_rate=0.1, momentum=0.0, batch_size=4, seed=21)
         rng_a = np.random.default_rng(21)
         mid, _ = train(p, data, TrainConfig(epochs=3, **base), rng=rng_a)
@@ -285,18 +280,29 @@ class TestTrain:
             hidden_family=Family.GAUSSIAN_UNIT_VARIANCE,
             W=[np.full((2, 2), 2.0)], xi=[np.zeros(2)], lam=np.zeros(2),
             s=np.zeros((1, 2)), structure=StructureMode(StructureKind.SA))
-        samples = [MultiViewSample([rng.standard_normal(2) * 5])
-                   for _ in range(8)]
-        data = dataset_from_samples(p, samples)
+        data = as_dataset(p, [rng.standard_normal((8, 2)) * 5])
         cfg = TrainConfig(learning_rate=5.0, epochs=400, batch_size=4, seed=1)
         with pytest.raises(TrainingDivergedError) as exc:
             train(p, data, cfg)
         assert exc.value.group in ("W", "xi", "lam", "s")
         assert exc.value.epoch >= 0
 
+    def test_bad_dataset_rejected_before_any_step(self, rng):
+        p = make_tiny_model(rng)
+
+        def no_step(q, fv):
+            raise AssertionError("a step ran on a dataset that does not fit")
+
+        wrong_count = make_tiny_model(rng, dims=(3,))
+        wrong_dim = make_tiny_model(rng, dims=(3, 2))
+        for other in (wrong_count, wrong_dim):
+            data = as_dataset(other, make_binary_data(other, rng, 4))
+            with pytest.raises(ShapeMismatchError):
+                train(p, data, TrainConfig(epochs=1, seed=0), gradient_fn=no_step)
+
     def test_switch_frozen_outside_sa(self, rng):
         p = make_tiny_model(rng, StructureKind.DWH)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 10))
+        data = as_dataset(p, make_binary_data(p, rng, 10))
         out, _ = train(p, data, TrainConfig(epochs=2, batch_size=5, seed=2))
         assert np.array_equal(out.s, p.s)
 
@@ -304,22 +310,21 @@ class TestTrain:
 class TestReconstructionError:
     def test_nonnegative(self, rng):
         p = make_tiny_model(rng)
-        batch = make_binary_data(p, rng, 6)
-        assert np.all(reconstruction_error(p, batch) >= 0)
+        fv = make_binary_data(p, rng, 6)
+        assert np.all(reconstruction_error(p, fv) >= 0)
 
     def test_w_zero_closed_form(self, rng):
         p = make_tiny_model(rng, scale=0.0)
         p.s[:] = 0.0
         p.xi[0][:] = 0.3
         p.xi[1][:] = -0.2
-        batch = make_binary_data(p, rng, 50)
-        got = reconstruction_error(p, batch)
+        fv = make_binary_data(p, rng, 50)
+        got = reconstruction_error(p, fv)
         # Reconstruction is the constant prior mean, so the error is the
         # mean squared deviation of the data from it.
         for k, eta in enumerate((0.3, -0.2)):
             prior = 1 / (1 + math.exp(-eta))
-            vals = np.stack([s.values[k] for s in batch])
-            assert got[k] == pytest.approx(np.mean((vals - prior) ** 2))
+            assert got[k] == pytest.approx(np.mean((fv[k] - prior) ** 2))
 
     def test_saturated_autoencoder(self):
         p = HarmoniumParams(
@@ -328,15 +333,13 @@ class TestReconstructionError:
             W=[np.array([[80.0]])], xi=[np.array([-40.0])],
             lam=np.array([-40.0]), s=np.array([[30.0]]),
             structure=StructureMode(StructureKind.SA))
-        batch = [MultiViewSample([np.array([1.0])]),
-                 MultiViewSample([np.array([0.0])])]
-        assert np.max(reconstruction_error(p, batch)) < 1e-9
+        assert np.max(reconstruction_error(p, [np.array([[1.0], [0.0]])])) < 1e-9
 
 
 class TestTrainLogCsv:
     def test_header_and_rows(self, rng):
         p = make_tiny_model(rng)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 8))
+        data = as_dataset(p, make_binary_data(p, rng, 8))
         _, log = train(p, data, TrainConfig(epochs=2, batch_size=4, seed=5))
         lines = log.to_csv().strip().split("\n")
         assert lines[0] == ("epoch,recon_err_view0,recon_err_view1,"
@@ -347,7 +350,7 @@ class TestTrainLogCsv:
     def test_exact_ll_empty_when_infeasible(self):
         rng = np.random.default_rng(0)
         p = make_tiny_model(rng, dims=(10, 10), J=4, scale=0.01)
-        data = dataset_from_samples(p, make_binary_data(p, rng, 8))
+        data = as_dataset(p, make_binary_data(p, rng, 8))
         _, log = train(p, data, TrainConfig(epochs=1, batch_size=4, seed=5,
                                             learning_rate=0.01))
         assert log.to_csv().strip().split("\n")[1].endswith(",")
