@@ -175,8 +175,11 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     views_cfg = config.get("views")
     families = names = None
     if views_cfg:
-        families = [Family(v["family"]) for v in views_cfg]
-        names = [v["name"] for v in views_cfg]
+        source = f"{args.config}: section 'views'"
+        families = [Family(model_mod.require_key(views_cfg, [i, "family"], source))
+                    for i in range(len(views_cfg))]
+        names = [model_mod.require_key(views_cfg, [i, "name"], source)
+                 for i in range(len(views_cfg))]
     return data_mod.load_multiview_csv(paths, args.labels,
                                        families=families, names=names)
 
@@ -228,7 +231,7 @@ def cmd_grad_check(args) -> int:
         data = model_mod.make_binary_data(params, rng, n=6)
         exact = train_mod.exact_gradient(params, data)
         if args.self_test_break_sign:
-            exact.dlam = -exact.dlam
+            exact.dlam *= -1.0
         fd = train_mod.finite_diff_gradient(params, data, step=gc["step"])
         pairs = [("W", exact.dW, fd.dW), ("xi", exact.dxi, fd.dxi),
                  ("lam", [exact.dlam], [fd.dlam])]
@@ -281,9 +284,7 @@ def cmd_extract(args) -> int:
     features = eval_mod.extract_features(params, dataset, selection)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "features.csv")
-    with open(out_path, "w") as fh:
-        for row in features.values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    data_mod.save_matrix_csv(out_path, features.values)
     print(f"wrote {features.values.shape[0]}x{features.values.shape[1]} "
           f"features to {out_path}")
     return EXIT_OK
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
     except train_mod.TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

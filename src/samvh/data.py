@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import Family
-from .model import MultiViewSample, ViewConfig
+from .model import MultiViewSample, ViewConfig, require_key
 
 
 class CsvFormatError(ValueError):
@@ -402,15 +402,22 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
     return MultiViewDataset(views=views, view_arrays=matrices, labels=labels)
 
 
+def save_matrix_csv(path: str, arr: np.ndarray) -> None:
+    """Write a 2-D array as CSV, one row per line, every value with 17
+    significant digits (enough to read each double back exactly)."""
+    template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for row in arr:  # row by row: a whole-array tolist() would cost ~40 B per cell
+            fh.write(template % tuple(row.tolist()))
+
+
 def save_multiview_csv(data: MultiViewDataset, paths: list[str],
                        label_path: str | None = None) -> None:
     """Write one CSV per view with 17 significant digits."""
     if len(paths) != data.num_views:
         raise ValueError("need exactly one output path per view")
     for path, arr in zip(paths, data.view_arrays):
-        with open(path, "w") as fh:
-            for row in arr:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        save_matrix_csv(path, arr)
     if label_path is not None:
         if data.labels is None:
             raise ValueError("dataset has no labels to save")
@@ -441,11 +448,15 @@ def save_manifest(data: MultiViewDataset, path: str, seed: int | None = None,
 
 def load_dataset_dir(directory: str) -> MultiViewDataset:
     """Load a dataset written by the CLI: manifest.json + per-view CSVs."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
+    manifest = os.path.join(directory, "manifest.json")
+    with open(manifest) as fh:
         doc = json.load(fh)
-    families = [Family(v["family"]) for v in doc["views"]]
-    names = [v["name"] for v in doc["views"]]
-    paths = [os.path.join(directory, f) for f in doc["view_files"]]
+    views = require_key(doc, ["views"], manifest)
+    families = [Family(require_key(views, [i, "family"], manifest))
+                for i in range(len(views))]
+    names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
+    paths = [os.path.join(directory, f)
+             for f in require_key(doc, ["view_files"], manifest)]
     label_path = (os.path.join(directory, doc["label_file"])
                   if doc.get("label_file") else None)
     return load_multiview_csv(paths, label_path, families=families, names=names)

@@ -76,18 +76,26 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
         raise ValueError("train and test sets must be nonempty")
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k={k} must be in [1, {X.shape[0]}]")
+    if len(train_labels) != X.shape[0] or len(test_labels) != Q.shape[0]:
+        raise ValueError("need one label per feature row")
+    if train_labels.min() < 0:
+        raise ValueError("training labels must be non-negative")
 
-    # Squared distances preserve the Euclidean ordering.
-    d2 = (np.sum(Q ** 2, axis=1)[:, None] - 2.0 * Q @ X.T
-          + np.sum(X ** 2, axis=1)[None, :])
-    correct = 0
-    for row, truth in zip(d2, test_labels):
-        # Stable sort: equal distances keep ascending training-index order.
-        nearest = np.argsort(row, kind="stable")[:k]
-        votes = np.bincount(train_labels[nearest])
-        if int(votes.argmax()) == truth:  # argmax picks the smallest label on ties
-            correct += 1
-    return correct / len(test_labels)
+    # Squared distances preserve the Euclidean ordering. Built in one buffer:
+    # |q|^2 - 2 q.x + |x|^2, rounded as if written out in that order.
+    d2 = Q @ X.T
+    d2 *= -2.0
+    d2 += np.sum(Q ** 2, axis=1)[:, None]
+    d2 += np.sum(X ** 2, axis=1)[None, :]
+    # Stable sort: equal distances keep ascending training-index order.
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # Votes per (query, label) from one bincount over offset labels.
+    n_labels = int(train_labels.max()) + 1
+    offsets = np.arange(Q.shape[0])[:, None] * n_labels
+    votes = np.bincount((offsets + train_labels[nearest]).ravel(),
+                        minlength=Q.shape[0] * n_labels).reshape(-1, n_labels)
+    predicted = votes.argmax(axis=1)  # argmax picks the smallest label on ties
+    return int(np.count_nonzero(predicted == test_labels)) / len(test_labels)
 
 
 def knn_sweep(train: FeatureMatrix, train_labels, test: FeatureMatrix,

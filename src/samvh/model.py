@@ -130,18 +130,45 @@ class HarmoniumParams:
         return len(self.views)
 
     def copy(self) -> "HarmoniumParams":
-        return HarmoniumParams(
+        return self.flat_copy()[0]
+
+    def flat_copy(self) -> tuple["HarmoniumParams", np.ndarray]:
+        """A copy whose W, xi, lam and s are views into one flat vector,
+        laid out as in `param_vector`, returned with it."""
+        theta = param_vector(self)
+        W, xi, lam, s = split_param_vector(
+            theta, [v.dim for v in self.views], self.hidden_dim)
+        params = HarmoniumParams(
             views=list(self.views),
             hidden_dim=self.hidden_dim,
             hidden_family=self.hidden_family,
-            W=[w.copy() for w in self.W],
-            xi=[x.copy() for x in self.xi],
-            lam=self.lam.copy(),
-            s=self.s.copy(),
+            W=W, xi=xi, lam=lam, s=s,
             structure=StructureMode(self.structure.kind,
                                     None if self.structure.mask is None
                                     else self.structure.mask.copy()),
         )
+        return params, theta
+
+
+def param_vector(params: HarmoniumParams) -> np.ndarray:
+    """Every parameter in one new flat vector: W^0 .. W^{K-1}, xi^0 ..
+    xi^{K-1}, lam, s, each in C order."""
+    return np.concatenate([a.ravel() for a in (*params.W, *params.xi, params.lam, params.s)])
+
+
+def split_param_vector(vec: np.ndarray, dims: list[int], hidden_dim: int
+                       ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+    """Views (W, xi, lam, s) into a vector laid out as in `param_vector`, for
+    views of dims D_k and hidden_dim J."""
+    J = hidden_dim
+    W, xi, pos = [], [], 0
+    for d in dims:
+        W.append(vec[pos:pos + d * J].reshape(d, J))
+        pos += d * J
+    for d in dims:
+        xi.append(vec[pos:pos + d])
+        pos += d
+    return W, xi, vec[pos:pos + J], vec[pos + J:].reshape(len(dims), J)
 
 
 def init_params(views: list[ViewConfig], hidden_dim: int, hidden_family: Family,
@@ -231,21 +258,55 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
     return out
 
 
+def gated_weights(params: HarmoniumParams, g: np.ndarray) -> list[np.ndarray]:
+    """sigma(s) W^k for every view, given the gates g = gates(params): the
+    row blocks of one (D_total, J) matrix, in view order."""
+    stacked = np.empty((sum(v.dim for v in params.views), params.hidden_dim))
+    blocks, start = [], 0
+    for k, cfg in enumerate(params.views):
+        blocks.append(np.multiply(params.W[k], g[k], out=stacked[start:start + cfg.dim]))
+        start += cfg.dim
+    return blocks
+
+
+def _hidden_shifted(params: HarmoniumParams, wg: list[np.ndarray],
+                    fv: list[np.ndarray]) -> np.ndarray:
+    """`hidden_shifted_batch` given the gated weights wg."""
+    out = params.lam + fv[0] @ wg[0]
+    for k in range(1, params.num_views):
+        out += fv[k] @ wg[k]
+    return out
+
+
+def _visible_shifted(params: HarmoniumParams, wg: list[np.ndarray],
+                     gh: np.ndarray, k: int) -> np.ndarray:
+    """`visible_shifted_batch` given the gated weights wg, adding xi in place."""
+    out = gh @ wg[k].T
+    out += params.xi[k]
+    return out
+
+
+def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], lam_hat: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One block Gibbs sweep from a chain state whose hidden natural parameter
+    lam_hat is already known."""
+    h = sample(params.hidden_family, lam_hat, rng)
+    gh = suff_stat(params.hidden_family, h)
+    fv_next = [sample(cfg.family, _visible_shifted(params, wg, gh, k), rng)
+               for k, cfg in enumerate(params.views)]
+    return h, fv_next
+
+
 def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
     """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
     for a batch: (B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
-    g = gates(params)
-    out = np.broadcast_to(params.lam, (fv[0].shape[0], params.hidden_dim)).copy()
-    for k in range(params.num_views):
-        out += fv[k] @ (params.W[k] * g[k][None, :])
-    return out
+    return _hidden_shifted(params, gated_weights(params, gates(params)), fv)
 
 
 def visible_shifted_batch(params: HarmoniumParams, gh: np.ndarray, k: int) -> np.ndarray:
     """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
     of hidden statistics gh, shape (B, J)."""
-    g = gates(params)
-    return params.xi[k][None, :] + gh @ (params.W[k] * g[k][None, :]).T
+    return _visible_shifted(params, gated_weights(params, gates(params)), gh, k)
 
 
 def posterior_hidden_mean_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
@@ -308,7 +369,12 @@ def log_unnorm_marginal_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> 
 
     The hidden sum factorizes: each unit contributes log(1 + exp(lam_hat_j)).
     """
-    lam_hat = hidden_shifted_batch(params, fv)
+    return _log_unnorm_marginal(params, fv, hidden_shifted_batch(params, fv))
+
+
+def _log_unnorm_marginal(params: HarmoniumParams, fv: list[np.ndarray],
+                         lam_hat: np.ndarray) -> np.ndarray:
+    """`log_unnorm_marginal_batch` given lam_hat of the batch."""
     total = np.sum(np.logaddexp(0.0, lam_hat), axis=1)
     for k in range(params.num_views):
         total += fv[k] @ params.xi[k]
@@ -334,25 +400,27 @@ def exact_log_likelihood(params: HarmoniumParams, fv: list[np.ndarray]) -> float
 
 def exact_visible_distribution(params: HarmoniumParams) -> tuple[np.ndarray, np.ndarray]:
     """All visible states and their exact probabilities p(v)."""
+    fv, _, probs = _visible_distribution(params, gated_weights(params, gates(params)))
+    return np.concatenate(fv, axis=1), probs
+
+
+def _visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
+                          ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Every visible state as per-view arrays, with its lam_hat and its exact
+    probability p(v)."""
     _check_enum_bounds(params)
-    total_visible = sum(v.dim for v in params.views)
-    states = enumerate_binary_states(total_visible)
-    fv = _split_views(params, states)
-    logp = log_unnorm_marginal_batch(params, fv)
+    fv = _split_views(params, enumerate_binary_states(sum(v.dim for v in params.views)))
+    lam_hat = _hidden_shifted(params, wg, fv)
+    logp = _log_unnorm_marginal(params, fv, lam_hat)
     logp -= logsumexp(logp)
-    return states, np.exp(logp)
+    return fv, lam_hat, np.exp(logp)
 
 
 def gibbs_step_batch(params: HarmoniumParams, fv: list[np.ndarray],
                      rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
     """One block Gibbs sweep for a batch: h ~ p(h|v), then v' ~ p(v|h)."""
-    h = sample(params.hidden_family, hidden_shifted_batch(params, fv), rng)
-    gh = suff_stat(params.hidden_family, h)
-    fv_next = []
-    for k, cfg in enumerate(params.views):
-        eta = visible_shifted_batch(params, gh, k)
-        fv_next.append(sample(cfg.family, eta, rng))
-    return h, fv_next
+    wg = gated_weights(params, gates(params))
+    return _gibbs_step(params, wg, _hidden_shifted(params, wg, fv), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +502,50 @@ def _params_to_dict(params: HarmoniumParams) -> dict:
     return doc
 
 
-def _params_from_dict(doc: dict) -> HarmoniumParams:
-    version = doc.get("format_version")
+class MissingKeyError(ValueError):
+    """A JSON document (checkpoint, dataset manifest or config) lacks a key."""
+
+
+def require_key(doc, path: list, source: str):
+    """doc[path[0]][path[1]]..., or a MissingKeyError that names the source
+    file and the key path."""
+    node = doc
+    for i, key in enumerate(path):
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            where = "".join(f"[{k!r}]" for k in path[:i + 1])
+            raise MissingKeyError(f"{source}: missing key {where}") from None
+    return node
+
+
+def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {version}")
-    views = [ViewConfig(v["name"], v["dim"], Family(v["family"]))
-             for v in doc["views"]]
-    kind = StructureKind(doc["structure"]["kind"])
-    mask = doc["structure"].get("mask")
+
+    def get(*path):
+        return require_key(doc, list(path), source)
+
+    views = [ViewConfig(get("views", i, "name"), get("views", i, "dim"),
+                        Family(get("views", i, "family")))
+             for i in range(len(get("views")))]
+    kind = StructureKind(get("structure", "kind"))
+    mask = get("structure").get("mask")
     structure = StructureMode(kind, None if mask is None else np.asarray(mask, dtype=bool))
 
-    def get(name):
-        entry = doc["arrays"][name]
-        return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    def array(name):
+        return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(
+            get("arrays", name, "shape"))
 
     return HarmoniumParams(
         views=views,
-        hidden_dim=doc["hidden"]["dim"],
-        hidden_family=Family(doc["hidden"]["family"]),
-        W=[get(f"W{k}") for k in range(len(views))],
-        xi=[get(f"xi{k}") for k in range(len(views))],
-        lam=get("lam"),
-        s=get("s"),
+        hidden_dim=get("hidden", "dim"),
+        hidden_family=Family(get("hidden", "family")),
+        W=[array(f"W{k}") for k in range(len(views))],
+        xi=[array(f"xi{k}") for k in range(len(views))],
+        lam=array("lam"),
+        s=array("s"),
         structure=structure,
     )
 
@@ -482,4 +572,4 @@ def save_checkpoint(params: HarmoniumParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> HarmoniumParams:
     with open(path) as fh:
-        return _params_from_dict(json.load(fh))
+        return _params_from_dict(json.load(fh), path)

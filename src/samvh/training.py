@@ -18,6 +18,22 @@ Every function here takes a batch as `fv`, one (B, D_k) array per view, and
 validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
 checks its view arrays once before the first step, and slices minibatches
 out of them.
+
+A gradient step computes the gates once and builds the gated weight matrix
+sigma(s) W, stacked over views as (D_total, J), once; every product of the
+step uses its per-view row blocks. The positive phase's lam_hat is also the
+hidden natural parameter of the first Gibbs step, so each chain state's
+lam_hat is computed once. A `GradientSet` is one flat vector laid out as in
+`model.param_vector` (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps
+the parameters it updates as views into one such vector theta, with one
+velocity vector beside it, so a step updates every group at once:
+
+    vel = momentum * vel + grad
+    theta += lr * vel - lr * weight_decay * theta   (decay on W only)
+
+with lr * switch_lr_scale in place of lr on s. Outside SA mode the s segment
+is left out of the update. One finiteness check over theta names the first
+group (W, xi, lam, s) that went non-finite.
 """
 from __future__ import annotations
 
@@ -26,22 +42,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset
-# suff_stat and hidden_shifted_batch are not called here, but the span tracer
-# in bench/ rebinds them in this namespace and its tests look them up.
+# suff_stat, gibbs_step_batch and hidden_shifted_batch are not called here,
+# but the span tracer in bench/ rebinds them in this namespace and its tests
+# look them up.
 from .expfam import NonFiniteError, mean, suff_stat  # noqa: F401
 from .model import (  # noqa: F401
     HarmoniumParams,
     StructureKind,
     _check_enum_bounds,
-    _split_views,
+    _gibbs_step,
+    _hidden_shifted,
+    _visible_distribution,
+    _visible_shifted,
     check_views,
     exact_log_likelihood,
-    exact_visible_distribution,
+    gated_weights,
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
-    posterior_hidden_mean_batch,
-    visible_shifted_batch,
+    split_param_vector,
 )
 
 
@@ -53,29 +72,20 @@ class TrainingDivergedError(RuntimeError):
         self.group = group
 
 
-@dataclass
 class GradientSet:
-    dW: list[np.ndarray]
-    dxi: list[np.ndarray]
-    dlam: np.ndarray
-    ds: np.ndarray
+    """One value per parameter, held in one flat vector `vec` laid out as in
+    `model.param_vector`. dW, dxi, dlam and ds are views into it, shaped like
+    the model's W, xi, lam and s."""
+
+    def __init__(self, vec: np.ndarray, dims: list[int], hidden_dim: int):
+        self.vec = vec
+        self.dW, self.dxi, self.dlam, self.ds = split_param_vector(vec, dims, hidden_dim)
 
     @staticmethod
     def zeros_like(params: HarmoniumParams) -> "GradientSet":
-        return GradientSet(
-            dW=[np.zeros_like(w) for w in params.W],
-            dxi=[np.zeros_like(x) for x in params.xi],
-            dlam=np.zeros_like(params.lam),
-            ds=np.zeros_like(params.s),
-        )
-
-    def __sub__(self, other: "GradientSet") -> "GradientSet":
-        return GradientSet(
-            dW=[a - b for a, b in zip(self.dW, other.dW)],
-            dxi=[a - b for a, b in zip(self.dxi, other.dxi)],
-            dlam=self.dlam - other.dlam,
-            ds=self.ds - other.ds,
-        )
+        dims, J = [v.dim for v in params.views], params.hidden_dim
+        D = sum(dims)
+        return GradientSet(np.zeros(D * J + D + J + len(dims) * J), dims, J)
 
 
 @dataclass
@@ -130,33 +140,30 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _switch_derivative(params: HarmoniumParams) -> np.ndarray:
-    """d gate / d s: sigmoid derivative in SA mode, zero for frozen modes."""
-    if params.structure.kind is not StructureKind.SA:
-        return np.zeros_like(params.s)
-    g = gates(params)
-    return g * (1.0 - g)
-
-
 def _weighted_stats(params: HarmoniumParams, fv: list[np.ndarray],
-                    hmean: np.ndarray, weights: np.ndarray) -> GradientSet:
+                    hmean: np.ndarray, weights: np.ndarray,
+                    g: np.ndarray | None = None) -> GradientSet:
     """Expectation of the sufficient statistics under the given sample weights
-    (weights must sum to 1)."""
-    g = gates(params)
-    sprime = _switch_derivative(params)
+    (weights must sum to 1). g is gates(params), computed if not given. The
+    switch statistic is left at zero outside SA mode, where s is frozen."""
+    if g is None:
+        g = gates(params)
     wh = hmean * weights[:, None]
     out = GradientSet.zeros_like(params)
-    out.dlam = wh.sum(axis=0)
+    out.dlam[:] = wh.sum(axis=0)
+    sa_mode = params.structure.kind is StructureKind.SA
     for k in range(params.num_views):
-        out.dW[k] = g[k][None, :] * (fv[k].T @ wh)
-        out.dxi[k] = fv[k].T @ weights
-        out.ds[k] = sprime[k] * ((fv[k] @ params.W[k]) * wh).sum(axis=0)
+        np.multiply(g[k], fv[k].T @ wh, out=out.dW[k])
+        out.dxi[k][:] = fv[k].T @ weights
+        if sa_mode:
+            sprime = g[k] * (1.0 - g[k])
+            np.multiply(sprime, ((fv[k] @ params.W[k]) * wh).sum(axis=0), out=out.ds[k])
     return out
 
 
-def _batch_mean_stats(params, fv, hmean) -> GradientSet:
+def _batch_mean_stats(params, fv, hmean, g=None) -> GradientSet:
     B = hmean.shape[0]
-    return _weighted_stats(params, fv, hmean, np.full(B, 1.0 / B))
+    return _weighted_stats(params, fv, hmean, np.full(B, 1.0 / B), g)
 
 
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -164,32 +171,39 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     """Contrastive-divergence gradient estimate over a batch fv, one (B, D_k)
     array per view.
 
+    The gates and the gated weights are computed once. The positive phase's
+    lam_hat is also the first Gibbs step's hidden natural parameter, and each
+    later chain state's lam_hat feeds the next step or the negative phase.
     The negative phase uses the posterior mean at the chain's final visible
     state rather than a sampled h (lower variance, same expectation).
     """
     fv = check_views(params, fv)
-    pos_hmean = posterior_hidden_mean_batch(params, fv)
-    pos = _batch_mean_stats(params, fv, pos_hmean)
+    g = gates(params)
+    wg = gated_weights(params, g)
+    hf = params.hidden_family
+    lam_hat = _hidden_shifted(params, wg, fv)
+    grad = _batch_mean_stats(params, fv, mean(hf, lam_hat), g)
 
     fv_chain = fv
     for _ in range(cd_steps):
-        _, fv_chain = gibbs_step_batch(params, fv_chain, rng)
-    neg_hmean = posterior_hidden_mean_batch(params, fv_chain)
-    neg = _batch_mean_stats(params, fv_chain, neg_hmean)
-    return pos - neg
+        _, fv_chain = _gibbs_step(params, wg, lam_hat, rng)
+        lam_hat = _hidden_shifted(params, wg, fv_chain)
+    grad.vec -= _batch_mean_stats(params, fv_chain, mean(hf, lam_hat), g).vec
+    return grad
 
 
 def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet:
     """Exact likelihood gradient over the batch fv via enumeration of all
     visible states."""
     fv = check_views(params, fv)
-    pos = _batch_mean_stats(params, fv, posterior_hidden_mean_batch(params, fv))
+    g = gates(params)
+    wg = gated_weights(params, g)
+    hf = params.hidden_family
+    grad = _batch_mean_stats(params, fv, mean(hf, _hidden_shifted(params, wg, fv)), g)
 
-    states, probs = exact_visible_distribution(params)
-    fv_all = _split_views(params, states)
-    hmean_all = posterior_hidden_mean_batch(params, fv_all)
-    neg = _weighted_stats(params, fv_all, hmean_all, probs)
-    return pos - neg
+    fv_all, lam_all, probs = _visible_distribution(params, wg)
+    grad.vec -= _weighted_stats(params, fv_all, mean(hf, lam_all), probs, g).vec
+    return grad
 
 
 def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -225,20 +239,18 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     """Per-view mean squared error of the one-step mean-field reconstruction
     of the batch fv."""
     fv = check_views(params, fv)
-    hmean = posterior_hidden_mean_batch(params, fv)
+    wg = gated_weights(params, gates(params))
+    hmean = mean(params.hidden_family, _hidden_shifted(params, wg, fv))
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
-        recon = mean(cfg.family, visible_shifted_batch(params, hmean, k))
-        errs[k] = np.mean((fv[k] - recon) ** 2)
+        # (fv - recon)^2 in recon's buffer, freed before the next view's
+        # reconstruction is built: over a whole dataset these are the largest
+        # arrays of a training run.
+        diff = mean(cfg.family, _visible_shifted(params, wg, hmean, k))
+        np.subtract(fv[k], diff, out=diff)
+        errs[k] = np.mean(np.square(diff, out=diff))
+        del diff
     return errs
-
-
-def _check_finite_params(params: HarmoniumParams, epoch: int):
-    groups = {"W": params.W, "xi": params.xi, "lam": [params.lam], "s": [params.s]}
-    for name, arrs in groups.items():
-        for arr in arrs:
-            if not np.all(np.isfinite(arr)):
-                raise TrainingDivergedError(epoch, name)
 
 
 def _enumeration_feasible(params: HarmoniumParams) -> bool:
@@ -264,9 +276,20 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
     arrays = check_views(params, data.view_arrays)
     n = arrays[0].shape[0]
 
-    cur = params.copy()
-    vel = GradientSet.zeros_like(cur)
+    cur, theta = params.flat_copy()
     sa_mode = cur.structure.kind is StructureKind.SA
+    n_w = sum(w.size for w in cur.W)
+    # Ends of the W, xi and lam segments of theta; s follows.
+    group_ends = np.cumsum([n_w, sum(x.size for x in cur.xi), cur.lam.size])
+    live = theta.size if sa_mode else group_ends[-1]  # s is frozen outside SA
+    lr = config.learning_rate
+    switch_lr = lr * config.switch_lr_scale
+    decay = lr * config.weight_decay
+    vel = np.zeros(live)
+    # Work buffers reused by every step. Allocating them afresh each step
+    # doubled the update's time at 24x24 glyphs and 256 hidden units.
+    update, decayed = np.empty(live), np.empty(n_w)
+    finite = np.empty(theta.size, dtype=bool)
     log = TrainLog()
     log_ll = _enumeration_feasible(cur)
 
@@ -291,18 +314,20 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
                     key=lambda t: t[1])[0]
                 raise TrainingDivergedError(epoch, biggest) from None
 
-            lr = config.learning_rate
-            for k in range(cur.num_views):
-                vel.dW[k] = config.momentum * vel.dW[k] + grad.dW[k]
-                cur.W[k] += lr * vel.dW[k] - lr * config.weight_decay * cur.W[k]
-                vel.dxi[k] = config.momentum * vel.dxi[k] + grad.dxi[k]
-                cur.xi[k] += lr * vel.dxi[k]
-            vel.dlam = config.momentum * vel.dlam + grad.dlam
-            cur.lam += lr * vel.dlam
-            if sa_mode:
-                vel.ds = config.momentum * vel.ds + grad.ds
-                cur.s += lr * config.switch_lr_scale * vel.ds
-            _check_finite_params(cur, epoch)
+            vel *= config.momentum
+            vel += grad.vec[:live]
+            np.multiply(vel, lr, out=update)
+            np.multiply(vel[group_ends[-1]:], switch_lr, out=update[group_ends[-1]:])
+            # lr*vel + (-decay)*W rounds exactly as lr*vel - decay*W. It is
+            # applied at every weight_decay, so that even at 0 the update
+            # keeps that rounding, down to the sign of a zero weight.
+            update[:n_w] += np.multiply(theta[:n_w], -decay, out=decayed)
+            theta[:live] += update
+            if not np.isfinite(theta, out=finite).all():
+                first_bad = int(np.argmin(finite))
+                group = ("W", "xi", "lam", "s")[
+                    int(np.searchsorted(group_ends, first_bad, side="right"))]
+                raise TrainingDivergedError(epoch, group)
         g = gates(cur)
         log.records.append(EpochRecord(
             epoch=epoch,

@@ -156,6 +156,33 @@ class TestTrain:
         assert "Bernoulli support" in err and "'a'" in err
         assert "non-finite" not in err
 
+    def test_manifest_without_view_files_is_config_error(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        del doc["view_files"]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "manifest.json" in err and "'view_files'" in err
+
+    def test_views_entry_without_family_is_config_error(self, tmp_path, capsys):
+        path = str(tmp_path / "a.csv")
+        with open(path, "w") as fh:
+            fh.write("1,0\n0,1\n")
+        cfg = write_config(tmp_path, {"views": [{"name": "a"}]})
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", path, "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "views" in err and "'family'" in err
+
     def test_bad_mvh_mask_shape(self, tmp_path, capsys):
         cfg = small_config(
             tmp_path,
@@ -242,6 +269,21 @@ class TestEvalPipeline:
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
         assert "no hidden units" in capsys.readouterr().err
+
+    def test_checkpoint_without_arrays_is_config_error(self, tmp_path, trained,
+                                                       capsys):
+        cfg, data_dir, ckpt = trained
+        with open(ckpt) as fh:
+            doc = json.load(fh)
+        del doc["arrays"]
+        broken = str(tmp_path / "broken.json")
+        with open(broken, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
+                         "--data", data_dir, "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "broken.json" in err and "'arrays'" in err
 
     def test_unknown_selection(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained

@@ -9,6 +9,7 @@ from samvh.data import (
     generate_synthetic_paired,
     glyph_templates,
     load_multiview_csv,
+    save_matrix_csv,
     save_multiview_csv,
     standardize_columns,
     train_test_split,
@@ -149,6 +150,18 @@ class TestCsv:
         for path, v in zip(paths, ds.views):
             for line in open(path):
                 assert len(line.strip().split(",")) == v.dim
+
+    def test_save_matrix_bytes_equal_per_cell_format(self, tmp_path, rng):
+        binary = (rng.random((7, 5)) < 0.5).astype(float)
+        floats = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-30, 30, (7, 5))
+        floats[0, :3] = [-0.0, 1e-310, np.pi]
+        for arr in (binary, floats):
+            path = str(tmp_path / "m.csv")
+            save_matrix_csv(path, arr)
+            want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode()
+            assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), arr)
 
     def test_save_empty_dataset(self, tmp_path):
         views = [ViewConfig("x", 2, Family.GAUSSIAN_UNIT_VARIANCE)]

@@ -130,6 +130,22 @@ class TestKnn:
             got = knn_classify(fm(Xtr), ytr, fm(Xte), yte, k=k)
             assert got == pytest.approx(want)
 
+    def test_matches_per_query_loop_with_ties(self, rng):
+        # Integer features on a small grid give many distance ties, and five
+        # labels among up to 8 neighbours give vote ties.
+        Xtr = rng.integers(0, 3, size=(40, 2)).astype(float)
+        ytr = rng.integers(0, 5, size=40)
+        Xte = rng.integers(0, 3, size=(30, 2)).astype(float)
+        yte = rng.integers(0, 5, size=30)
+        d2 = (np.sum(Xte ** 2, axis=1)[:, None] - 2.0 * Xte @ Xtr.T
+              + np.sum(Xtr ** 2, axis=1)[None, :])
+        for k in range(1, 9):
+            correct = 0
+            for row, truth in zip(d2, yte):
+                nearest = np.argsort(row, kind="stable")[:k]
+                correct += int(np.bincount(ytr[nearest]).argmax()) == truth
+            assert knn_classify(fm(Xtr), ytr, fm(Xte), yte, k) == correct / len(yte)
+
     def test_feature_rotation_invariant(self, rng):
         # Euclidean distances are invariant to orthogonal maps of the features.
         Xtr = rng.standard_normal((12, 3))
@@ -150,6 +166,10 @@ class TestKnn:
             knn_classify(X, y, X, y, k=5)
         with pytest.raises(ValueError):
             knn_classify(X, y, X, y, k=0)
+        with pytest.raises(ValueError, match="one label per feature row"):
+            knn_classify(X, y, X, y[:3], k=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            knn_classify(X, y - 1, X, y, k=1)
 
     def test_sweep_consistent_and_dedups(self, rng):
         X = fm(rng.standard_normal((9, 2)))

@@ -510,6 +510,9 @@ class TestCheckpoint:
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+        open(path, "w").write("[]")  # not an object at all
+        with pytest.raises(ValueError, match="format version"):
+            load_checkpoint(path)
 
     def test_no_partial_file_on_failure(self, rng, tmp_path):
         # Atomic rename: the destination never holds a partial document.

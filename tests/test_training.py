@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logit
 
 from samvh.data import MultiViewDataset
-from samvh.expfam import Family
+from samvh.expfam import Family, mean, sample, suff_stat
 from samvh.model import (
     HarmoniumParams,
     ShapeMismatchError,
@@ -53,6 +53,69 @@ def oracle_stats(params, values, hmean):
         for i in range(cfg.dim):
             out.dxi[k][i] = values[k][i]
     return out
+
+
+def reference_cd_gradient(params, fv, cd_steps, rng):
+    """CD-k computed view by view, as a flat vector laid out like
+    `GradientSet.vec`: every product recomputes the gates and its view's gated
+    weights, and each phase gets its own statistics."""
+    hf = params.hidden_family
+    sa = params.structure.kind is StructureKind.SA
+
+    def gated(k):
+        return params.W[k] * gates(params)[k][None, :]
+
+    def hidden(fv):
+        out = np.broadcast_to(params.lam, (fv[0].shape[0], params.hidden_dim)).copy()
+        for k in range(params.num_views):
+            out += fv[k] @ gated(k)
+        return out
+
+    def stats(fv, hmean):
+        weights = np.full(hmean.shape[0], 1.0 / hmean.shape[0])
+        g = gates(params)
+        sprime = g * (1.0 - g) if sa else np.zeros_like(g)
+        wh = hmean * weights[:, None]
+        dW = [g[k][None, :] * (fv[k].T @ wh) for k in range(params.num_views)]
+        dxi = [fv[k].T @ weights for k in range(params.num_views)]
+        ds = [sprime[k] * ((fv[k] @ params.W[k]) * wh).sum(axis=0)
+              for k in range(params.num_views)]
+        return np.concatenate([a.ravel() for a in (*dW, *dxi, wh.sum(axis=0), *ds)])
+
+    pos = stats(fv, mean(hf, hidden(fv)))
+    chain = fv
+    for _ in range(cd_steps):
+        gh = suff_stat(hf, sample(hf, hidden(chain), rng))
+        chain = [sample(cfg.family, params.xi[k][None, :] + gh @ gated(k).T, rng)
+                 for k, cfg in enumerate(params.views)]
+    return pos - stats(chain, mean(hf, hidden(chain)))
+
+
+def reference_train(params, data, config, gradient_fn):
+    """Momentum ascent updating each parameter array on its own."""
+    rng = np.random.default_rng(config.seed)
+    cur = params.copy()
+    lr, m = config.learning_rate, config.momentum
+    vW = [np.zeros_like(w) for w in cur.W]
+    vxi = [np.zeros_like(x) for x in cur.xi]
+    vlam, vs = np.zeros_like(cur.lam), np.zeros_like(cur.s)
+    n = data.num_samples
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grad = gradient_fn(cur, [a[idx] for a in data.view_arrays])
+            for k in range(cur.num_views):
+                vW[k] = m * vW[k] + grad.dW[k]
+                cur.W[k] += lr * vW[k] - lr * config.weight_decay * cur.W[k]
+                vxi[k] = m * vxi[k] + grad.dxi[k]
+                cur.xi[k] += lr * vxi[k]
+            vlam = m * vlam + grad.dlam
+            cur.lam += lr * vlam
+            if cur.structure.kind is StructureKind.SA:
+                vs = m * vs + grad.ds
+                cur.s += lr * config.switch_lr_scale * vs
+    return cur
 
 
 def as_dataset(params, fv):
@@ -131,6 +194,32 @@ class TestCdGradient:
             assert np.all(np.abs(g.dxi[k]) < 3 * se)
         se_lam = math.sqrt(2 * 0.25 / n)
         assert np.all(np.abs(g.dlam) < 3 * se_lam)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_equals_per_view_reference(self, kind, cd_steps):
+        rng = np.random.default_rng(7)
+        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        fv = make_binary_data(p, rng, 9)
+        got = cd_gradient(p, fv, cd_steps, np.random.default_rng(11))
+        want = reference_cd_gradient(p, fv, cd_steps, np.random.default_rng(11))
+        assert np.array_equal(flatten(got), want)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    def test_equals_per_view_reference_gaussian_view(self, cd_steps):
+        rng = np.random.default_rng(8)
+        views = [ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE),
+                 ViewConfig("b", 4, Family.BERNOULLI)]
+        p = HarmoniumParams(
+            views=views, hidden_dim=5, hidden_family=Family.BERNOULLI,
+            W=[0.3 * rng.standard_normal((v.dim, 5)) for v in views],
+            xi=[0.3 * rng.standard_normal(v.dim) for v in views],
+            lam=0.3 * rng.standard_normal(5), s=rng.standard_normal((2, 5)),
+            structure=StructureMode(StructureKind.SA))
+        fv = [rng.standard_normal((9, 3)), (rng.random((9, 4)) < 0.5).astype(float)]
+        got = cd_gradient(p, fv, cd_steps, np.random.default_rng(12))
+        want = reference_cd_gradient(p, fv, cd_steps, np.random.default_rng(12))
+        assert np.array_equal(flatten(got), want)
 
     def test_direction_agrees_with_exact(self):
         rng = np.random.default_rng(99)
@@ -284,8 +373,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=5.0, epochs=400, batch_size=4, seed=1)
         with pytest.raises(TrainingDivergedError) as exc:
             train(p, data, cfg)
-        assert exc.value.group in ("W", "xi", "lam", "s")
-        assert exc.value.epoch >= 0
+        # The switch logits are the first group to leave the finite range.
+        assert (exc.value.group, exc.value.epoch) == ("s", 340)
 
     def test_bad_dataset_rejected_before_any_step(self, rng):
         p = make_tiny_model(rng)
@@ -299,6 +388,18 @@ class TestTrain:
             data = as_dataset(other, make_binary_data(other, rng, 4))
             with pytest.raises(ShapeMismatchError):
                 train(p, data, TrainConfig(epochs=1, seed=0), gradient_fn=no_step)
+
+    @pytest.mark.parametrize("kind", [StructureKind.SA, StructureKind.DWH])
+    def test_flat_update_equals_per_group_reference(self, rng, kind):
+        p = make_tiny_model(rng, kind)
+        data = as_dataset(p, make_binary_data(p, rng, 10))
+        cfg = TrainConfig(learning_rate=0.2, momentum=0.9, epochs=4, batch_size=3,
+                          seed=6, switch_lr_scale=2.0, weight_decay=0.01)
+        got, _ = train(p, data, cfg, gradient_fn=exact_gradient)
+        want = reference_train(p, data, cfg, exact_gradient)
+        for a, b in zip((*got.W, *got.xi, got.lam, got.s),
+                        (*want.W, *want.xi, want.lam, want.s)):
+            assert np.array_equal(a, b)
 
     def test_switch_frozen_outside_sa(self, rng):
         p = make_tiny_model(rng, StructureKind.DWH)
