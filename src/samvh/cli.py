@@ -77,8 +77,40 @@ _DEFAULTS = {
 }
 
 
+# Keys whose default is null, and the JSON type a non-null value must have.
+_NULLABLE = {"seed": int, "mvh_mask": list, "views": list}
+_JSON_NAMES = {int: "integer", float: "number", str: "string", list: "list"}
+
+
+def _is_json_type(value, want: type) -> bool:
+    """isinstance for JSON values: an integer is a number, a boolean is not
+    an integer."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _check_type(path: str, where: str, key: str, value, default) -> None:
+    """Raise a ConfigError unless value has the JSON type of its default
+    (for a list, the type of each of the default's items)."""
+    if default is None:
+        want = _NULLABLE[key]
+        ok = value is None or _is_json_type(value, want)
+        expected = f"{_JSON_NAMES[want]} or null"
+    elif isinstance(default, list):
+        item = type(default[0])
+        ok = isinstance(value, list) and all(_is_json_type(v, item) for v in value)
+        expected = f"list of {_JSON_NAMES[item]}s"
+    else:
+        ok = _is_json_type(value, type(default))
+        expected = _JSON_NAMES[type(default)]
+    if not ok:
+        raise ConfigError(f"{path}: {where}: expected {expected}, got {value!r}")
+
+
 def load_config(path: str | None) -> dict:
-    """Merge a JSON config over the defaults; unknown keys are an error."""
+    """Merge a JSON config over the defaults; unknown keys and values whose
+    type differs from the default's are an error."""
     merged = {sec: (dict(v) if isinstance(v, dict) else v)
               for sec, v in _DEFAULTS.items()}
     if path is None:
@@ -94,6 +126,7 @@ def load_config(path: str | None) -> dict:
         if section not in merged:
             raise ConfigError(f"{path}: unknown config section {section!r}")
         if section == "views":
+            _check_type(path, "views", "views", values, None)
             merged["views"] = values
             continue
         if not isinstance(values, dict):
@@ -102,6 +135,7 @@ def load_config(path: str | None) -> dict:
             if key not in merged[section]:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in section {section!r}")
+            _check_type(path, f"{section}.{key}", key, val, _DEFAULTS[section][key])
             merged[section][key] = val
     return merged
 
@@ -379,7 +413,7 @@ def main(argv=None) -> int:
     except train_mod.TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

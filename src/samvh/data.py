@@ -8,6 +8,7 @@ so class content is shared across views while noise is view-specific.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import Family
-from .model import MultiViewSample, ViewConfig, require_key
+from .model import MalformedDocumentError, MultiViewSample, ViewConfig, require_key
 
 
 class CsvFormatError(ValueError):
@@ -318,7 +319,27 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
 # ---------------------------------------------------------------------------
 
 def _parse_matrix(path: str) -> np.ndarray:
-    rows = []
+    """Read a headerless comma-separated float matrix, skipping blank lines.
+
+    numpy's C reader parses the file; a file it rejects is rescanned by
+    `_locate_csv_fault` for an error that names the line and column.
+    """
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln.strip())
+        first = next(lines, None)
+        if first is None:
+            return np.zeros((0, 0))
+        try:
+            return np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                              dtype=np.float64, ndmin=2, comments=None)
+        except ValueError as exc:
+            reason = str(exc)
+    _locate_csv_fault(path)
+    raise CsvFormatError(f"{path}: {reason}")
+
+
+def _locate_csv_fault(path: str) -> None:
+    """Raise a CsvFormatError at the first ragged row or non-numeric cell."""
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -331,18 +352,13 @@ def _parse_matrix(path: str) -> np.ndarray:
             elif len(cells) != width:
                 raise CsvFormatError(
                     f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-            row = []
             for col, cell in enumerate(cells, start=1):
                 try:
-                    row.append(float(cell))
+                    float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}:{lineno}: column {col}: "
                         f"non-numeric cell {cell.strip()!r}") from None
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, 0))
-    return np.asarray(rows)
 
 
 def standardize_columns(matrix: np.ndarray) -> np.ndarray:
@@ -451,14 +467,17 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
     manifest = os.path.join(directory, "manifest.json")
     with open(manifest) as fh:
         doc = json.load(fh)
-    views = require_key(doc, ["views"], manifest)
-    families = [Family(require_key(views, [i, "family"], manifest))
-                for i in range(len(views))]
-    names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
-    paths = [os.path.join(directory, f)
-             for f in require_key(doc, ["view_files"], manifest)]
-    label_path = (os.path.join(directory, doc["label_file"])
-                  if doc.get("label_file") else None)
+    try:
+        views = require_key(doc, ["views"], manifest)
+        families = [Family(require_key(views, [i, "family"], manifest))
+                    for i in range(len(views))]
+        names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
+        paths = [os.path.join(directory, f)
+                 for f in require_key(doc, ["view_files"], manifest)]
+        label_path = (os.path.join(directory, doc["label_file"])
+                      if doc.get("label_file") else None)
+    except TypeError as exc:
+        raise MalformedDocumentError(f"{manifest}: malformed manifest: {exc}") from None
     return load_multiview_csv(paths, label_path, families=families, names=names)
 
 

@@ -9,8 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiViewDataset
-from .model import HarmoniumParams, gates, posterior_hidden_mean_batch, structure_report
-from .expfam import suff_stat
+from .model import (HarmoniumParams, check_views, gates, posterior_hidden_mean_batch,
+                    structure_report)
+# suff_stat is not called here, but the span tracer in bench/ rebinds it in
+# this namespace and its tests require the name to be bound.
+from .expfam import suff_stat  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +56,7 @@ def extract_features(params: HarmoniumParams, data: MultiViewDataset,
     units, category = _selected_units(params, selection)
     if not units:
         raise EmptySelectionError(category)
-    fv = [suff_stat(cfg.family, arr)
-          for cfg, arr in zip(params.views, data.view_arrays)]
-    hmean = posterior_hidden_mean_batch(params, fv)
+    hmean = posterior_hidden_mean_batch(params, check_views(params, data.view_arrays))
     idx = np.asarray(units, dtype=np.int64)
     return FeatureMatrix(values=hmean[:, idx], column_indices=idx)
 
@@ -87,12 +88,21 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
     d2 *= -2.0
     d2 += np.sum(Q ** 2, axis=1)[:, None]
     d2 += np.sum(X ** 2, axis=1)[None, :]
-    # Stable sort: equal distances keep ascending training-index order.
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # The k nearest in any order: the vote does not depend on their order.
+    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    # Where more than k points lie at or below the k-th distance, the
+    # selection among the ties is arbitrary. Re-rank those rows with a
+    # stable sort, so equal distances go to the lower training index.
+    kth = np.take_along_axis(d2, nearest[:, k - 1:], axis=1)
+    ties = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+    if ties.size:
+        nearest[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, :k]
+    del d2  # free the distances before the (Q, k) vote arrays exist
     # Votes per (query, label) from one bincount over offset labels.
     n_labels = int(train_labels.max()) + 1
-    offsets = np.arange(Q.shape[0])[:, None] * n_labels
-    votes = np.bincount((offsets + train_labels[nearest]).ravel(),
+    cells = train_labels[nearest]
+    cells += np.arange(Q.shape[0])[:, None] * n_labels
+    votes = np.bincount(cells.ravel(),
                         minlength=Q.shape[0] * n_labels).reshape(-1, n_labels)
     predicted = votes.argmax(axis=1)  # argmax picks the smallest label on ties
     return int(np.count_nonzero(predicted == test_labels)) / len(test_labels)

@@ -238,7 +238,8 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
     """
     if len(fv) != params.num_views:
         raise ShapeMismatchError(
-            f"batch has {len(fv)} views, model has {params.num_views}")
+            f"batch has {len(fv)} views, model has {params.num_views}: "
+            f"{', '.join(repr(v.name) for v in params.views)}")
     out = []
     for cfg, arr in zip(params.views, fv):
         arr = np.asarray(arr, dtype=np.float64)
@@ -506,6 +507,11 @@ class MissingKeyError(ValueError):
     """A JSON document (checkpoint, dataset manifest or config) lacks a key."""
 
 
+class MalformedDocumentError(ValueError):
+    """A JSON document (checkpoint or dataset manifest) holds a value of the
+    wrong type."""
+
+
 def require_key(doc, path: list, source: str):
     """doc[path[0]][path[1]]..., or a MissingKeyError that names the source
     file and the key path."""
@@ -572,4 +578,8 @@ def save_checkpoint(params: HarmoniumParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> HarmoniumParams:
     with open(path) as fh:
-        return _params_from_dict(json.load(fh), path)
+        doc = json.load(fh)
+    try:
+        return _params_from_dict(doc, path)
+    except TypeError as exc:
+        raise MalformedDocumentError(f"{path}: malformed checkpoint: {exc}") from None

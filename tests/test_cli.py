@@ -65,6 +65,31 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_value_of_wrong_type_named(self, tmp_path, capsys):
+        cases = [({"train": {"epochs": "ten"}}, "train.epochs"),
+                 ({"train": {"batch_size": True}}, "train.batch_size"),
+                 ({"train": {"epochs": 3.0}}, "train.epochs"),
+                 ({"synth": {"seed": "7"}}, "synth.seed"),
+                 ({"eval": {"ks": [10, "30"]}}, "eval.ks"),
+                 ({"eval": {"test_fraction": None}}, "eval.test_fraction"),
+                 ({"model": {"mvh_mask": "all"}}, "model.mvh_mask"),
+                 ({"views": {"name": "a"}}, "views")]
+        for doc, where in cases:
+            cfg = write_config(tmp_path, doc)
+            code = cli.main(["--config", cfg, "--seed", "0", "gen-data",
+                             "--out", str(tmp_path / "d")])
+            assert code == cli.EXIT_CONFIG, doc
+            assert f": {where}: expected " in capsys.readouterr().err
+
+    def test_int_for_number_and_null_seed_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"synth": dict(SMALL_SYNTH, seed=None),
+                                      "train": {"learning_rate": 1, "seed": None},
+                                      "model": {"mvh_mask": None}})
+        config = cli.load_config(cfg)
+        assert config["train"]["learning_rate"] == 1
+        assert cli.main(["--config", cfg, "--seed", "0", "gen-data",
+                         "--out", str(tmp_path / "d")]) == cli.EXIT_OK
+
     def test_seed_required(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--out", str(tmp_path / "d")])
         assert code == cli.EXIT_CONFIG
@@ -172,6 +197,22 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "manifest.json" in err and "'view_files'" in err
 
+    def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["view_files"] = 5
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "manifest.json: malformed manifest" in err
+
     def test_views_entry_without_family_is_config_error(self, tmp_path, capsys):
         path = str(tmp_path / "a.csv")
         with open(path, "w") as fh:
@@ -246,6 +287,26 @@ class TestEvalPipeline:
         assert lines[1].startswith("10,")
         assert "accuracy" in capsys.readouterr().out
 
+    def test_dataset_views_must_match_checkpoint(self, tmp_path, trained, capsys):
+        cfg, data_dir, ckpt = trained
+        # 12x12 glyphs against a checkpoint trained on 10x10.
+        wide_dir = str(tmp_path / "wide")
+        wide_cfg = write_config(tmp_path, {"synth": dict(SMALL_SYNTH, image_side=12)},
+                                "wide.json")
+        assert cli.main(["--config", wide_cfg, "--seed", "2", "gen-data",
+                         "--out", wide_dir]) == cli.EXIT_OK
+        one_view = os.path.join(data_dir, "arabic.csv")
+        cases = [(["--data", wide_dir], "'arabic'"),
+                 (["--data", one_view, "--labels",
+                   os.path.join(data_dir, "labels.csv")], "'roman'")]
+        for command in ("extract", "eval-knn"):
+            for data_args, view in cases:
+                code = cli.main(["--config", cfg, command, "--checkpoint", ckpt,
+                                 *data_args, "--out", str(tmp_path / "o")])
+                err = capsys.readouterr().err
+                assert code == cli.EXIT_CONFIG, (command, data_args)
+                assert view in err
+
     def test_render_filters(self, tmp_path, trained):
         cfg, _, ckpt = trained
         out = str(tmp_path / "imgs")
@@ -284,6 +345,20 @@ class TestEvalPipeline:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert "broken.json" in err and "'arrays'" in err
+
+    def test_checkpoint_value_of_wrong_type_is_config_error(self, tmp_path, trained,
+                                                            capsys):
+        cfg, data_dir, ckpt = trained
+        with open(ckpt) as fh:
+            doc = json.load(fh)
+        doc["views"] = 5
+        broken = str(tmp_path / "broken.json")
+        with open(broken, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
+                         "--data", data_dir, "--out", str(tmp_path / "f")])
+        assert code == cli.EXIT_CONFIG
+        assert "broken.json: malformed checkpoint" in capsys.readouterr().err
 
     def test_unknown_selection(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained

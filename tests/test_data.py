@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -5,6 +7,7 @@ from scipy.stats import chisquare
 from samvh.data import (
     CsvFormatError,
     MultiViewDataset,
+    _parse_matrix,
     SynthConfig,
     generate_synthetic_paired,
     glyph_templates,
@@ -101,16 +104,53 @@ class TestCsv:
         assert np.array_equal(ds.view_arrays[0][:, 1], np.zeros(3))
 
     def test_ragged_row_reported_with_location(self, tmp_path):
+        # Line numbers count the blank lines the reader skips.
         p1 = str(tmp_path / "a.csv")
-        open(p1, "w").write("1,2\n3\n")
-        with pytest.raises(CsvFormatError, match=r"a\.csv:2"):
-            load_multiview_csv([p1])
+        for text, lineno in (("1,2\n3\n", 2), ("1,2\n\n3,4\n  \n5\n", 5)):
+            open(p1, "w").write(text)
+            with pytest.raises(CsvFormatError) as info:
+                load_multiview_csv([p1])
+            assert str(info.value) == f"{p1}:{lineno}: expected 2 columns, got 1"
 
     def test_non_numeric_cell_reported(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
-        open(p1, "w").write("1,2\n3,oops\n")
-        with pytest.raises(CsvFormatError, match=r"a\.csv:2: column 2"):
+        for text, where in (("1,2\n3,oops\n", "2: column 2: non-numeric cell 'oops'"),
+                            ("1,2\n\n3, \n", "3: column 2: non-numeric cell ''"),
+                            ("#1,2\n", "1: column 1: non-numeric cell '#1'")):
+            open(p1, "w").write(text)
+            with pytest.raises(CsvFormatError) as info:
+                load_multiview_csv([p1])
+            assert str(info.value) == f"{p1}:{where}"
+
+    def test_cell_float_accepts_but_reader_rejects(self, tmp_path):
+        # Digit-group underscores parse with float() but not in numpy's
+        # reader; the error still names the file and the cell.
+        p1 = str(tmp_path / "a.csv")
+        open(p1, "w").write("1,2\n1_0,3\n")
+        with pytest.raises(CsvFormatError, match=rf"^{p1}: .*'1_0'"):
             load_multiview_csv([p1])
+
+    def test_blank_lines_and_padded_cells(self, tmp_path):
+        p1 = str(tmp_path / "a.csv")
+        open(p1, "w").write("\n 1 ,\t2.5\n   \n\t\n-3e2 , 4 \n\n")
+        ds = load_multiview_csv([p1], families=[Family.GAUSSIAN_UNIT_VARIANCE],
+                                standardize=False)
+        assert np.array_equal(ds.view_arrays[0], [[1.0, 2.5], [-300.0, 4.0]])
+
+    def test_single_row_and_single_column_stay_2d(self, tmp_path):
+        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        open(p1, "w").write("1,2,3\n")
+        open(p2, "w").write("4\n")
+        ds = load_multiview_csv([p1, p2], standardize=False)
+        assert [a.shape for a in ds.view_arrays] == [(1, 3), (1, 1)]
+
+    def test_empty_file_is_0x0_without_warning(self, tmp_path):
+        p1 = str(tmp_path / "a.csv")
+        for text in ("", "\n  \n\n"):
+            open(p1, "w").write(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _parse_matrix(p1).shape == (0, 0)
 
     def test_row_count_mismatch(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -133,6 +173,27 @@ class TestCsv:
         for a, b in zip(ds.view_arrays, back.view_arrays):
             np.testing.assert_allclose(a, b, atol=1e-12)
         assert np.array_equal(ds.labels, back.labels)
+
+    def test_round_trip_real_valued_bitwise(self, tmp_path, rng):
+        arr = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-300, 300, (9, 4))
+        arr[0] = [5e-324, -0.0, np.pi, -1e-310]
+        path = str(tmp_path / "m.csv")
+        save_matrix_csv(path, arr)
+        back = load_multiview_csv([path], standardize=False).view_arrays[0]
+        assert np.array_equal(back, arr)
+        assert back.tobytes() == arr.tobytes()  # keeps the sign of -0.0
+
+    def test_matches_per_cell_float_reference(self, tmp_path):
+        # The CSVs `gen-data` writes parse to the same bits as float() per cell.
+        ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=20))
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")]
+        save_multiview_csv(ds, paths)
+        back = load_multiview_csv(paths, families=[Family.BERNOULLI] * 2)
+        for path, got in zip(paths, back.view_arrays):
+            with open(path) as fh:
+                want = np.array([[float(c) for c in line.split(",")]
+                                 for line in fh if line.strip()])
+            assert got.tobytes() == want.tobytes()
 
     def test_round_trip_binary_exact(self, tmp_path):
         ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=3))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from samvh.evaluation import (
     write_pgm,
 )
 from samvh.expfam import Family
-from samvh.model import StructureKind, gates, make_tiny_model
+from samvh.model import ShapeMismatchError, StructureKind, ViewConfig, gates, make_tiny_model
 
 
 def dataset_for(params, rng, n):
@@ -78,6 +79,23 @@ class TestExtractFeatures:
         with pytest.raises(EmptySelectionError) as exc:
             extract_features(params, data, ("specific", 0))
         assert "specific(view 0)" in str(exc.value)
+
+    def test_views_must_match_the_model(self, rng):
+        params = make_tiny_model(rng, dims=(3, 2), J=4)
+        data = dataset_for(params, rng, 5)
+        extra = ViewConfig("extra", 2, Family.BERNOULLI)
+        cases = {
+            "missing view": MultiViewDataset(data.views[:1], data.view_arrays[:1]),
+            "extra view": MultiViewDataset(data.views + [extra],
+                                           data.view_arrays + [np.ones((5, 2))]),
+            "wrong width": MultiViewDataset(
+                [data.views[0], ViewConfig(params.views[1].name, 3, Family.BERNOULLI)],
+                [data.view_arrays[0], np.ones((5, 3))]),
+        }
+        for bad in cases.values():
+            with pytest.raises(ShapeMismatchError,
+                               match=repr(params.views[-1].name)):
+                extract_features(params, bad, "all")
 
     def test_bad_selection(self, rng):
         params = make_tiny_model(rng)
@@ -145,6 +163,42 @@ class TestKnn:
                 nearest = np.argsort(row, kind="stable")[:k]
                 correct += int(np.bincount(ytr[nearest]).argmax()) == truth
             assert knn_classify(fm(Xtr), ytr, fm(Xte), yte, k) == correct / len(yte)
+
+    def test_matches_stable_argsort_with_duplicated_rows(self, rng):
+        # Each distinct training row appears several times, so many queries
+        # have more than k candidates at the k-th distance: the rows whose
+        # neighbours are re-ranked after the partial sort.
+        base = rng.integers(0, 4, size=(12, 3)).astype(float)
+        Xtr = base[rng.integers(0, 12, size=60)]
+        ytr = rng.integers(0, 4, size=60)
+        Xte = rng.integers(0, 4, size=(50, 3)).astype(float)
+        d2 = Xte @ Xtr.T
+        d2 *= -2.0
+        d2 += np.sum(Xte ** 2, axis=1)[:, None]
+        d2 += np.sum(Xtr ** 2, axis=1)[None, :]
+        ranked = np.argsort(d2, axis=1, kind="stable")
+        for k in (1, 7, 60):
+            kth = np.take_along_axis(d2, ranked[:, k - 1:k], axis=1)
+            if k < 60:
+                assert np.count_nonzero(np.sum(d2 <= kth, axis=1) > k) >= 5
+            # Accuracy 1 against the reference's predictions: every query agrees.
+            want = [np.bincount(ytr[row[:k]]).argmax() for row in ranked]
+            assert knn_classify(fm(Xtr), ytr, fm(Xte), want, k) == 1.0
+
+    def test_peak_memory_at_pipeline_size(self, rng):
+        # The distances and one (Q, N) index array, with 10% to spare; no
+        # second (Q, N) float array.
+        X = fm(rng.random((1000, 60)))
+        y = rng.integers(0, 10, size=1000)
+        bound = 1.1 * (1000 * 1000 * (8 + 8))
+        for k in (10, 1000):
+            tracemalloc.start()
+            try:
+                knn_classify(X, y, X, y, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (k, peak)
 
     def test_feature_rotation_invariant(self, rng):
         # Euclidean distances are invariant to orthogonal maps of the features.
