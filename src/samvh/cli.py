@@ -165,10 +165,13 @@ def _structure_from_config(cfg: dict, num_views: int,
         mask = cfg["mvh_mask"]
         if mask is None:
             raise ConfigError("structure 'mvh' requires model.mvh_mask")
-        mask = np.asarray(mask, dtype=bool)
+        try:
+            mask = model_mod.mask_from_json(mask)
+        except TypeError as exc:
+            raise ConfigError(f"model.mvh_mask: {exc}") from None
         if mask.shape != (num_views, hidden_dim):
             raise ConfigError(
-                f"mvh_mask shape {mask.shape} does not match "
+                f"model.mvh_mask shape {mask.shape} does not match "
                 f"(views={num_views}, hidden_dim={hidden_dim})")
         return model_mod.StructureMode(model_mod.StructureKind.MVH, mask)
     raise ConfigError(f"unknown structure mode {kind!r}")
@@ -252,10 +255,21 @@ def cmd_train(args) -> int:
 def cmd_grad_check(args) -> int:
     config = load_config(args.config)
     gc = config["grad_check"]
+    if gc["num_models"] < 1:
+        raise ConfigError(f"grad_check.num_models must be >= 1, got {gc['num_models']}")
+    if not gc["tolerance"] > 0:
+        raise ConfigError(f"grad_check.tolerance must be > 0, got {gc['tolerance']}")
+    if not 1e-7 <= gc["step"] <= 1e-3:
+        raise ConfigError(f"grad_check.step must be in [1e-7, 1e-3], got {gc['step']}")
+    try:
+        kind = model_mod.StructureKind(gc["structure"])
+    except ValueError:
+        raise ConfigError(f"grad_check.structure must be one of "
+                          f"{[k.value for k in model_mod.StructureKind]}, "
+                          f"got {gc['structure']!r}") from None
     rng = np.random.default_rng(gc["seed"])
     tol = gc["tolerance"]
 
-    kind = model_mod.StructureKind(gc["structure"])
     worst = {"W": 0.0, "xi": 0.0, "lam": 0.0, "s": 0.0}
     worst_coord = None
     skip_ds = kind is not model_mod.StructureKind.SA

@@ -35,6 +35,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 # Exact enumeration is limited to models small enough to sum over all states.
 MAX_ENUM_VISIBLE = 16
 MAX_ENUM_HIDDEN = 12
+# `stacked_log_likelihood` takes its rows in chunks whose (rows, states, J)
+# blocks hold at most this many float64 values (8 MB). One row of the
+# largest enumerable model, 2^16 states x 12 hidden units, fits in a block.
+_STACK_BLOCK = 2 ** 20
 
 
 class EnumerationBoundError(ValueError):
@@ -159,16 +163,17 @@ def param_vector(params: HarmoniumParams) -> np.ndarray:
 def split_param_vector(vec: np.ndarray, dims: list[int], hidden_dim: int
                        ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
     """Views (W, xi, lam, s) into a vector laid out as in `param_vector`, for
-    views of dims D_k and hidden_dim J."""
-    J = hidden_dim
+    views of dims D_k and hidden_dim J. A stack of such vectors, (..., n),
+    gives views with the same leading axes."""
+    J, lead = hidden_dim, vec.shape[:-1]
     W, xi, pos = [], [], 0
     for d in dims:
-        W.append(vec[pos:pos + d * J].reshape(d, J))
+        W.append(vec[..., pos:pos + d * J].reshape(*lead, d, J))
         pos += d * J
     for d in dims:
-        xi.append(vec[pos:pos + d])
+        xi.append(vec[..., pos:pos + d])
         pos += d
-    return W, xi, vec[pos:pos + J], vec[pos + J:].reshape(len(dims), J)
+    return W, xi, vec[..., pos:pos + J], vec[..., pos + J:].reshape(*lead, len(dims), J)
 
 
 def init_params(views: list[ViewConfig], hidden_dim: int, hidden_family: Family,
@@ -222,12 +227,17 @@ def make_binary_data(params: HarmoniumParams, rng: np.random.Generator,
 
 def gates(params: HarmoniumParams) -> np.ndarray:
     """Effective gate matrix, K x J."""
-    kind = params.structure.kind
-    if kind is StructureKind.DWH:
-        return np.ones_like(params.s)
-    if kind is StructureKind.MVH:
-        return params.structure.mask.astype(np.float64)
-    return expit(params.s)
+    return _gates(params.structure, params.s)
+
+
+def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
+    """Gates of switch logits s, (..., K, J), under a structure mode. An MVH
+    mask is returned as one K x J matrix whatever the leading axes of s."""
+    if structure.kind is StructureKind.DWH:
+        return np.ones_like(s)
+    if structure.kind is StructureKind.MVH:
+        return structure.mask.astype(np.float64)
+    return expit(s)
 
 
 def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
@@ -385,18 +395,68 @@ def _log_unnorm_marginal(params: HarmoniumParams, fv: list[np.ndarray],
 def exact_log_partition(params: HarmoniumParams) -> float:
     """log Z by enumerating every visible state (tiny Bernoulli models only)."""
     _check_enum_bounds(params)
-    total_visible = sum(v.dim for v in params.views)
-    states = enumerate_binary_states(total_visible)
-    fv = _split_views(params, states)
-    return float(logsumexp(log_unnorm_marginal_batch(params, fv)))
+    return float(_stacked_enumeration(params, param_vector(params)[None])[0])
 
 
 def exact_log_likelihood(params: HarmoniumParams, fv: list[np.ndarray]) -> float:
     """Mean over the rows of a batch of log p(v), by exact enumeration."""
+    return float(stacked_log_likelihood(params, param_vector(params)[None], fv)[0])
+
+
+def stacked_log_likelihood(params: HarmoniumParams, thetas: np.ndarray,
+                           fv: list[np.ndarray]) -> np.ndarray:
+    """`exact_log_likelihood` of the batch fv under every row of thetas, an
+    (R, n) stack of parameter vectors laid out as in `param_vector`, with the
+    views, hidden units and structure mode of params. Shape (R,).
+
+    The visible states are enumerated once for all rows, and each row's
+    result equals, bit for bit, that of a model holding its parameters.
+    """
     _check_enum_bounds(params)
     fv = check_views(params, fv)
-    log_z = exact_log_partition(params)
-    return float(np.mean(log_unnorm_marginal_batch(params, fv))) - log_z
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n = param_vector(params).size
+    if thetas.ndim != 2 or thetas.shape[1] != n:
+        raise ShapeMismatchError(f"thetas has shape {thetas.shape}, want (R, {n})")
+    return _stacked_enumeration(params, thetas, fv)
+
+
+def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
+                         fv: list[np.ndarray] | None = None) -> np.ndarray:
+    """Per row of thetas, log Z, or the mean log p(v) over the batch fv if
+    one is given. The rows are taken in chunks whose (rows, states, J) and
+    (rows, B, J) blocks hold at most _STACK_BLOCK values."""
+    dims, J = [v.dim for v in params.views], params.hidden_dim
+    states = _split_views(params, enumerate_binary_states(sum(dims)))
+    widest = max(states[0].shape[0], 0 if fv is None else fv[0].shape[0])
+    chunk = max(1, _STACK_BLOCK // (widest * J))
+    out = np.empty(thetas.shape[0])
+    for start in range(0, out.size, chunk):
+        rows = slice(start, start + chunk)
+        W, xi, lam, s = split_param_vector(thetas[rows], dims, J)
+        g = _gates(params.structure, s)
+        wg = [W[k] * g[..., k, None, :] for k in range(len(dims))]
+        log_z = logsumexp(_stacked_log_unnorm_marginal(wg, xi, lam, states), axis=1)
+        if fv is None:
+            out[rows] = log_z
+        else:
+            out[rows] = np.mean(_stacked_log_unnorm_marginal(wg, xi, lam, fv), axis=1) - log_z
+    return out
+
+
+def _stacked_log_unnorm_marginal(wg: list[np.ndarray], xi: list[np.ndarray],
+                                 lam: np.ndarray, fv: list[np.ndarray]) -> np.ndarray:
+    """`log_unnorm_marginal_batch` under R stacked parameter sets, (R, B):
+    wg[k] is (R, D_k, J), xi[k] (R, D_k) and lam (R, J). Each row sums in
+    the order of `_hidden_shifted` and `_log_unnorm_marginal`."""
+    lam_hat = fv[0] @ wg[0]
+    lam_hat += lam[:, None, :]
+    for k in range(1, len(fv)):
+        lam_hat += fv[k] @ wg[k]
+    total = np.sum(np.logaddexp(0.0, lam_hat, out=lam_hat), axis=2)
+    for k in range(len(fv)):
+        total += (fv[k] @ xi[k][:, :, None])[:, :, 0]
+    return total
 
 
 def exact_visible_distribution(params: HarmoniumParams) -> tuple[np.ndarray, np.ndarray]:
@@ -525,6 +585,20 @@ def require_key(doc, path: list, source: str):
     return node
 
 
+def mask_from_json(value) -> np.ndarray:
+    """A connectivity mask from a JSON value: a list of equally long lists
+    whose items are each 0, 1, true or false. TypeError for anything else,
+    so that no other truthy or falsy item passes for a connection."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) <= 1):
+        raise TypeError(f"mask must be a list of equally long lists, got {value!r}")
+    for row in value:
+        for item in row:
+            if not (isinstance(item, bool) or (type(item) is int and item in (0, 1))):
+                raise TypeError(f"mask items must be 0, 1, true or false, got {item!r}")
+    return np.array(value, dtype=bool).reshape(len(value), len(value[0]) if value else 0)
+
+
 def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
@@ -538,7 +612,7 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
              for i in range(len(get("views")))]
     kind = StructureKind(get("structure", "kind"))
     mask = get("structure").get("mask")
-    structure = StructureMode(kind, None if mask is None else np.asarray(mask, dtype=bool))
+    structure = StructureMode(kind, None if mask is None else mask_from_json(mask))
 
     def array(name):
         return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(

@@ -12,7 +12,9 @@ The model expectation is approximated by CD-k (Gibbs chains started from
 data) in `cd_gradient` and computed exactly by visible-state enumeration in
 `exact_gradient`. `finite_diff_gradient` differentiates the exact
 log-likelihood numerically and is the oracle that pins down every sign and
-the sum-over-i in the switch gradient.
+the sum-over-i in the switch gradient. It stacks the 2n perturbed parameter
+vectors of a model and evaluates them in one `model.stacked_log_likelihood`
+call, which enumerates the visible states once for all of them.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
 validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
@@ -60,7 +62,9 @@ from .model import (  # noqa: F401
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
+    param_vector,
     split_param_vector,
+    stacked_log_likelihood,
 )
 
 
@@ -209,30 +213,23 @@ def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet
 def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
                          step: float = 1e-5) -> GradientSet:
     """Central differences of the exact log-likelihood over every scalar
-    parameter, including each switch logit."""
+    parameter, including each switch logit.
+
+    The 2n perturbed parameter vectors (theta_i + step, theta_i - step for
+    each of the n coordinates) are evaluated in one call of
+    `model.stacked_log_likelihood`, so the visible states are enumerated
+    once; each difference equals that of perturbing a copy of the model.
+    """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError("step must be in [1e-7, 1e-3]")
-    fv = check_views(params, fv)
-    work = params.copy()
-    out = GradientSet.zeros_like(params)
-
-    def central(arr, darr):
-        flat, dflat = arr.ravel(), darr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = exact_log_likelihood(work, fv)
-            flat[i] = orig - step
-            lo = exact_log_likelihood(work, fv)
-            flat[i] = orig
-            dflat[i] = (hi - lo) / (2.0 * step)
-
-    for k in range(params.num_views):
-        central(work.W[k], out.dW[k])
-        central(work.xi[k], out.dxi[k])
-    central(work.lam, out.dlam)
-    central(work.s, out.ds)
-    return out
+    theta = param_vector(params)
+    idx = np.arange(theta.size)
+    thetas = np.tile(theta, (2 * theta.size, 1))
+    thetas[2 * idx, idx] = theta + step
+    thetas[2 * idx + 1, idx] = theta - step
+    ll = stacked_log_likelihood(params, thetas, fv)
+    return GradientSet((ll[0::2] - ll[1::2]) / (2.0 * step),
+                       [v.dim for v in params.views], params.hidden_dim)
 
 
 def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:

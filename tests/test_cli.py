@@ -224,6 +224,19 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "views" in err and "'family'" in err
 
+    def test_mvh_mask_items_must_be_binary(self, tmp_path, capsys):
+        cfg = small_config(
+            tmp_path,
+            model={"hidden_dim": 4, "structure": "mvh",
+                   "mvh_mask": [["a", "", 1, 0], [2, None, 0, 1]]})
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert "model.mvh_mask" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))
+
     def test_bad_mvh_mask_shape(self, tmp_path, capsys):
         cfg = small_config(
             tmp_path,
@@ -236,7 +249,45 @@ class TestTrain:
         assert "mvh_mask" in capsys.readouterr().err
 
 
+# Default `grad-check` output per structure mode, recorded before the
+# finite differences were batched: any change to the oracle's rounding
+# shows here.
+GRAD_CHECK_GOLDEN = {
+    "sa": ["W: max relative error 6.014e-08",
+           "xi: max relative error 4.771e-09",
+           "lam: max relative error 4.766e-08",
+           "s: max relative error 7.040e-08"],
+    "dwh": ["W: max relative error 7.515e-08",
+            "xi: max relative error 1.166e-08",
+            "lam: max relative error 1.219e-07",
+            "s: skipped (frozen structure)"],
+    "mvh": ["W: max relative error 4.729e-08",
+            "xi: max relative error 8.483e-08",
+            "lam: max relative error 8.882e-08",
+            "s: skipped (frozen structure)"],
+}
+
+
 class TestGradCheck:
+    @pytest.mark.parametrize("structure", sorted(GRAD_CHECK_GOLDEN))
+    def test_default_output_is_golden(self, tmp_path, capsys, structure):
+        cfg = write_config(tmp_path, {"grad_check": {"structure": structure}})
+        assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == GRAD_CHECK_GOLDEN[structure]
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_models", 0), ("num_models", -3),
+        ("tolerance", 0.0), ("tolerance", -1e-5),
+        ("step", 1e-8), ("step", 1e-2), ("step", 0),
+        ("structure", "gated"),
+    ])
+    def test_bad_settings_are_config_errors(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"grad_check": {key: value}})
+        assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"grad_check.{key}" in captured.err
+        assert captured.out == ""
+
     def test_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grad_check": {"num_models": 3}})
         assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_OK
@@ -359,6 +410,20 @@ class TestEvalPipeline:
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
         assert "broken.json: malformed checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_mask_items_must_be_binary(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        ckpt = str(tmp_path / "mvh.json")
+        save_checkpoint(make_tiny_model(rng, StructureKind.MVH), ckpt)
+        with open(ckpt) as fh:
+            doc = json.load(fh)
+        doc["structure"]["mask"] = [["x", 1, 0, 1], [0, 1, 7, 0]]
+        with open(ckpt, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["render-filters", "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "imgs")])
+        assert code == cli.EXIT_CONFIG
+        assert "mvh.json: malformed checkpoint" in capsys.readouterr().err
 
     def test_unknown_selection(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained

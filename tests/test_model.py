@@ -4,24 +4,32 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from samvh.expfam import Family
 from samvh.model import (
     EnumerationBoundError,
     HarmoniumParams,
+    MalformedDocumentError,
     ShapeMismatchError,
     StructureKind,
     StructureMode,
     ViewConfig,
+    enumerate_binary_states,
     exact_log_likelihood,
+    exact_log_partition,
     exact_visible_distribution,
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
     load_checkpoint,
+    log_unnorm_marginal_batch,
     make_binary_data,
     make_tiny_model,
+    param_vector,
     posterior_hidden_mean_batch,
     save_checkpoint,
+    stacked_log_likelihood,
     structure_report,
     unnormalized_log_joint,
     visible_shifted_batch,
@@ -129,6 +137,26 @@ def oracle_log_likelihood(params, fv):
         p = sum(w for (vb, _), w in table.items() if vb == vbits)
         total += math.log(p)
     return total / len(fv[0])
+
+
+def reference_log_partition(params):
+    """log Z as one model's enumeration computes it: a scipy logsumexp over
+    `log_unnorm_marginal_batch` of every visible state."""
+    states = enumerate_binary_states(sum(v.dim for v in params.views))
+    fv = np.split(states, np.cumsum([v.dim for v in params.views])[:-1], axis=1)
+    return float(logsumexp(log_unnorm_marginal_batch(params, fv)))
+
+
+def reference_log_likelihood(params, fv):
+    return float(np.mean(log_unnorm_marginal_batch(params, fv))) - reference_log_partition(params)
+
+
+def random_tiny_model(rng):
+    """A tiny model of 1 to 3 views, 1 to 4 units each, and 1 to 12 hidden
+    units, in a structure mode drawn at random."""
+    dims = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4)))
+    kind = list(StructureKind)[rng.integers(3)]
+    return make_tiny_model(rng, kind, dims=dims, J=int(rng.integers(1, 13)))
 
 
 def oracle_posterior_mean(params, fv):
@@ -334,6 +362,30 @@ class TestExactLogLikelihood:
         with pytest.raises(ValueError):
             exact_log_likelihood(p, make_binary_data(p, rng, 1))
 
+    def test_bitwise_equal_to_single_model_enumeration(self, rng):
+        for _ in range(300):
+            p = random_tiny_model(rng)
+            data = make_binary_data(p, rng, int(rng.integers(1, 30)))
+            assert exact_log_partition(p) == reference_log_partition(p)
+            assert exact_log_likelihood(p, data) == reference_log_likelihood(p, data)
+
+    def test_stacked_rows_equal_their_own_models(self, rng):
+        p = make_tiny_model(rng, StructureKind.SA, dims=(1, 2, 4), J=3)
+        data = make_binary_data(p, rng, 5)
+        models = [make_tiny_model(rng, StructureKind.SA, dims=(1, 2, 4), J=3)
+                  for _ in range(4)]
+        got = stacked_log_likelihood(p, np.stack([param_vector(q) for q in models]), data)
+        assert got.shape == (4,)
+        assert np.array_equal(got, [reference_log_likelihood(q, data) for q in models])
+
+    def test_stacked_rows_must_be_parameter_vectors(self, rng):
+        p = make_tiny_model(rng)
+        data = make_binary_data(p, rng, 2)
+        theta = param_vector(p)
+        for bad in (theta, np.stack([theta[:-1]] * 2)):
+            with pytest.raises(ShapeMismatchError, match="thetas"):
+                stacked_log_likelihood(p, bad, data)
+
     def test_hidden_permutation_invariance(self, rng):
         p = make_tiny_model(rng)
         data = make_binary_data(p, rng, 5)
@@ -499,6 +551,30 @@ class TestCheckpoint:
         save_checkpoint(p, path)
         q = load_checkpoint(path)
         assert np.array_equal(p.structure.mask, q.structure.mask)
+
+    @pytest.mark.parametrize("mask", ["x", 7, [[1, 0, 1, "x"], [0, 1, 0, 1]],
+                                      [[1, 0, 1, 7], [0, 1, 0, 1]],
+                                      [[1, 0, 1, None], [0, 1, 0, 1]],
+                                      [[1, 0, 1, 0.5], [0, 1, 0, 1]]])
+    def test_mvh_mask_items_must_be_binary(self, rng, tmp_path, mask):
+        import json
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(make_tiny_model(rng, StructureKind.MVH), path)
+        doc = json.loads(open(path).read())
+        doc["structure"]["mask"] = mask
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(MalformedDocumentError, match="ckpt.json"):
+            load_checkpoint(path)
+
+    def test_mvh_mask_of_booleans_loads(self, rng, tmp_path):
+        import json
+        p = make_tiny_model(rng, StructureKind.MVH)
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(p, path)
+        doc = json.loads(open(path).read())
+        doc["structure"]["mask"] = p.structure.mask.tolist()
+        open(path, "w").write(json.dumps(doc))
+        assert np.array_equal(load_checkpoint(path).structure.mask, p.structure.mask)
 
     def test_version_check(self, rng, tmp_path):
         import json

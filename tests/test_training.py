@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from samvh.training import (
     reconstruction_error,
     train,
 )
+from test_model import reference_log_likelihood
 
 
 def flatten(g: GradientSet) -> np.ndarray:
@@ -89,6 +91,31 @@ def reference_cd_gradient(params, fv, cd_steps, rng):
         chain = [sample(cfg.family, params.xi[k][None, :] + gh @ gated(k).T, rng)
                  for k, cfg in enumerate(params.views)]
     return pos - stats(chain, mean(hf, hidden(chain)))
+
+
+def reference_finite_diff_gradient(params, fv, step):
+    """Central differences one coordinate at a time: each perturbed copy of
+    the model gets its own single-model enumeration."""
+    work = params.copy()
+    out = GradientSet.zeros_like(params)
+
+    def central(arr, darr):
+        flat, dflat = arr.ravel(), darr.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = reference_log_likelihood(work, fv)
+            flat[i] = orig - step
+            lo = reference_log_likelihood(work, fv)
+            flat[i] = orig
+            dflat[i] = (hi - lo) / (2.0 * step)
+
+    for k in range(params.num_views):
+        central(work.W[k], out.dW[k])
+        central(work.xi[k], out.dxi[k])
+    central(work.lam, out.dlam)
+    central(work.s, out.ds)
+    return out
 
 
 def reference_train(params, data, config, gradient_fn):
@@ -312,6 +339,30 @@ class TestFiniteDiff:
         p = make_tiny_model(rng)
         with pytest.raises(ValueError):
             finite_diff_gradient(p, make_binary_data(p, rng, 1), 1e-2)
+
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    @pytest.mark.parametrize("dims,J", [((3, 3), 4), ((1, 2, 4), 3)])
+    @pytest.mark.parametrize("step", [1e-5, 1e-4])
+    def test_bitwise_equal_to_per_coordinate_loop(self, rng, kind, dims, J, step):
+        for _ in range(2):
+            p = make_tiny_model(rng, kind, dims=dims, J=J)
+            data = make_binary_data(p, rng, 6)
+            got = finite_diff_gradient(p, data, step)
+            assert np.array_equal(got.vec, reference_finite_diff_gradient(p, data, step).vec)
+
+    def test_many_chunks_bitwise_equal_and_bounded_memory(self, rng):
+        # 264 perturbed rows x 4096 states x 8 hidden units is about 8.7M
+        # values, several blocks of the stacked evaluator.
+        p = make_tiny_model(rng, dims=(6, 6), J=8)
+        data = make_binary_data(p, rng, 6)
+        tracemalloc.start()
+        try:
+            got = finite_diff_gradient(p, data, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
+        assert np.array_equal(got.vec, reference_finite_diff_gradient(p, data, 1e-5).vec)
 
 
 # ---------------------------------------------------------------------------
