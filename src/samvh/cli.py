@@ -156,25 +156,21 @@ def _require_seed(value, flag_seed):
 
 def _structure_from_config(cfg: dict, num_views: int,
                            hidden_dim: int) -> model_mod.StructureMode:
-    kind = cfg["structure"]
-    if kind == "dwh":
-        return model_mod.StructureMode(model_mod.StructureKind.DWH)
-    if kind == "sa":
-        return model_mod.StructureMode(model_mod.StructureKind.SA)
-    if kind == "mvh":
-        mask = cfg["mvh_mask"]
-        if mask is None:
-            raise ConfigError("structure 'mvh' requires model.mvh_mask")
-        try:
-            mask = model_mod.mask_from_json(mask)
-        except TypeError as exc:
-            raise ConfigError(f"model.mvh_mask: {exc}") from None
-        if mask.shape != (num_views, hidden_dim):
-            raise ConfigError(
-                f"model.mvh_mask shape {mask.shape} does not match "
-                f"(views={num_views}, hidden_dim={hidden_dim})")
-        return model_mod.StructureMode(model_mod.StructureKind.MVH, mask)
-    raise ConfigError(f"unknown structure mode {kind!r}")
+    try:
+        kind = model_mod.StructureKind(cfg["structure"])
+    except ValueError:
+        raise ConfigError(f"unknown structure mode {cfg['structure']!r}") from None
+    if kind is not model_mod.StructureKind.MVH:
+        return model_mod.StructureMode(kind)
+    try:
+        structure = model_mod.StructureMode(kind, cfg["mvh_mask"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.mvh_mask: {exc}") from None
+    if structure.mask.shape != (num_views, hidden_dim):
+        raise ConfigError(
+            f"model.mvh_mask shape {structure.mask.shape} does not match "
+            f"(views={num_views}, hidden_dim={hidden_dim})")
+    return structure
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +265,8 @@ def cmd_grad_check(args) -> int:
                           f"got {gc['structure']!r}") from None
     rng = np.random.default_rng(gc["seed"])
     tol = gc["tolerance"]
-
-    worst = {"W": 0.0, "xi": 0.0, "lam": 0.0, "s": 0.0}
-    worst_coord = None
-    skip_ds = kind is not model_mod.StructureKind.SA
+    worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
+    worst_at = {}  # group -> (model, theta offset)
 
     for trial in range(gc["num_models"]):
         params = model_mod.make_tiny_model(rng, kind)
@@ -281,28 +275,24 @@ def cmd_grad_check(args) -> int:
         if args.self_test_break_sign:
             exact.dlam *= -1.0
         fd = train_mod.finite_diff_gradient(params, data, step=gc["step"])
-        pairs = [("W", exact.dW, fd.dW), ("xi", exact.dxi, fd.dxi),
-                 ("lam", [exact.dlam], [fd.dlam])]
-        if not skip_ds:
-            pairs.append(("s", [exact.ds], [fd.ds]))
-        for name, a_list, b_list in pairs:
-            for a, b in zip(a_list, b_list):
-                denom = np.maximum(np.abs(b), 1e-3)
-                rel = np.abs(a - b) / denom
-                idx = int(np.argmax(rel))
-                if rel.ravel()[idx] > worst[name]:
-                    worst[name] = float(rel.ravel()[idx])
-                    worst_coord = (name, trial, np.unravel_index(idx, np.asarray(a).shape))
+        rel = np.abs(exact.vec - fd.vec) / np.maximum(np.abs(fd.vec), 1e-3)
+        ends = model_mod.param_group_ends([v.dim for v in params.views],
+                                          params.hidden_dim)
+        for name, start, end in zip(model_mod.PARAM_GROUPS, [0, *ends], ends):
+            i = start + int(np.argmax(rel[start:end]))
+            if rel[i] > worst[name]:
+                worst[name], worst_at[name] = float(rel[i]), (trial, i)
 
-    for name, err in worst.items():
-        if name == "s" and skip_ds:
-            print(f"{name}: skipped (frozen structure)")
-        else:
-            print(f"{name}: max relative error {err:.3e}")
-    failed = any(err > tol for name, err in worst.items()
-                 if not (name == "s" and skip_ds))
-    if failed:
-        print(f"FAIL: worst offender {worst_coord}", file=sys.stderr)
+    if kind is not model_mod.StructureKind.SA:
+        del worst["s"]  # the switch logits are frozen
+    for name in model_mod.PARAM_GROUPS:
+        print(f"{name}: max relative error {worst[name]:.3e}" if name in worst
+              else f"{name}: skipped (frozen structure)")
+    name = max(worst, key=worst.get)
+    if worst[name] > tol:
+        trial, offset = worst_at[name]
+        print(f"FAIL: worst offender: group {name}, model {trial}, theta offset "
+              f"{offset}, relative error {worst[name]:.3e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -313,15 +303,24 @@ def _load_eval_inputs(args, config):
     return dataset, params
 
 
+def _view_index(key: str, token, views) -> int:
+    """The index of a view given by name or by index, or a ConfigError that
+    names the config key and lists the views."""
+    names = [v.name for v in views]
+    if token in names:
+        return names.index(token)
+    if str(token).isdecimal() and int(token) < len(names):
+        return int(token)
+    listed = ", ".join(f"{i} {n!r}" for i, n in enumerate(names))
+    raise ConfigError(f"{key}: no view {token!r}; the views are {listed}")
+
+
 def _parse_selection(selection, dataset):
     if selection in ("all", "shared"):
         return selection
     if selection.startswith("specific:"):
-        token = selection.split(":", 1)[1]
-        names = [v.name for v in dataset.views]
-        if token in names:
-            return ("specific", names.index(token))
-        return ("specific", int(token))
+        return ("specific", _view_index("eval.selection", selection.split(":", 1)[1],
+                                        dataset.views))
     raise ConfigError(f"unknown selection {selection!r}")
 
 
@@ -365,9 +364,10 @@ def cmd_render_filters(args) -> int:
     config = load_config(args.config)
     params = model_mod.load_checkpoint(args.checkpoint)
     ecfg = config["eval"]
+    view = _view_index("eval.view", ecfg["view"], params.views)
     try:
         written = eval_mod.export_filter_images(
-            params, ecfg["view"], args.out, grid_cols=ecfg["grid_cols"])
+            params, view, args.out, grid_cols=ecfg["grid_cols"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for path in written:

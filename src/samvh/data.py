@@ -47,10 +47,6 @@ class MultiViewDataset:
     def num_views(self) -> int:
         return len(self.views)
 
-    @property
-    def labels_present(self) -> bool:
-        return self.labels is not None
-
     def sample(self, n: int) -> MultiViewSample:
         return MultiViewSample(
             values=[arr[n] for arr in self.view_arrays],
@@ -449,7 +445,7 @@ def save_manifest(data: MultiViewDataset, path: str, seed: int | None = None,
         "views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
                   for v in data.views],
         "num_samples": data.num_samples,
-        "labels_present": data.labels_present,
+        "labels_present": data.labels is not None,
     }
     if seed is not None:
         doc["seed"] = seed
@@ -472,13 +468,21 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
         families = [Family(require_key(views, [i, "family"], manifest))
                     for i in range(len(views))]
         names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
+        dims = [require_key(views, [i, "dim"], manifest) for i in range(len(views))]
+        num_samples = require_key(doc, ["num_samples"], manifest)
         paths = [os.path.join(directory, f)
                  for f in require_key(doc, ["view_files"], manifest)]
         label_path = (os.path.join(directory, doc["label_file"])
                       if doc.get("label_file") else None)
     except TypeError as exc:
         raise MalformedDocumentError(f"{manifest}: malformed manifest: {exc}") from None
-    return load_multiview_csv(paths, label_path, families=families, names=names)
+    data = load_multiview_csv(paths, label_path, families=families, names=names)
+    for path, cfg, dim in zip(paths, data.views, dims):
+        if (cfg.dim, data.num_samples) != (dim, num_samples):
+            raise MalformedDocumentError(
+                f"{manifest}: view {cfg.name!r} should hold {num_samples} rows of "
+                f"dim {dim}, but {path} holds {data.num_samples} rows of {cfg.dim}")
+    return data
 
 
 def train_test_split(data: MultiViewDataset, test_fraction: float,
@@ -490,22 +494,13 @@ def train_test_split(data: MultiViewDataset, test_fraction: float,
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     rng = np.random.default_rng(seed)
-
-    if data.labels is not None:
-        test_idx = []
-        for cls in np.unique(data.labels):
-            members = np.flatnonzero(data.labels == cls)
-            members = members[rng.permutation(len(members))]
-            n_test = int(round(len(members) * test_fraction))
-            test_idx.extend(members[:n_test])
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[test_idx] = True
-    else:
-        perm = rng.permutation(n)
-        n_test = int(round(n * test_fraction))
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[perm[:n_test]] = True
-
+    # Unlabeled data is split as one class.
+    labels = np.zeros(n, dtype=np.int64) if data.labels is None else data.labels
+    test_mask = np.zeros(n, dtype=bool)
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        members = members[rng.permutation(len(members))]
+        test_mask[members[:int(round(len(members) * test_fraction))]] = True
     if test_mask.all() or not test_mask.any():
         raise ValueError("test_fraction leaves one side of the split empty")
     return data.subset(~test_mask), data.subset(test_mask)

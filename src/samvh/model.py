@@ -68,16 +68,33 @@ class StructureKind(Enum):
 
 @dataclass
 class StructureMode:
+    """A structure mode, with its K x J connectivity mask in MVH mode. The
+    mask is a 2-D array or a list of equally long lists whose items are each
+    0, 1, true or false; anything else is a TypeError, so that no other
+    truthy or falsy value passes for a connection."""
     kind: StructureKind
     mask: np.ndarray | None = None  # K x J booleans, MVH only
 
     def __post_init__(self):
-        if self.kind is StructureKind.MVH:
-            if self.mask is None:
-                raise ValueError("MVH mode requires a connectivity mask")
-            self.mask = np.asarray(self.mask, dtype=bool)
-        elif self.mask is not None:
-            raise ValueError("mask is only meaningful in MVH mode")
+        if self.kind is not StructureKind.MVH:
+            if self.mask is not None:
+                raise ValueError("mask is only meaningful in MVH mode")
+            return
+        if self.mask is None:
+            raise ValueError("MVH mode requires a connectivity mask")
+        mask = self.mask
+        if isinstance(mask, list):  # ragged rows give a 1-D array of lists
+            mask = np.array(mask, dtype=object)
+        if not (isinstance(mask, np.ndarray) and mask.ndim == 2):
+            raise TypeError(f"mask must be a 2-D array or a list of equally "
+                            f"long lists, got {self.mask!r}")
+        if mask.dtype != bool:
+            for item in mask.flat:
+                if not (isinstance(item, (bool, np.bool_)) or (
+                        isinstance(item, (int, np.integer)) and item in (0, 1))):
+                    raise TypeError(
+                        f"mask items must be 0, 1, true or false, got {item!r}")
+        self.mask = np.asarray(mask, dtype=bool)
 
 
 @dataclass
@@ -154,8 +171,19 @@ class HarmoniumParams:
         return params, theta
 
 
+# The parameter groups of a flat parameter vector theta, in their order.
+PARAM_GROUPS = ("W", "xi", "lam", "s")
+
+
+def param_group_ends(dims: list[int], hidden_dim: int) -> tuple[int, ...]:
+    """End offsets in theta of the PARAM_GROUPS segments, for views of dims
+    D_k and hidden_dim J; the last is the length of theta."""
+    D, K, J = sum(dims), len(dims), hidden_dim
+    return (D * J, D * J + D, D * J + D + J, D * J + D + J + K * J)
+
+
 def param_vector(params: HarmoniumParams) -> np.ndarray:
-    """Every parameter in one new flat vector: W^0 .. W^{K-1}, xi^0 ..
+    """Every parameter in one new flat vector theta: W^0 .. W^{K-1}, xi^0 ..
     xi^{K-1}, lam, s, each in C order."""
     return np.concatenate([a.ravel() for a in (*params.W, *params.xi, params.lam, params.s)])
 
@@ -270,14 +298,9 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
 
 
 def gated_weights(params: HarmoniumParams, g: np.ndarray) -> list[np.ndarray]:
-    """sigma(s) W^k for every view, given the gates g = gates(params): the
-    row blocks of one (D_total, J) matrix, in view order."""
-    stacked = np.empty((sum(v.dim for v in params.views), params.hidden_dim))
-    blocks, start = [], 0
-    for k, cfg in enumerate(params.views):
-        blocks.append(np.multiply(params.W[k], g[k], out=stacked[start:start + cfg.dim]))
-        start += cfg.dim
-    return blocks
+    """sigma(s) W^k for every view, in view order, given the gates
+    g = gates(params)."""
+    return [w * gk for w, gk in zip(params.W, g)]
 
 
 def _hidden_shifted(params: HarmoniumParams, wg: list[np.ndarray],
@@ -415,7 +438,7 @@ def stacked_log_likelihood(params: HarmoniumParams, thetas: np.ndarray,
     _check_enum_bounds(params)
     fv = check_views(params, fv)
     thetas = np.asarray(thetas, dtype=np.float64)
-    n = param_vector(params).size
+    n = param_group_ends([v.dim for v in params.views], params.hidden_dim)[-1]
     if thetas.ndim != 2 or thetas.shape[1] != n:
         raise ShapeMismatchError(f"thetas has shape {thetas.shape}, want (R, {n})")
     return _stacked_enumeration(params, thetas, fv)
@@ -585,20 +608,6 @@ def require_key(doc, path: list, source: str):
     return node
 
 
-def mask_from_json(value) -> np.ndarray:
-    """A connectivity mask from a JSON value: a list of equally long lists
-    whose items are each 0, 1, true or false. TypeError for anything else,
-    so that no other truthy or falsy item passes for a connection."""
-    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
-            and len({len(row) for row in value}) <= 1):
-        raise TypeError(f"mask must be a list of equally long lists, got {value!r}")
-    for row in value:
-        for item in row:
-            if not (isinstance(item, bool) or (type(item) is int and item in (0, 1))):
-                raise TypeError(f"mask items must be 0, 1, true or false, got {item!r}")
-    return np.array(value, dtype=bool).reshape(len(value), len(value[0]) if value else 0)
-
-
 def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
@@ -610,9 +619,8 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     views = [ViewConfig(get("views", i, "name"), get("views", i, "dim"),
                         Family(get("views", i, "family")))
              for i in range(len(get("views")))]
-    kind = StructureKind(get("structure", "kind"))
-    mask = get("structure").get("mask")
-    structure = StructureMode(kind, None if mask is None else mask_from_json(mask))
+    structure = StructureMode(StructureKind(get("structure", "kind")),
+                              get("structure").get("mask"))
 
     def array(name):
         return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(

@@ -49,6 +49,7 @@ from .data import MultiViewDataset
 # look them up.
 from .expfam import NonFiniteError, mean, suff_stat  # noqa: F401
 from .model import (  # noqa: F401
+    PARAM_GROUPS,
     HarmoniumParams,
     StructureKind,
     _check_enum_bounds,
@@ -62,6 +63,7 @@ from .model import (  # noqa: F401
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
+    param_group_ends,
     param_vector,
     split_param_vector,
     stacked_log_likelihood,
@@ -88,8 +90,7 @@ class GradientSet:
     @staticmethod
     def zeros_like(params: HarmoniumParams) -> "GradientSet":
         dims, J = [v.dim for v in params.views], params.hidden_dim
-        D = sum(dims)
-        return GradientSet(np.zeros(D * J + D + J + len(dims) * J), dims, J)
+        return GradientSet(np.zeros(param_group_ends(dims, J)[-1]), dims, J)
 
 
 @dataclass
@@ -274,11 +275,10 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
     n = arrays[0].shape[0]
 
     cur, theta = params.flat_copy()
-    sa_mode = cur.structure.kind is StructureKind.SA
-    n_w = sum(w.size for w in cur.W)
-    # Ends of the W, xi and lam segments of theta; s follows.
-    group_ends = np.cumsum([n_w, sum(x.size for x in cur.xi), cur.lam.size])
-    live = theta.size if sa_mode else group_ends[-1]  # s is frozen outside SA
+    ends = param_group_ends([v.dim for v in cur.views], cur.hidden_dim)
+    n_w, s_start = ends[0], ends[2]
+    # s is frozen outside SA mode.
+    live = theta.size if cur.structure.kind is StructureKind.SA else s_start
     lr = config.learning_rate
     switch_lr = lr * config.switch_lr_scale
     decay = lr * config.weight_decay
@@ -303,18 +303,14 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
             except NonFiniteError:
                 # Overflowing activations before the parameters themselves
                 # go non-finite; report the largest parameter group.
-                biggest = max(
-                    (("W", max(np.abs(w).max() for w in cur.W)),
-                     ("xi", max(np.abs(x).max() for x in cur.xi)),
-                     ("lam", np.abs(cur.lam).max()),
-                     ("s", np.abs(cur.s).max())),
-                    key=lambda t: t[1])[0]
-                raise TrainingDivergedError(epoch, biggest) from None
+                largest = [seg.max() for seg in np.split(np.abs(theta), ends[:-1])]
+                raise TrainingDivergedError(
+                    epoch, PARAM_GROUPS[int(np.argmax(largest))]) from None
 
             vel *= config.momentum
             vel += grad.vec[:live]
             np.multiply(vel, lr, out=update)
-            np.multiply(vel[group_ends[-1]:], switch_lr, out=update[group_ends[-1]:])
+            np.multiply(vel[s_start:], switch_lr, out=update[s_start:])
             # lr*vel + (-decay)*W rounds exactly as lr*vel - decay*W. It is
             # applied at every weight_decay, so that even at 0 the update
             # keeps that rounding, down to the sign of a zero weight.
@@ -322,9 +318,8 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
             theta[:live] += update
             if not np.isfinite(theta, out=finite).all():
                 first_bad = int(np.argmin(finite))
-                group = ("W", "xi", "lam", "s")[
-                    int(np.searchsorted(group_ends, first_bad, side="right"))]
-                raise TrainingDivergedError(epoch, group)
+                raise TrainingDivergedError(epoch, PARAM_GROUPS[
+                    int(np.searchsorted(ends, first_bad, side="right"))])
         g = gates(cur)
         log.records.append(EpochRecord(
             epoch=epoch,

@@ -213,6 +213,23 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "manifest.json: malformed manifest" in err
 
+    def test_manifest_shape_must_match_view_files(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["views"][0]["dim"], doc["num_samples"] = 5, 3
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "manifest.json: view 'arabic'" in err
+        assert not os.path.exists(str(tmp_path / "r"))
+
     def test_views_entry_without_family_is_config_error(self, tmp_path, capsys):
         path = str(tmp_path / "a.csv")
         with open(path, "w") as fh:
@@ -306,7 +323,11 @@ class TestGradCheck:
         code = cli.main(["--config", cfg, "grad-check",
                          "--self-test-break-sign"])
         assert code == cli.EXIT_CHECK_FAILED
-        assert "FAIL" in capsys.readouterr().err
+        # Tiny models have views of 3 and 3 units and 4 hidden units, so W
+        # takes theta[0:24], xi theta[24:30] and lam theta[30:34].
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL: worst offender: group lam, model 1, theta offset 30, "
+            "relative error 2.000e+00"]
 
 
 class TestEvalPipeline:
@@ -424,6 +445,34 @@ class TestEvalPipeline:
                          "--out", str(tmp_path / "imgs")])
         assert code == cli.EXIT_CONFIG
         assert "mvh.json: malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selection", ["specific:5", "specific:-1",
+                                           "specific:2", "specific:foo"])
+    def test_selection_of_unknown_view_is_config_error(self, tmp_path, trained,
+                                                       capsys, selection):
+        cfg, data_dir, ckpt = trained
+        sel_cfg = write_config(tmp_path, {"eval": {"selection": selection}},
+                               "sel.json")
+        for command in ("extract", "eval-knn"):
+            code = cli.main(["--config", sel_cfg, command, "--checkpoint", ckpt,
+                             "--data", data_dir, "--out", str(tmp_path / "f")])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_CONFIG, command
+            assert err.startswith("error: eval.selection: no view ")
+            assert "0 'arabic', 1 'roman'" in err
+
+    @pytest.mark.parametrize("view", [7, 2, -1])
+    def test_render_unknown_view_is_config_error(self, tmp_path, trained,
+                                                 capsys, view):
+        _, _, ckpt = trained
+        cfg = write_config(tmp_path, {"eval": {"view": view}}, "view.json")
+        code = cli.main(["--config", cfg, "render-filters", "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "imgs")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"error: eval.view: no view {view}")
+        assert "0 'arabic', 1 'roman'" in err
+        assert not os.path.exists(str(tmp_path / "imgs"))
 
     def test_unknown_selection(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from samvh.data import (
     SynthConfig,
     generate_synthetic_paired,
     glyph_templates,
+    load_dataset_dir,
     load_multiview_csv,
     save_matrix_csv,
     save_multiview_csv,
@@ -18,7 +20,7 @@ from samvh.data import (
     train_test_split,
 )
 from samvh.expfam import Family
-from samvh.model import ViewConfig
+from samvh.model import MalformedDocumentError, ViewConfig
 
 
 class TestGlyphTemplates:
@@ -232,6 +234,28 @@ class TestCsv:
         assert open(path).read() == ""
 
 
+class TestManifest:
+    @pytest.mark.parametrize("edit,view", [
+        (lambda doc: doc["views"][1].update(dim=5), "'roman'"),
+        (lambda doc: doc.update(num_samples=3), "'arabic'")])
+    def test_dim_and_sample_count_must_match_files(self, tmp_path, edit, view):
+        ds = generate_synthetic_paired(SynthConfig(seed=3, samples_per_class=2))
+        save_multiview_csv(ds, [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")])
+        doc = {"views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
+                         for v in ds.views],
+               "num_samples": ds.num_samples, "view_files": ["a.csv", "r.csv"]}
+        assert load_dataset_dir_with(tmp_path, doc).num_samples == 20
+        edit(doc)
+        with pytest.raises(MalformedDocumentError, match=f"manifest.json: view {view}"):
+            load_dataset_dir_with(tmp_path, doc)
+
+
+def load_dataset_dir_with(directory, manifest: dict):
+    with open(directory / "manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    return load_dataset_dir(str(directory))
+
+
 class TestSplit:
     def test_stratified_exact(self):
         views = [ViewConfig("x", 1, Family.GAUSSIAN_UNIT_VARIANCE)]
@@ -257,6 +281,16 @@ class TestSplit:
                       + [r.tobytes() for r in te.view_arrays[0]])
         assert set(split_rows) <= all_rows
         assert len(split_rows) == ds.num_samples
+
+    def test_unlabeled_split_pinned(self):
+        # Unlabeled rows are split as one class; these indices are the ones
+        # the separate unlabeled branch of earlier versions picked.
+        views = [ViewConfig("x", 1, Family.GAUSSIAN_UNIT_VARIANCE)]
+        ds = MultiViewDataset(views, [np.arange(10.0)[:, None]])
+        tr, te = train_test_split(ds, 0.3, seed=4)
+        assert tr.view_arrays[0].ravel().tolist() == [2, 3, 4, 5, 6, 8, 9]
+        assert te.view_arrays[0].ravel().tolist() == [0, 1, 7]
+        assert tr.labels is None and te.labels is None
 
     def test_degenerate_fraction(self):
         views = [ViewConfig("x", 1, Family.GAUSSIAN_UNIT_VARIANCE)]

@@ -26,6 +26,7 @@ from samvh.model import (
     log_unnorm_marginal_batch,
     make_binary_data,
     make_tiny_model,
+    param_group_ends,
     param_vector,
     posterior_hidden_mean_batch,
     save_checkpoint,
@@ -197,6 +198,47 @@ class TestGate:
         mask = np.array([[True, False, True, False], [False, True, True, False]])
         p = make_tiny_model(rng, StructureKind.MVH, mask=mask)
         assert np.array_equal(gates(p), mask.astype(float))
+
+
+class TestStructureMode:
+    @pytest.mark.parametrize("mask", [
+        np.array([[True, False, True]]), np.array([[1, 0, 1]], dtype=np.uint8),
+        [[1, 0, 1]], [[True, False, 1]]])
+    def test_binary_masks_accepted(self, mask):
+        got = StructureMode(StructureKind.MVH, mask).mask
+        assert got.dtype == bool
+        assert got.tolist() == [[True, False, True]]
+
+    @pytest.mark.parametrize("mask", [
+        np.array([[0.3, 2.0, 0.0]]), np.array([[1.0, 0.0, 1.0]]),
+        np.array([[1, 2, 0]]), np.array([1, 0, 1]), np.ones((1, 2, 2), dtype=bool),
+        [[0.3, 2.0, 0.0]], [["x", "", None]], [[1, 0], [1]], [1, 0], [],
+        (1, 0), ((1, 0),), "x", 7])
+    def test_other_masks_are_type_errors(self, mask):
+        # The rule the JSON boundaries apply holds for API callers too: no
+        # truthy or falsy value other than 0, 1, true or false passes.
+        with pytest.raises(TypeError, match="mask"):
+            StructureMode(StructureKind.MVH, mask)
+
+    def test_mask_only_in_mvh(self):
+        with pytest.raises(ValueError, match="requires"):
+            StructureMode(StructureKind.MVH)
+        with pytest.raises(ValueError, match="only meaningful"):
+            StructureMode(StructureKind.SA, [[1]])
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("dims,J", [((3, 3), 4), ((1, 2, 4), 3), ((5,), 1)])
+    def test_group_ends_cut_theta_into_groups(self, rng, dims, J):
+        p = make_tiny_model(rng, dims=dims, J=J)
+        theta = param_vector(p)
+        ends = param_group_ends(list(dims), J)
+        assert ends[-1] == theta.size
+        W, xi, lam, s = np.split(theta, ends[:-1])
+        assert np.array_equal(W, np.concatenate([w.ravel() for w in p.W]))
+        assert np.array_equal(xi, np.concatenate(p.xi))
+        assert np.array_equal(lam, p.lam)
+        assert np.array_equal(s, p.s.ravel())
 
     def test_strictly_increasing_in_s(self):
         vals = [gates(one_unit_model(s=s))[0, 0] for s in np.linspace(-4, 4, 30)]

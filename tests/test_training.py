@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logit
 
 from samvh.data import MultiViewDataset
-from samvh.expfam import Family, mean, sample, suff_stat
+from samvh.expfam import Family, NonFiniteError, mean, sample, suff_stat
 from samvh.model import (
     HarmoniumParams,
     ShapeMismatchError,
@@ -426,6 +426,23 @@ class TestTrain:
             train(p, data, cfg)
         # The switch logits are the first group to leave the finite range.
         assert (exc.value.group, exc.value.epoch) == ("s", 340)
+
+    @pytest.mark.parametrize("group", ["W", "xi", "lam", "s"])
+    def test_overflow_reports_largest_group(self, rng, group):
+        # A step whose activations overflow names the parameter group of
+        # largest magnitude.
+        p = make_tiny_model(rng, dims=(3, 2), J=3, scale=0.1)
+        p.s[:] = 0.0
+        arr = {"W": p.W[1], "xi": p.xi[0], "lam": p.lam, "s": p.s}[group]
+        arr.flat[-1] = -50.0
+
+        def overflow(q, fv):
+            raise NonFiniteError("overflow")
+
+        data = as_dataset(p, make_binary_data(p, rng, 4))
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(p, data, TrainConfig(epochs=1), gradient_fn=overflow)
+        assert (exc.value.group, exc.value.epoch) == (group, 0)
 
     def test_bad_dataset_rejected_before_any_step(self, rng):
         p = make_tiny_model(rng)
