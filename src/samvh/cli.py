@@ -10,7 +10,7 @@ cd), so every command is reproducible byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
@@ -33,32 +33,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _settings_defaults(cls) -> dict:
+    """The field defaults of a settings dataclass, with seed null (see _settings)."""
+    return {f.name: None if f.name == "seed" else f.default
+            for f in dataclasses.fields(cls)}
+
+
 _DEFAULTS = {
-    "synth": {
-        "num_classes": 10,
-        "image_side": 12,
-        "samples_per_class": 200,
-        "noise_lines_per_image": 2,
-        "jitter": 1,
-        "seed": None,
-    },
+    "synth": _settings_defaults(data_mod.SynthConfig),
     "model": {
         "hidden_dim": 60,
         "hidden_family": "bernoulli",
         "structure": "sa",
         "mvh_mask": None,
     },
-    "views": None,  # optional list of {name, dim, family} for raw CSV input
-    "train": {
-        "learning_rate": 0.1,
-        "momentum": 0.9,
-        "cd_steps": 1,
-        "epochs": 150,
-        "batch_size": 20,
-        "seed": None,
-        "switch_lr_scale": 2.0,
-        "weight_decay": 0.0,
-    },
+    "views": None,  # optional list of {name, family[, dim]}, one per raw CSV file
+    "train": _settings_defaults(train_mod.TrainConfig),
     "eval": {
         "ks": [10, 30, 50, 70, 100],
         "test_fraction": 0.5,
@@ -115,11 +105,7 @@ def load_config(path: str | None) -> dict:
               for sec, v in _DEFAULTS.items()}
     if path is None:
         return merged
-    with open(path) as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    user = model_mod.read_json(path)
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be an object")
     for section, values in user.items():
@@ -146,20 +132,27 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
             for name, ss in zip(("data", "init", "cd"), children)}
 
 
-def _require_seed(value, flag_seed):
-    if flag_seed is not None:
-        return int(flag_seed)
-    if value is None:
+def _settings(cls, section: dict, flag_seed):
+    """A settings dataclass from its config section. The seed comes from
+    --seed, else from the config, and one is required."""
+    seed = section["seed"] if flag_seed is None else flag_seed
+    if seed is None:
         raise ConfigError("a seed is required (config seed or --seed)")
-    return int(value)
+    return cls(**{**section, "seed": seed})
+
+
+def _choice(key: str, kind, value):
+    """kind(value) for an enum kind, or a ConfigError naming the key and kind's values."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be one of {[k.value for k in kind]}, "
+                          f"got {value!r}") from None
 
 
 def _structure_from_config(cfg: dict, num_views: int,
                            hidden_dim: int) -> model_mod.StructureMode:
-    try:
-        kind = model_mod.StructureKind(cfg["structure"])
-    except ValueError:
-        raise ConfigError(f"unknown structure mode {cfg['structure']!r}") from None
+    kind = _choice("model.structure", model_mod.StructureKind, cfg["structure"])
     if kind is not model_mod.StructureKind.MVH:
         return model_mod.StructureMode(kind)
     try:
@@ -179,12 +172,7 @@ def _structure_from_config(cfg: dict, num_views: int,
 
 def cmd_gen_data(args) -> int:
     config = load_config(args.config)
-    synth = dict(config["synth"])
-    synth["seed"] = _require_seed(synth["seed"], args.seed)
-    try:
-        synth_cfg = data_mod.SynthConfig(**synth)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    synth_cfg = _settings(data_mod.SynthConfig, config["synth"], args.seed)
     dataset = data_mod.generate_synthetic_paired(synth_cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -203,27 +191,32 @@ def cmd_gen_data(args) -> int:
 def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     if os.path.isdir(args.data):
         return data_mod.load_dataset_dir(args.data)
-    # Comma-separated CSV paths; families from the optional views section.
-    paths = args.data.split(",")
-    views_cfg = config.get("views")
-    families = names = None
-    if views_cfg:
-        source = f"{args.config}: section 'views'"
-        families = [Family(model_mod.require_key(views_cfg, [i, "family"], source))
-                    for i in range(len(views_cfg))]
-        names = [model_mod.require_key(views_cfg, [i, "name"], source)
-                 for i in range(len(views_cfg))]
-    return data_mod.load_multiview_csv(paths, args.labels,
-                                       families=families, names=names)
+    # Comma-separated CSV paths, each described by one entry of the optional
+    # views section: a name, a family and, if given, the column count.
+    paths, entries = args.data.split(","), config["views"]
+    if entries is None:
+        return data_mod.load_multiview_csv(paths, args.labels)
+    source = f"{args.config}: views"
+    if len(entries) != len(paths):
+        raise ConfigError(f"{source} has {len(entries)} entries for the "
+                          f"{len(paths)} files {args.data}")
+    names = [model_mod.require_key(entries, [i, "name"], source) for i in range(len(paths))]
+    families = [_choice(f"{source}[{i}].family", Family,
+                        model_mod.require_key(entries, [i, "family"], source))
+                for i in range(len(paths))]
+    dataset = data_mod.load_multiview_csv(paths, args.labels, families=families, names=names)
+    for i, (entry, view) in enumerate(zip(entries, dataset.views)):
+        if entry.get("dim", view.dim) != view.dim:
+            raise ConfigError(f"{source}[{i}].dim is {entry['dim']!r}, but {paths[i]} "
+                              f"has {view.dim} columns")
+    return dataset
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = _load_data_arg(args, config)
 
-    tr = dict(config["train"])
-    tr["seed"] = _require_seed(tr["seed"], args.seed)
-    train_cfg = train_mod.TrainConfig(**tr)
+    train_cfg = _settings(train_mod.TrainConfig, config["train"], args.seed)
     streams = _substreams(train_cfg.seed)
 
     mcfg = config["model"]
@@ -231,7 +224,7 @@ def cmd_train(args) -> int:
     params = model_mod.init_params(
         views=dataset.views,
         hidden_dim=mcfg["hidden_dim"],
-        hidden_family=Family(mcfg["hidden_family"]),
+        hidden_family=_choice("model.hidden_family", Family, mcfg["hidden_family"]),
         structure=structure,
         rng=streams["init"],
     )
@@ -255,16 +248,11 @@ def cmd_grad_check(args) -> int:
         raise ConfigError(f"grad_check.num_models must be >= 1, got {gc['num_models']}")
     if not gc["tolerance"] > 0:
         raise ConfigError(f"grad_check.tolerance must be > 0, got {gc['tolerance']}")
-    if not 1e-7 <= gc["step"] <= 1e-3:
-        raise ConfigError(f"grad_check.step must be in [1e-7, 1e-3], got {gc['step']}")
-    try:
-        kind = model_mod.StructureKind(gc["structure"])
-    except ValueError:
-        raise ConfigError(f"grad_check.structure must be one of "
-                          f"{[k.value for k in model_mod.StructureKind]}, "
-                          f"got {gc['structure']!r}") from None
+    lo, hi = train_mod.FD_STEP_MIN, train_mod.FD_STEP_MAX
+    if not lo <= gc["step"] <= hi:
+        raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}")
+    kind = _choice("grad_check.structure", model_mod.StructureKind, gc["structure"])
     rng = np.random.default_rng(gc["seed"])
-    tol = gc["tolerance"]
     worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
     worst_at = {}  # group -> (model, theta offset)
 
@@ -272,8 +260,6 @@ def cmd_grad_check(args) -> int:
         params = model_mod.make_tiny_model(rng, kind)
         data = model_mod.make_binary_data(params, rng, n=6)
         exact = train_mod.exact_gradient(params, data)
-        if args.self_test_break_sign:
-            exact.dlam *= -1.0
         fd = train_mod.finite_diff_gradient(params, data, step=gc["step"])
         rel = np.abs(exact.vec - fd.vec) / np.maximum(np.abs(fd.vec), 1e-3)
         ends = model_mod.param_group_ends([v.dim for v in params.views],
@@ -289,18 +275,12 @@ def cmd_grad_check(args) -> int:
         print(f"{name}: max relative error {worst[name]:.3e}" if name in worst
               else f"{name}: skipped (frozen structure)")
     name = max(worst, key=worst.get)
-    if worst[name] > tol:
+    if worst[name] > gc["tolerance"]:
         trial, offset = worst_at[name]
         print(f"FAIL: worst offender: group {name}, model {trial}, theta offset "
               f"{offset}, relative error {worst[name]:.3e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _load_eval_inputs(args, config):
-    dataset = _load_data_arg(args, config)
-    params = model_mod.load_checkpoint(args.checkpoint)
-    return dataset, params
 
 
 def _view_index(key: str, token, views) -> int:
@@ -326,7 +306,8 @@ def _parse_selection(selection, dataset):
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
-    dataset, params = _load_eval_inputs(args, config)
+    dataset = _load_data_arg(args, config)
+    params = model_mod.load_checkpoint(args.checkpoint)
     selection = _parse_selection(config["eval"]["selection"], dataset)
     features = eval_mod.extract_features(params, dataset, selection)
     os.makedirs(args.out, exist_ok=True)
@@ -339,7 +320,8 @@ def cmd_extract(args) -> int:
 
 def cmd_eval_knn(args) -> int:
     config = load_config(args.config)
-    dataset, params = _load_eval_inputs(args, config)
+    dataset = _load_data_arg(args, config)
+    params = model_mod.load_checkpoint(args.checkpoint)
     if dataset.labels is None:
         raise ConfigError("eval-knn requires a labeled dataset")
     ecfg = config["eval"]
@@ -365,11 +347,8 @@ def cmd_render_filters(args) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     ecfg = config["eval"]
     view = _view_index("eval.view", ecfg["view"], params.views)
-    try:
-        written = eval_mod.export_filter_images(
-            params, view, args.out, grid_cols=ecfg["grid_cols"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    written = eval_mod.export_filter_images(
+        params, view, args.out, grid_cols=ecfg["grid_cols"])
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -401,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check",
                        help="verify exact gradients against finite differences")
-    p.add_argument("--self-test-break-sign", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_grad_check)
 
     for name, func in (("extract", cmd_extract), ("eval-knn", cmd_eval_knn)):

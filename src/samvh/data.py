@@ -9,14 +9,14 @@ so class content is shared across views while noise is view-specific.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expfam import Family
-from .model import MalformedDocumentError, MultiViewSample, ViewConfig, require_key
+from .model import (MalformedDocumentError, MissingKeyError, MultiViewSample, ViewConfig,
+                    read_json, require_key, write_json)
 
 
 class CsvFormatError(ValueError):
@@ -30,6 +30,9 @@ class MultiViewDataset:
     labels: np.ndarray | None = None  # N ints
 
     def __post_init__(self):
+        if len(self.views) != len(self.view_arrays):
+            raise ValueError(f"{len(self.views)} view configs for "
+                             f"{len(self.view_arrays)} view arrays")
         n = self.num_samples
         for cfg, arr in zip(self.views, self.view_arrays):
             if arr.ndim != 2 or arr.shape != (n, cfg.dim):
@@ -453,16 +456,13 @@ def save_manifest(data: MultiViewDataset, path: str, seed: int | None = None,
         doc["view_files"] = view_files
     if label_file is not None:
         doc["label_file"] = label_file
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_dataset_dir(directory: str) -> MultiViewDataset:
     """Load a dataset written by the CLI: manifest.json + per-view CSVs."""
     manifest = os.path.join(directory, "manifest.json")
-    with open(manifest) as fh:
-        doc = json.load(fh)
+    doc = read_json(manifest)
     try:
         views = require_key(doc, ["views"], manifest)
         families = [Family(require_key(views, [i, "family"], manifest))
@@ -474,8 +474,13 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
                  for f in require_key(doc, ["view_files"], manifest)]
         label_path = (os.path.join(directory, doc["label_file"])
                       if doc.get("label_file") else None)
-    except TypeError as exc:
+    except MissingKeyError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"{manifest}: malformed manifest: {exc}") from None
+    if len(views) != len(paths):
+        raise MalformedDocumentError(f"{manifest}: {len(views)} views for "
+                                     f"{len(paths)} view_files")
     data = load_multiview_csv(paths, label_path, families=families, names=names)
     for path, cfg, dim in zip(paths, data.views, dims):
         if (cfg.dim, data.num_samples) != (dim, num_samples):

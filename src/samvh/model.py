@@ -205,14 +205,13 @@ def split_param_vector(vec: np.ndarray, dims: list[int], hidden_dim: int
 
 
 def init_params(views: list[ViewConfig], hidden_dim: int, hidden_family: Family,
-                structure: StructureMode, rng: np.random.Generator,
-                weight_scale: float = 0.01) -> HarmoniumParams:
-    """Fresh parameters: small random weights, zero biases, zero switch logits."""
+                structure: StructureMode, rng: np.random.Generator) -> HarmoniumParams:
+    """Fresh parameters: N(0, 0.01^2) weights, zero biases, zero switch logits."""
     return HarmoniumParams(
         views=views,
         hidden_dim=hidden_dim,
         hidden_family=hidden_family,
-        W=[weight_scale * rng.standard_normal((v.dim, hidden_dim)) for v in views],
+        W=[0.01 * rng.standard_normal((v.dim, hidden_dim)) for v in views],
         xi=[np.zeros(v.dim) for v in views],
         lam=np.zeros(hidden_dim),
         s=np.zeros((len(views), hidden_dim)),
@@ -591,8 +590,32 @@ class MissingKeyError(ValueError):
 
 
 class MalformedDocumentError(ValueError):
-    """A JSON document (checkpoint or dataset manifest) holds a value of the
-    wrong type."""
+    """A JSON document (checkpoint, dataset manifest or config) is not valid
+    JSON or holds a value of the wrong type."""
+
+
+def read_json(path: str):
+    """The JSON document in a file, or a MalformedDocumentError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_json(doc, path: str) -> None:
+    """Write doc as indented JSON atomically (temp file + rename)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def require_key(doc, path: list, source: str):
@@ -644,24 +667,14 @@ def save_checkpoint(params: HarmoniumParams, path: str) -> None:
     JSON float serialization uses shortest round-trip repr, so finite doubles
     survive save/load bit-exactly.
     """
-    doc = _params_to_dict(params)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_json(_params_to_dict(params), path)
 
 
 def load_checkpoint(path: str) -> HarmoniumParams:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         return _params_from_dict(doc, path)
-    except TypeError as exc:
+    except MissingKeyError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"{path}: malformed checkpoint: {exc}") from None

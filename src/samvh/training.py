@@ -21,9 +21,9 @@ validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
 checks its view arrays once before the first step, and slices minibatches
 out of them.
 
-A gradient step computes the gates once and builds the gated weight matrix
-sigma(s) W, stacked over views as (D_total, J), once; every product of the
-step uses its per-view row blocks. The positive phase's lam_hat is also the
+A gradient step computes the gates once and builds the gated weights
+sigma(s) W^k of every view once (`model.gated_weights`); every product of
+the step uses them. The positive phase's lam_hat is also the
 hidden natural parameter of the first Gibbs step, so each chain state's
 lam_hat is computed once. A `GradientSet` is one flat vector laid out as in
 `model.param_vector` (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps
@@ -68,6 +68,10 @@ from .model import (  # noqa: F401
     split_param_vector,
     stacked_log_likelihood,
 )
+
+
+# Steps `finite_diff_gradient` accepts: rounding error grows below, truncation above.
+FD_STEP_MIN, FD_STEP_MAX = 1e-7, 1e-3
 
 
 class TrainingDivergedError(RuntimeError):
@@ -221,8 +225,8 @@ def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     `model.stacked_log_likelihood`, so the visible states are enumerated
     once; each difference equals that of perturbing a copy of the model.
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError("step must be in [1e-7, 1e-3]")
+    if not FD_STEP_MIN <= step <= FD_STEP_MAX:
+        raise ValueError(f"step must be in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]")
     theta = param_vector(params)
     idx = np.arange(theta.size)
     thetas = np.tile(theta, (2 * theta.size, 1))

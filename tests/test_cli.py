@@ -37,6 +37,16 @@ def small_config(tmp_path, **overrides):
     return write_config(tmp_path, doc)
 
 
+def write_binary_csvs(tmp_path):
+    """Two 0/1 CSV views of 4 rows: a.csv with 3 columns, b.csv with 2."""
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path, rows in zip(paths, (["1,0,1", "0,1,1", "0,0,1", "1,1,0"],
+                                  ["1,0", "0,1", "1,1", "0,0"])):
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+    return paths
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -89,6 +99,42 @@ class TestConfig:
         assert config["train"]["learning_rate"] == 1
         assert cli.main(["--config", cfg, "--seed", "0", "gen-data",
                          "--out", str(tmp_path / "d")]) == cli.EXIT_OK
+
+    def test_defaults(self):
+        # The defaults as the CLI once spelled them out; synth and train now
+        # come from SynthConfig and TrainConfig.
+        assert cli.load_config(None) == {
+            "synth": {"num_classes": 10, "image_side": 12, "samples_per_class": 200,
+                      "noise_lines_per_image": 2, "jitter": 1, "seed": None},
+            "model": {"hidden_dim": 60, "hidden_family": "bernoulli",
+                      "structure": "sa", "mvh_mask": None},
+            "views": None,
+            "train": {"learning_rate": 0.1, "momentum": 0.9, "cd_steps": 1,
+                      "epochs": 150, "batch_size": 20, "seed": None,
+                      "switch_lr_scale": 2.0, "weight_decay": 0.0},
+            "eval": {"ks": [10, 30, 50, 70, 100], "test_fraction": 0.5,
+                     "selection": "all", "knn_seed": 0, "grid_cols": 8, "view": 0},
+            "grad_check": {"num_models": 20, "step": 1e-5, "tolerance": 1e-5,
+                           "seed": 0, "structure": "sa"},
+        }
+
+    @pytest.mark.parametrize("section,key,value,command", [
+        ("model", "structure", "gated", "train"),
+        ("model", "hidden_family", "poisson", "train"),
+        ("grad_check", "structure", "gated", "grad-check")])
+    def test_unknown_choice_names_the_key(self, tmp_path, capsys, section, key,
+                                          value, command):
+        paths = write_binary_csvs(tmp_path)
+        cfg = write_config(tmp_path, {section: {key: value}, "train": {"epochs": 1}})
+        argv = ["--data", ",".join(paths), "--out", str(tmp_path / "r")]
+        code = cli.main(["--config", cfg, "--seed", "1", command,
+                         *(argv if command == "train" else [])])
+        choices = {"structure": ["dwh", "mvh", "sa"],
+                   "hidden_family": ["bernoulli", "gaussian_unit_variance"]}[key]
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key} must be one of {choices}, got {value!r}\n")
+        assert not os.path.exists(str(tmp_path / "r"))
 
     def test_seed_required(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--out", str(tmp_path / "d")])
@@ -241,6 +287,38 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "views" in err and "'family'" in err
 
+    @pytest.mark.parametrize("views,message", [
+        ([{"name": "a", "family": "bernoulli", "dim": 5},
+          {"name": "b", "family": "bernoulli", "dim": 7}],
+         "views[0].dim is 5, but {a} has 3 columns"),
+        ([{"name": "a", "family": "bernoulli", "dim": 3},
+          {"name": "b", "family": "bernoulli", "dim": 3}],
+         "views[1].dim is 3, but {b} has 2 columns"),
+        ([{"name": "a", "family": "bernoulli"}] * 3 + [{"name": "c", "family": 5}],
+         "views has 4 entries for the 2 files {a},{b}"),
+        ([{"name": "a", "family": "bernoulli"}],
+         "views has 1 entries for the 2 files {a},{b}"),
+        ([{"name": "a", "family": "bernoulli"}, {"name": "b", "family": 5}],
+         "views[1].family must be one of ['bernoulli', 'gaussian_unit_variance'], "
+         "got 5")])
+    def test_views_entries_must_match_files(self, tmp_path, capsys, views, message):
+        a, b = write_binary_csvs(tmp_path)
+
+        def train(entries, out):
+            cfg = write_config(tmp_path, {"views": entries, "model": {"hidden_dim": 2},
+                                          "train": {"epochs": 1, "batch_size": 2}})
+            return cfg, cli.main(["--config", cfg, "--seed", "1", "train",
+                                  "--data", f"{a},{b}", "--out", str(tmp_path / out)])
+
+        # One entry per file, with a dim that matches or none, is accepted.
+        assert train([{"name": "a", "family": "bernoulli", "dim": 3},
+                      {"name": "b", "family": "bernoulli"}], "ok")[1] == cli.EXIT_OK
+        cfg, code = train(views, "r")
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {message.format(a=a, b=b)}\n")
+        assert not os.path.exists(str(tmp_path / "r"))
+
     def test_mvh_mask_items_must_be_binary(self, tmp_path, capsys):
         cfg = small_config(
             tmp_path,
@@ -318,10 +396,17 @@ class TestGradCheck:
         assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_OK
         assert "s: skipped" in capsys.readouterr().out
 
-    def test_broken_sign_detected(self, tmp_path, capsys):
+    def test_broken_sign_detected(self, tmp_path, capsys, monkeypatch):
+        exact_gradient = cli.train_mod.exact_gradient
+
+        def broken_sign(params, fv):
+            grad = exact_gradient(params, fv)
+            grad.dlam *= -1.0
+            return grad
+
+        monkeypatch.setattr(cli.train_mod, "exact_gradient", broken_sign)
         cfg = write_config(tmp_path, {"grad_check": {"num_models": 2}})
-        code = cli.main(["--config", cfg, "grad-check",
-                         "--self-test-break-sign"])
+        code = cli.main(["--config", cfg, "grad-check"])
         assert code == cli.EXIT_CHECK_FAILED
         # Tiny models have views of 3 and 3 units and 4 hidden units, so W
         # takes theta[0:24], xi theta[24:30] and lam theta[30:34].
@@ -431,6 +516,35 @@ class TestEvalPipeline:
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
         assert "broken.json: malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text[:12], "broken.json: invalid JSON: "),
+        (lambda text: text.replace('"bernoulli"', '"poisson"', 1),
+         "broken.json: malformed checkpoint: 'poisson' is not a valid Family")])
+    def test_corrupt_checkpoint_names_the_file(self, tmp_path, trained, capsys,
+                                               edit, message):
+        cfg, data_dir, ckpt = trained
+        broken = tmp_path / "broken.json"
+        broken.write_text(edit(open(ckpt).read()))
+        for command in ("extract", "eval-knn"):
+            code = cli.main(["--config", cfg, command, "--checkpoint", str(broken),
+                             "--data", data_dir, "--out", str(tmp_path / "f")])
+            assert code == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(
+                f"error: {os.path.join(str(tmp_path), message)}")
+
+    def test_corrupt_manifest_names_the_file(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest, "a") as fh:
+            fh.write("}")
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: invalid JSON: Extra data")
 
     def test_checkpoint_mask_items_must_be_binary(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from samvh.data import (
     glyph_templates,
     load_dataset_dir,
     load_multiview_csv,
+    save_manifest,
     save_matrix_csv,
     save_multiview_csv,
     standardize_columns,
@@ -21,6 +23,15 @@ from samvh.data import (
 )
 from samvh.expfam import Family
 from samvh.model import MalformedDocumentError, ViewConfig
+
+
+class TestDataset:
+    def test_views_must_match_arrays_in_number(self):
+        views = [ViewConfig("x", 1, Family.GAUSSIAN_UNIT_VARIANCE)]
+        with pytest.raises(ValueError, match="1 view configs for 2 view arrays"):
+            MultiViewDataset(views, [np.zeros((2, 1)), np.zeros((2, 1))])
+        with pytest.raises(ValueError, match="2 view configs for 1 view arrays"):
+            MultiViewDataset(views * 2, [np.zeros((2, 1))])
 
 
 class TestGlyphTemplates:
@@ -248,6 +259,41 @@ class TestManifest:
         edit(doc)
         with pytest.raises(MalformedDocumentError, match=f"manifest.json: view {view}"):
             load_dataset_dir_with(tmp_path, doc)
+
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_views_must_match_view_files_in_number(self, tmp_path, keep):
+        ds = generate_synthetic_paired(SynthConfig(seed=3, samples_per_class=2))
+        save_multiview_csv(ds, [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")])
+        views = [{"name": v.name, "dim": v.dim, "family": v.family.value}
+                 for v in ds.views]
+        doc = {"views": (views * 2)[:keep], "num_samples": ds.num_samples,
+               "view_files": ["a.csv", "r.csv"]}
+        with pytest.raises(MalformedDocumentError,
+                           match=f"manifest.json: {keep} views for 2 view_files"):
+            load_dataset_dir_with(tmp_path, doc)
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"views": [\n', "manifest.json: invalid JSON: "),
+        ('{"views": [{"name": "a", "dim": 1, "family": "poisson"}], "num_samples": 1, '
+         '"view_files": ["a.csv"]}',
+         "manifest.json: malformed manifest: 'poisson' is not a valid Family")])
+    def test_corrupt_manifest_names_the_file(self, tmp_path, text, match):
+        (tmp_path / "a.csv").write_text("1\n")
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(MalformedDocumentError, match=match):
+            load_dataset_dir(str(tmp_path))
+
+    def test_save_manifest_bytes(self, tmp_path):
+        views = [ViewConfig("x", 2, Family.BERNOULLI)]
+        ds = MultiViewDataset(views, [np.zeros((3, 2))], labels=np.arange(3))
+        save_manifest(ds, str(tmp_path / "manifest.json"), seed=4,
+                      view_files=["x.csv"], label_file="labels.csv")
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_text() == (
+            '{\n "views": [\n  {\n   "name": "x",\n   "dim": 2,\n'
+            '   "family": "bernoulli"\n  }\n ],\n "num_samples": 3,\n'
+            ' "labels_present": true,\n "seed": 4,\n "view_files": [\n  "x.csv"\n ],\n'
+            ' "label_file": "labels.csv"\n}\n')
 
 
 def load_dataset_dir_with(directory, manifest: dict):

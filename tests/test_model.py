@@ -632,6 +632,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda text: text[:12], "ckpt.json: invalid JSON: "),
+        (lambda text: text.replace('"bernoulli"', '"poisson"', 1),
+         "ckpt.json: malformed checkpoint: 'poisson' is not a valid Family"),
+        (lambda text: text.replace('"sa"', '"gated"'),
+         "ckpt.json: malformed checkpoint: 'gated' is not a valid StructureKind")])
+    def test_corrupt_checkpoint_names_the_file(self, rng, tmp_path, edit, match):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_tiny_model(rng), str(path))
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(MalformedDocumentError, match=match):
+            load_checkpoint(str(path))
+
     def test_no_partial_file_on_failure(self, rng, tmp_path):
         # Atomic rename: the destination never holds a partial document.
         p = make_tiny_model(rng)
