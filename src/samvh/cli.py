@@ -132,13 +132,18 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
             for name, ss in zip(("data", "init", "cd"), children)}
 
 
-def _settings(cls, section: dict, flag_seed):
-    """A settings dataclass from its config section. The seed comes from
-    --seed, else from the config, and one is required."""
+def _settings(cls, config: dict, key: str, flag_seed):
+    """A settings dataclass from the config section key. The seed comes from
+    --seed, else from the config, and one is required. A range error names
+    its key, e.g. `train.cd_steps must be >= 1, got 0`."""
+    section = config[key]
     seed = section["seed"] if flag_seed is None else flag_seed
     if seed is None:
         raise ConfigError("a seed is required (config seed or --seed)")
-    return cls(**{**section, "seed": seed})
+    try:
+        return cls(**{**section, "seed": seed})
+    except ValueError as exc:
+        raise ConfigError(f"{key}.{exc}") from None
 
 
 def _choice(key: str, kind, value):
@@ -172,7 +177,7 @@ def _structure_from_config(cfg: dict, num_views: int,
 
 def cmd_gen_data(args) -> int:
     config = load_config(args.config)
-    synth_cfg = _settings(data_mod.SynthConfig, config["synth"], args.seed)
+    synth_cfg = _settings(data_mod.SynthConfig, config, "synth", args.seed)
     dataset = data_mod.generate_synthetic_paired(synth_cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -201,6 +206,9 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
         raise ConfigError(f"{source} has {len(entries)} entries for the "
                           f"{len(paths)} files {args.data}")
     names = [model_mod.require_key(entries, [i, "name"], source) for i in range(len(paths))]
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ConfigError(f"{source}[{i}].name must be a string, got {name!r}")
     families = [_choice(f"{source}[{i}].family", Family,
                         model_mod.require_key(entries, [i, "family"], source))
                 for i in range(len(paths))]
@@ -216,10 +224,12 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = _load_data_arg(args, config)
 
-    train_cfg = _settings(train_mod.TrainConfig, config["train"], args.seed)
+    train_cfg = _settings(train_mod.TrainConfig, config, "train", args.seed)
     streams = _substreams(train_cfg.seed)
 
     mcfg = config["model"]
+    if mcfg["hidden_dim"] < 1:
+        raise ConfigError(f"model.hidden_dim must be >= 1, got {mcfg['hidden_dim']}")
     structure = _structure_from_config(mcfg, dataset.num_views, mcfg["hidden_dim"])
     params = model_mod.init_params(
         views=dataset.views,

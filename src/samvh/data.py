@@ -75,17 +75,19 @@ class SynthConfig:
     jitter: int = 1
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.num_classes > 10:
-            raise ValueError("num_classes must be in [2, 10] (10 glyphs available)")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be positive")
-        if self.noise_lines_per_image < 0 or self.jitter < 0:
-            raise ValueError("noise_lines_per_image and jitter must be >= 0")
-        glyph = _GLYPH_SIDE
-        if glyph + 2 * self.jitter > self.image_side:
+        for name, ok, rule in (
+                ("num_classes", 2 <= self.num_classes <= 10,
+                 "in [2, 10] (10 glyphs available)"),
+                ("samples_per_class", self.samples_per_class >= 1, ">= 1"),
+                ("noise_lines_per_image", self.noise_lines_per_image >= 0, ">= 0"),
+                ("jitter", self.jitter >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        side = _GLYPH_SIDE + 2 * self.jitter
+        if self.image_side < side:
             raise ValueError(
-                f"{glyph}x{glyph} glyphs with jitter {self.jitter} do not fit "
-                f"in a {self.image_side}x{self.image_side} image")
+                f"image_side must be >= {side} to fit {_GLYPH_SIDE}x{_GLYPH_SIDE} "
+                f"glyphs with jitter {self.jitter}, got {self.image_side}")
 
 
 # 8x8 binary glyphs. Row strings: '#' = on pixel.

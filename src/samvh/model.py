@@ -19,6 +19,7 @@ breaking the finite-difference check, so the plus form is used throughout.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 import tempfile
@@ -30,7 +31,9 @@ from scipy.special import expit, logsumexp
 
 from .expfam import DomainError, Family, mean, sample, suff_stat
 
-CHECKPOINT_FORMAT_VERSION = 1
+# Checkpoints are written in format 2 (theta as one base64 payload); format
+# 1 (one JSON list per array) is still read.
+CHECKPOINT_FORMAT_VERSION = 2
 
 # Exact enumeration is limited to models small enough to sum over all states.
 MAX_ENUM_VISIBLE = 16
@@ -56,6 +59,8 @@ class ViewConfig:
     family: Family
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"view name must be a string, got {self.name!r}")
         if self.dim < 1:
             raise ValueError(f"view {self.name!r}: dim must be >= 1")
 
@@ -119,7 +124,7 @@ class HarmoniumParams:
     def __post_init__(self):
         K, J = len(self.views), self.hidden_dim
         if J < 1:
-            raise ValueError("hidden_dim must be >= 1")
+            raise ValueError(f"hidden_dim must be >= 1, got {J}")
         names = [v.name for v in self.views]
         if len(set(names)) != K:
             raise ValueError("view names must be unique")
@@ -568,20 +573,11 @@ def _params_to_dict(params: HarmoniumParams) -> dict:
         "views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
                   for v in params.views],
         "hidden": {"dim": params.hidden_dim, "family": params.hidden_family.value},
-        "arrays": {},
     }
     if params.structure.mask is not None:
         doc["structure"]["mask"] = params.structure.mask.astype(int).tolist()
-
-    def put(name, arr):
-        doc["arrays"][name] = {"shape": list(arr.shape),
-                               "data": arr.ravel(order="C").tolist()}
-
-    for k in range(params.num_views):
-        put(f"W{k}", params.W[k])
-        put(f"xi{k}", params.xi[k])
-    put("lam", params.lam)
-    put("s", params.s)
+    doc["theta"] = base64.b64encode(
+        param_vector(params).astype("<f8").tobytes()).decode("ascii")
     return doc
 
 
@@ -633,7 +629,7 @@ def require_key(doc, path: list, source: str):
 
 def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise ValueError(f"unsupported checkpoint format version: {version}")
 
     def get(*path):
@@ -644,33 +640,53 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
              for i in range(len(get("views")))]
     structure = StructureMode(StructureKind(get("structure", "kind")),
                               get("structure").get("mask"))
+    J = get("hidden", "dim")
+    if version == 1:
+        def array(name):
+            return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(
+                get("arrays", name, "shape"))
 
-    def array(name):
-        return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(
-            get("arrays", name, "shape"))
+        W = [array(f"W{k}") for k in range(len(views))]
+        xi = [array(f"xi{k}") for k in range(len(views))]
+        lam, s = array("lam"), array("s")
+    else:
+        dims = [v.dim for v in views]
+        W, xi, lam, s = split_param_vector(_decode_theta(get("theta"), dims, J), dims, J)
+    return HarmoniumParams(views=views, hidden_dim=J,
+                           hidden_family=Family(get("hidden", "family")),
+                           W=W, xi=xi, lam=lam, s=s, structure=structure)
 
-    return HarmoniumParams(
-        views=views,
-        hidden_dim=get("hidden", "dim"),
-        hidden_family=Family(get("hidden", "family")),
-        W=[array(f"W{k}") for k in range(len(views))],
-        xi=[array(f"xi{k}") for k in range(len(views))],
-        lam=array("lam"),
-        s=array("s"),
-        structure=structure,
-    )
+
+def _decode_theta(text, dims: list[int], hidden_dim: int) -> np.ndarray:
+    """The flat parameter vector of a format-2 `theta` payload: base64 of
+    little-endian float64 values, exactly as many as views of dims D_k and
+    hidden_dim J need. A new writable array, not a view of the bytes."""
+    if not isinstance(text, str):
+        raise TypeError(f"theta must be a base64 string, got {text!r:.40}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"theta is not valid base64: {exc}") from None
+    n = param_group_ends(dims, hidden_dim)[-1]
+    if len(raw) != 8 * n:
+        raise ValueError(f"theta holds {len(raw)} bytes, want {8 * n} "
+                         f"({n} float64 values for view dims {dims} and "
+                         f"{hidden_dim} hidden units)")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def save_checkpoint(params: HarmoniumParams, path: str) -> None:
-    """Write a checkpoint atomically (temp file + rename).
-
-    JSON float serialization uses shortest round-trip repr, so finite doubles
-    survive save/load bit-exactly.
-    """
+    """Write a format-2 checkpoint atomically (temp file + rename): a JSON
+    header (format_version, structure, views, hidden) and `theta`, the
+    base64 of `param_vector(params)` as little-endian float64, so every
+    double survives save/load bit-exactly."""
     write_json(_params_to_dict(params), path)
 
 
 def load_checkpoint(path: str) -> HarmoniumParams:
+    """A checkpoint of format 2, or of format 1 (one JSON list per array).
+    Any fault names the file: a MissingKeyError for a missing key, else a
+    MalformedDocumentError."""
     doc = read_json(path)
     try:
         return _params_from_dict(doc, path)

@@ -109,14 +109,16 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.cd_steps < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("cd_steps, batch_size must be positive; epochs >= 0")
-        if self.switch_lr_scale <= 0 or self.weight_decay < 0:
-            raise ValueError("switch_lr_scale > 0 and weight_decay >= 0 required")
+        for name, ok, rule in (
+                ("learning_rate", self.learning_rate > 0, "> 0"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("cd_steps", self.cd_steps >= 1, ">= 1"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("switch_lr_scale", self.switch_lr_scale > 0, "> 0"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

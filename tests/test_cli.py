@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -13,6 +14,7 @@ from samvh.model import (
     init_params,
     load_checkpoint,
     make_tiny_model,
+    param_vector,
     save_checkpoint,
 )
 
@@ -45,6 +47,26 @@ def write_binary_csvs(tmp_path):
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     return paths
+
+
+# A format-1 checkpoint of make_tiny_model(default_rng(1)), an SA model
+# with views v0 and v1.
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "fixtures",
+                             "checkpoint_v1_sa.json")
+
+
+def edit_doc(text, edit):
+    """The JSON document text after edit(doc) changed it in place."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def set_theta(edit):
+    """A text edit that replaces a checkpoint's theta payload bytes by edit(bytes)."""
+    def apply(doc):
+        doc["theta"] = base64.b64encode(edit(base64.b64decode(doc["theta"]))).decode()
+    return lambda text: edit_doc(text, apply)
 
 
 def read_bytes(path):
@@ -134,6 +156,26 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"error: {section}.{key} must be one of {choices}, got {value!r}\n")
+        assert not os.path.exists(str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("train", "cd_steps", 0, "train.cd_steps must be >= 1, got 0"),
+        ("train", "momentum", 1.0, "train.momentum must be in [0, 1), got 1.0"),
+        ("train", "weight_decay", -0.5, "train.weight_decay must be >= 0, got -0.5"),
+        ("model", "hidden_dim", 0, "model.hidden_dim must be >= 1, got 0"),
+        ("model", "hidden_dim", -3, "model.hidden_dim must be >= 1, got -3"),
+        ("synth", "jitter", -1, "synth.jitter must be >= 0, got -1"),
+        ("synth", "image_side", 9,
+         "synth.image_side must be >= 10 to fit 8x8 glyphs with jitter 1, got 9")])
+    def test_value_out_of_range_names_the_key(self, tmp_path, capsys, section, key,
+                                              value, message):
+        paths = write_binary_csvs(tmp_path)
+        cfg = write_config(tmp_path, {section: {key: value}})
+        argv = (["gen-data", "--out", str(tmp_path / "r")] if section == "synth" else
+                ["train", "--data", ",".join(paths), "--out", str(tmp_path / "r")])
+        code = cli.main(["--config", cfg, "--seed", "1", *argv])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(str(tmp_path / "r"))
 
     def test_seed_required(self, tmp_path, capsys):
@@ -300,7 +342,9 @@ class TestTrain:
          "views has 1 entries for the 2 files {a},{b}"),
         ([{"name": "a", "family": "bernoulli"}, {"name": "b", "family": 5}],
          "views[1].family must be one of ['bernoulli', 'gaussian_unit_variance'], "
-         "got 5")])
+         "got 5"),
+        ([{"name": 5, "family": "bernoulli"}, {"name": "b", "family": "bernoulli"}],
+         "views[0].name must be a string, got 5")])
     def test_views_entries_must_match_files(self, tmp_path, capsys, views, message):
         a, b = write_binary_csvs(tmp_path)
 
@@ -490,18 +534,20 @@ class TestEvalPipeline:
 
     def test_checkpoint_without_arrays_is_config_error(self, tmp_path, trained,
                                                        capsys):
+        # Format 1 holds the parameters under "arrays", format 2 under "theta".
         cfg, data_dir, ckpt = trained
-        with open(ckpt) as fh:
-            doc = json.load(fh)
-        del doc["arrays"]
-        broken = str(tmp_path / "broken.json")
-        with open(broken, "w") as fh:
-            json.dump(doc, fh)
-        code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
-                         "--data", data_dir, "--out", str(tmp_path / "f")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert "broken.json" in err and "'arrays'" in err
+        for source, key in ((V1_CHECKPOINT, "arrays"), (ckpt, "theta")):
+            with open(source) as fh:
+                doc = json.load(fh)
+            del doc[key]
+            broken = str(tmp_path / "broken.json")
+            with open(broken, "w") as fh:
+                json.dump(doc, fh)
+            code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
+                             "--data", data_dir, "--out", str(tmp_path / "f")])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_CONFIG
+            assert "broken.json" in err and f"'{key}'" in err
 
     def test_checkpoint_value_of_wrong_type_is_config_error(self, tmp_path, trained,
                                                             capsys):
@@ -520,7 +566,20 @@ class TestEvalPipeline:
     @pytest.mark.parametrize("edit,message", [
         (lambda text: text[:12], "broken.json: invalid JSON: "),
         (lambda text: text.replace('"bernoulli"', '"poisson"', 1),
-         "broken.json: malformed checkpoint: 'poisson' is not a valid Family")])
+         "broken.json: malformed checkpoint: 'poisson' is not a valid Family"),
+        # The trained model: 2 views of 100 pixels, 8 hidden units, 1824 values.
+        (lambda text: edit_doc(text, lambda doc: doc.update(theta="@@@@")),
+         "broken.json: malformed checkpoint: theta is not valid base64"),
+        (set_theta(lambda raw: raw[:-8]),
+         "broken.json: malformed checkpoint: theta holds 14584 bytes, want 14592 "),
+        (set_theta(lambda raw: raw + raw[:8]),
+         "broken.json: malformed checkpoint: theta holds 14600 bytes, want 14592 "),
+        # A payload for 7 hidden units: 1621 values.
+        (set_theta(lambda raw: param_vector(make_tiny_model(
+            np.random.default_rng(0), dims=(100, 100), J=7)).tobytes()),
+         "broken.json: malformed checkpoint: theta holds 12968 bytes, want 14592 "),
+        (lambda text: edit_doc(text, lambda doc: doc.pop("theta")),
+         "broken.json: missing key ['theta']")])
     def test_corrupt_checkpoint_names_the_file(self, tmp_path, trained, capsys,
                                                edit, message):
         cfg, data_dir, ckpt = trained

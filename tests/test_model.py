@@ -1,5 +1,8 @@
+import base64
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from samvh.model import (
     EnumerationBoundError,
     HarmoniumParams,
     MalformedDocumentError,
+    MissingKeyError,
     ShapeMismatchError,
     StructureKind,
     StructureMode,
@@ -568,6 +572,54 @@ class TestStructureReport:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def v1_fixture(kind: StructureKind) -> str:
+    """A format-1 checkpoint of make_tiny_model(default_rng(1), SA) or of
+    make_tiny_model(default_rng(2), MVH)."""
+    return os.path.join(FIXTURES, f"checkpoint_v1_{kind.value}.json")
+
+
+def edit_doc(text: str, edit) -> str:
+    """The JSON document text after edit(doc) changed it in place."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def edit_theta(edit):
+    """An edit_doc edit that replaces the theta payload's bytes by edit(bytes)."""
+    def apply(doc):
+        raw = base64.b64decode(doc["theta"])
+        doc["theta"] = base64.b64encode(edit(raw)).decode("ascii")
+    return apply
+
+
+# A tiny model (dims (3, 3), J=4) has 42 parameters: 336 payload bytes.
+THETA_CORRUPTIONS = [
+    pytest.param(lambda doc: doc.update(theta="not base64!"), MalformedDocumentError,
+                 "ckpt.json: malformed checkpoint: theta is not valid base64",
+                 id="not-base64"),
+    pytest.param(lambda doc: doc.update(theta=[0.5] * 42), MalformedDocumentError,
+                 "ckpt.json: malformed checkpoint: theta must be a base64 string",
+                 id="not-a-string"),
+    pytest.param(edit_theta(lambda raw: raw[:-8]), MalformedDocumentError,
+                 "ckpt.json: malformed checkpoint: theta holds 328 bytes, want 336 ",
+                 id="one-float-short"),
+    pytest.param(edit_theta(lambda raw: raw + raw[:8]), MalformedDocumentError,
+                 "ckpt.json: malformed checkpoint: theta holds 344 bytes, want 336 ",
+                 id="one-float-long"),
+    pytest.param(lambda doc: doc.update(theta=base64.b64encode(param_vector(
+        make_tiny_model(np.random.default_rng(0), J=5)).tobytes()).decode("ascii")),
+                 MalformedDocumentError,
+                 "ckpt.json: malformed checkpoint: theta holds 408 bytes, want 336 ",
+                 id="wrong-dims"),
+    pytest.param(lambda doc: doc.pop("theta"), MissingKeyError,
+                 r"ckpt.json: missing key \['theta'\]", id="missing"),
+]
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         p = make_tiny_model(rng)
@@ -637,13 +689,66 @@ class TestCheckpoint:
         (lambda text: text.replace('"bernoulli"', '"poisson"', 1),
          "ckpt.json: malformed checkpoint: 'poisson' is not a valid Family"),
         (lambda text: text.replace('"sa"', '"gated"'),
-         "ckpt.json: malformed checkpoint: 'gated' is not a valid StructureKind")])
+         "ckpt.json: malformed checkpoint: 'gated' is not a valid StructureKind"),
+        (lambda text: edit_doc(text, lambda doc: doc["views"][1].update(name=5)),
+         "ckpt.json: malformed checkpoint: view name must be a string, got 5")])
     def test_corrupt_checkpoint_names_the_file(self, rng, tmp_path, edit, match):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_tiny_model(rng), str(path))
         path.write_text(edit(path.read_text()))
         with pytest.raises(MalformedDocumentError, match=match):
             load_checkpoint(str(path))
+
+    def test_format_2_layout(self, rng, tmp_path):
+        p = make_tiny_model(rng, StructureKind.MVH)
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(p, path)
+        doc = json.loads(open(path).read())
+        assert list(doc) == ["format_version", "structure", "views", "hidden", "theta"]
+        assert doc["format_version"] == 2
+        assert doc["structure"] == {"kind": "mvh",
+                                    "mask": p.structure.mask.astype(int).tolist()}
+        theta = np.frombuffer(base64.b64decode(doc["theta"]), dtype="<f8")
+        assert theta.tobytes() == param_vector(p).tobytes()
+
+    def test_loaded_arrays_are_writable_copies(self, rng, tmp_path):
+        p = make_tiny_model(rng)
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
+        for arr in (*q.W, *q.xi, q.lam, q.s):
+            assert arr.flags.writeable
+            arr += 1.0
+        assert np.array_equal(load_checkpoint(path).lam, p.lam)
+
+    @pytest.mark.parametrize("kind,seed", [(StructureKind.SA, 1),
+                                           (StructureKind.MVH, 2)])
+    def test_format_1_fixture_loads_bit_exact(self, kind, seed):
+        # Written by the format-1 save_checkpoint from these same models.
+        p = make_tiny_model(np.random.default_rng(seed), kind)
+        q = load_checkpoint(v1_fixture(kind))
+        assert param_vector(q).tobytes() == param_vector(p).tobytes()
+        assert q.structure.kind is kind
+        if kind is StructureKind.MVH:
+            assert np.array_equal(q.structure.mask, p.structure.mask)
+        assert [(v.name, v.dim, v.family) for v in q.views] == [
+            (v.name, v.dim, v.family) for v in p.views]
+
+    @pytest.mark.parametrize("edit,error,match", THETA_CORRUPTIONS)
+    def test_corrupt_theta_names_the_file(self, rng, tmp_path, edit, error, match):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_tiny_model(rng), str(path))
+        path.write_text(edit_doc(path.read_text(), edit))
+        with pytest.raises(error, match=match):
+            load_checkpoint(str(path))
+
+    def test_payload_is_binary_sized(self, rng, tmp_path):
+        # A train_wide-sized model: text floats would take 7.3 MB.
+        p = make_tiny_model(rng, dims=(576, 576), J=256)
+        n = param_group_ends([576, 576], 256)[-1]
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(p, path)
+        assert os.path.getsize(path) <= math.ceil(8 * n / 3) * 4 + 4096
 
     def test_no_partial_file_on_failure(self, rng, tmp_path):
         # Atomic rename: the destination never holds a partial document.
