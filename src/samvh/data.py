@@ -281,31 +281,42 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
     shape (N, side*side) each.
     """
     rng = np.random.default_rng(config.seed)
-    arabic, roman = glyph_templates()
     side = config.image_side
     base = (side - _GLYPH_SIDE) // 2
     n_total = config.num_classes * config.samples_per_class
-
-    images = [np.zeros((n_total, side * side)), np.zeros((n_total, side * side))]
-    masks = [np.zeros((n_total, side * side), dtype=bool) for _ in range(2)]
     labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
 
-    for n, cls in enumerate(labels):
-        for view, glyphs in enumerate((arabic, roman)):
-            img = np.zeros((side, side))
-            dy, dx = rng.integers(-config.jitter, config.jitter + 1, size=2)
-            r0, c0 = base + dy, base + dx
-            img[r0:r0 + _GLYPH_SIDE, c0:c0 + _GLYPH_SIDE] = glyphs[cls]
-            noise = np.zeros((side, side), dtype=bool)
-            lines = rng.integers(0, side, size=config.noise_lines_per_image)
-            for pos in lines:
-                if view == 0:
-                    noise[:, pos] = True
-                else:
-                    noise[pos, :] = True
-            img[noise] = 1.0
-            images[view][n] = img.ravel()
-            masks[view][n] = noise.ravel()
+    # Two draws per sample and view, made one call at a time: each call
+    # drops its leftover 32-bit half, so fewer, larger calls would change
+    # the stream and every dataset.
+    shifts = np.empty((n_total, 2, 2), dtype=np.int64)
+    lines = np.empty((n_total, 2, config.noise_lines_per_image), dtype=np.int64)
+    for n in range(n_total):
+        for view in range(2):
+            shifts[n, view] = rng.integers(-config.jitter, config.jitter + 1, size=2)
+            lines[n, view] = rng.integers(0, side, size=config.noise_lines_per_image)
+
+    samples = np.arange(n_total)
+    offsets = np.arange(_GLYPH_SIDE)
+    images, masks = [], []
+    for view, glyphs in enumerate(glyph_templates()):
+        img = np.zeros((n_total, side, side))
+        r = base + shifts[:, view, 0, None, None] + offsets[:, None]  # (N, 8, 1)
+        c = base + shifts[:, view, 1, None, None] + offsets  # (N, 1, 8)
+        # Class by class, as the labels run in blocks: a glyph per sample
+        # would be an (N, 8, 8) temporary.
+        for cls in range(config.num_classes):
+            block = slice(cls * config.samples_per_class,
+                          (cls + 1) * config.samples_per_class)
+            img[samples[block, None, None], r[block], c[block]] = glyphs[cls]
+        hit = np.zeros((n_total, side), dtype=bool)
+        hit[samples[:, None], lines[:, view]] = True
+        # Arabic noise lines are columns, roman noise lines are rows.
+        noise = np.zeros(img.shape, dtype=bool)
+        noise |= hit[:, None, :] if view == 0 else hit[:, :, None]
+        np.copyto(img, 1.0, where=noise)
+        images.append(img.reshape(n_total, side * side))
+        masks.append(noise.reshape(n_total, side * side))
 
     views = [ViewConfig("arabic", side * side, Family.BERNOULLI),
              ViewConfig("roman", side * side, Family.BERNOULLI)]
@@ -322,9 +333,21 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
 def _parse_matrix(path: str) -> np.ndarray:
     """Read a headerless comma-separated float matrix, skipping blank lines.
 
-    numpy's C reader parses the file; a file it rejects is rescanned by
-    `_locate_csv_fault` for an error that names the line and column.
+    A file in the fixed layout that `save_matrix_csv` writes for a matrix
+    of single digits (lines of one length, each ending in a newline, with a
+    digit 0-9 at every even byte offset and a comma at every other offset
+    before the newline) is decoded from its bytes. Any other file is parsed
+    by numpy's C reader, and a file that reader rejects is rescanned by
+    `_locate_csv_fault` for an error that names the line and column. Both
+    paths give the same array.
     """
+    with open(path, "rb") as fh:
+        matrix = _digit_matrix(fh.read())
+    return _parse_text_matrix(path) if matrix is None else matrix
+
+
+def _parse_text_matrix(path: str) -> np.ndarray:
+    """`_parse_matrix` for a file of any layout."""
     with open(path) as fh:
         lines = (ln for ln in fh if ln.strip())
         first = next(lines, None)
@@ -337,6 +360,21 @@ def _parse_matrix(path: str) -> np.ndarray:
             reason = str(exc)
     _locate_csv_fault(path)
     raise CsvFormatError(f"{path}: {reason}")
+
+
+def _digit_matrix(text: bytes) -> np.ndarray | None:
+    """The matrix that a file's bytes hold in the fixed single-digit layout,
+    or None if the bytes have any other layout."""
+    width = text.find(b"\n") + 1
+    if width == 0 or width % 2 or len(text) % width:
+        return None
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
+    cells = rows[:, ::2]
+    if ((cells - ord("0") <= 9).all()  # uint8: bytes below '0' wrap past 9
+            and (rows[:, 1:-1:2] == ord(",")).all()
+            and (rows[:, -1] == ord("\n")).all()):
+        return np.subtract(cells, ord("0"), dtype=np.float64)
+    return None
 
 
 def _locate_csv_fault(path: str) -> None:
@@ -421,11 +459,35 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
 
 def save_matrix_csv(path: str, arr: np.ndarray) -> None:
     """Write a 2-D array as CSV, one row per line, every value with 17
-    significant digits (enough to read each double back exactly)."""
+    significant digits (enough to read each double back exactly).
+
+    An array of single digits (see `_digit_text`) is written from one byte
+    buffer; its bytes are the same.
+    """
+    text = _digit_text(arr)
+    if text is not None:
+        with open(path, "wb") as fh:
+            fh.write(text.data)
+        return
     template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w") as fh:
         for row in arr:  # row by row: a whole-array tolist() would cost ~40 B per cell
             fh.write(template % tuple(row.tolist()))
+
+
+def _digit_text(arr: np.ndarray) -> np.ndarray | None:
+    """The CSV bytes of a non-empty array whose values are all among 0.0,
+    1.0, ..., 9.0 with the sign bit clear, so that each value's `%.17g` text
+    is one digit, as an (N, 2 D) uint8 array; None for any other array."""
+    if not arr.size or np.signbit(arr).any() or not (arr <= 9).all():
+        return None
+    digits = arr.astype(np.uint8)  # values in [0, 9] (NaN fails `<= 9`)
+    if not (digits == arr).all():
+        return None
+    text = np.full((arr.shape[0], 2 * arr.shape[1]), ord(","), dtype=np.uint8)
+    np.add(digits, ord("0"), out=text[:, ::2])
+    text[:, -1] = ord("\n")
+    return text
 
 
 def save_multiview_csv(data: MultiViewDataset, paths: list[str],

@@ -22,7 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from enum import Enum
 
@@ -600,9 +600,14 @@ def read_json(path: str):
 
 
 def write_json(doc, path: str) -> None:
-    """Write doc as indented JSON atomically (temp file + rename)."""
+    """Write doc as indented JSON atomically (temp file + rename).
+
+    The temp file is created with mode 0o666 less the umask, the mode that
+    open(path, "w") gives a new file (tempfile.mkstemp would make it 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh, indent=1)

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 
@@ -206,6 +207,44 @@ class TestGenData:
         for name in ("arabic.csv", "roman.csv", "labels.csv", "manifest.json"):
             assert read_bytes(os.path.join(outs[0], name)) == \
                 read_bytes(os.path.join(outs[1], name))
+
+    def test_golden_digests(self, tmp_path):
+        # The bytes `--seed 7 gen-data` writes for SMALL_SYNTH, pinned so that
+        # a change to the generator's rng stream or to the CSV writer shows.
+        cfg = write_config(tmp_path, {"synth": SMALL_SYNTH})
+        out = str(tmp_path / "d")
+        assert cli.main(["--config", cfg, "--seed", "7", "gen-data",
+                         "--out", out]) == cli.EXIT_OK
+        want = {
+            "arabic.csv": "8950cf4b86c54134eec3ceb8771a270355fb169c3fbc5a5d30d322ed158f4c41",
+            "roman.csv": "d792573c329da646ab3385350acda5fc40deced7e4ceabdc3f34a6db521fc18e",
+            "labels.csv": "6767bacb4b5099f60a06123275e7b6a5b117308532bb604afc14d6fdd80f0a03",
+            "manifest.json": "8801634242d8f8f8bc9b6e1fc4b915446f2a26366a53b793d91e48f956f60d11",
+        }
+        got = {name: hashlib.sha256(read_bytes(os.path.join(out, name))).hexdigest()
+               for name in want}
+        assert got == want
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_json_outputs_get_the_mode_of_csv_outputs(self, tmp_path, umask):
+        # The manifest and the checkpoint are created as open(path, "w")
+        # creates the CSVs beside them: mode 0o666 less the umask.
+        cfg = small_config(tmp_path, train={"epochs": 1})
+        data_dir, out = str(tmp_path / "d"), str(tmp_path / "run")
+        old = os.umask(umask)
+        try:
+            assert cli.main(["--config", cfg, "--seed", "2", "gen-data",
+                             "--out", data_dir]) == cli.EXIT_OK
+            assert cli.main(["--config", cfg, "--seed", "2", "train",
+                             "--data", data_dir, "--out", out]) == cli.EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {name: os.stat(os.path.join(folder, name)).st_mode & 0o777
+                 for folder, names in ((data_dir, ("manifest.json", "arabic.csv")),
+                                       (out, ("checkpoint.json", "trainlog.csv")))
+                 for name in names}
+        assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
 class TestTrain:

@@ -4,12 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chisquare
 
 from samvh.data import (
     CsvFormatError,
     MultiViewDataset,
+    _digit_matrix,
     _parse_matrix,
+    _parse_text_matrix,
     SynthConfig,
     generate_synthetic_paired,
     glyph_templates,
@@ -94,6 +99,53 @@ class TestGenerate:
     def test_glyph_must_fit(self):
         with pytest.raises(ValueError):
             SynthConfig(seed=0, image_side=9, jitter=2)
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(seed=5, samples_per_class=6),
+        SynthConfig(seed=6, samples_per_class=4, jitter=0),
+        SynthConfig(seed=7, samples_per_class=4, noise_lines_per_image=0),
+        SynthConfig(seed=8, samples_per_class=5, image_side=10),
+        SynthConfig(seed=9, samples_per_class=5, image_side=8, jitter=0),
+        SynthConfig(seed=10, num_classes=2, samples_per_class=9),
+        SynthConfig(seed=11, num_classes=3, samples_per_class=3, image_side=24,
+                    noise_lines_per_image=5, jitter=2)])
+    def test_equals_per_sample_reference(self, cfg):
+        ds, masks = generate_synthetic_paired(cfg, record_noise=True)
+        want_images, want_masks, want_labels = reference_generate(cfg)
+        assert np.array_equal(ds.labels, want_labels)
+        for got, want in zip(ds.view_arrays + masks, want_images + want_masks):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def reference_generate(config: SynthConfig):
+    """The generator as one loop over samples and views: the images, the
+    noise masks and the labels that `generate_synthetic_paired` must match."""
+    rng = np.random.default_rng(config.seed)
+    arabic, roman = glyph_templates()
+    side = config.image_side
+    base = (side - 8) // 2
+    n_total = config.num_classes * config.samples_per_class
+    images = [np.zeros((n_total, side * side)), np.zeros((n_total, side * side))]
+    masks = [np.zeros((n_total, side * side), dtype=bool) for _ in range(2)]
+    labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
+    for n, cls in enumerate(labels):
+        for view, glyphs in enumerate((arabic, roman)):
+            img = np.zeros((side, side))
+            dy, dx = rng.integers(-config.jitter, config.jitter + 1, size=2)
+            r0, c0 = base + dy, base + dx
+            img[r0:r0 + 8, c0:c0 + 8] = glyphs[cls]
+            noise = np.zeros((side, side), dtype=bool)
+            lines = rng.integers(0, side, size=config.noise_lines_per_image)
+            for pos in lines:
+                if view == 0:
+                    noise[:, pos] = True
+                else:
+                    noise[pos, :] = True
+            img[noise] = 1.0
+            images[view][n] = img.ravel()
+            masks[view][n] = noise.ravel()
+    return images, masks, labels
 
 
 class TestCsv:
@@ -237,12 +289,118 @@ class TestCsv:
                 assert fh.read() == want.encode()
             assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), arr)
 
+    @settings(max_examples=60, deadline=None)
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                        max_side=12),
+                          elements=st.integers(0, 9).map(float)),
+           binary=st.booleans())
+    def test_digit_matrix_bytes_and_array_equal_references(self, tmp_path_factory,
+                                                            arr, binary):
+        if binary:
+            arr = arr % 2
+        path = str(tmp_path_factory.mktemp("digits") / "m.csv")
+        save_matrix_csv(path, arr)
+        raw = read_bytes(path)
+        assert raw == per_cell_bytes(arr)
+        # The writer's bytes take the reader's byte path, to the same array.
+        back = _digit_matrix(raw)
+        assert back is not None and back.tobytes() == arr.tobytes()
+        assert _parse_matrix(path).tobytes() == per_cell_floats(path).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 7), (1, 1)])
+    def test_digit_matrix_one_row_or_column(self, tmp_path, rng, shape):
+        arr = rng.integers(0, 10, size=shape).astype(float)
+        path = str(tmp_path / "m.csv")
+        save_matrix_csv(path, arr)
+        assert read_bytes(path) == per_cell_bytes(arr)
+        assert _parse_matrix(path).tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("odd", [-0.0, 0.5, 10.0, np.nan, np.inf, -1.0])
+    def test_values_outside_the_digits_take_the_template(self, tmp_path, rng, odd):
+        arr = rng.integers(0, 10, size=(4, 3)).astype(float)
+        arr[2, 1] = odd
+        path = str(tmp_path / "m.csv")
+        save_matrix_csv(path, arr)
+        raw = read_bytes(path)
+        assert raw == per_cell_bytes(arr)
+        assert _digit_matrix(raw) is None
+        assert _parse_matrix(path).tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1,0\n0,1",           # no final newline
+        "1,0\r\n0,1\r\n",    # CRLF
+        "1,0\n0,1\n\n",       # trailing blank line
+        "\n1,0\n0,1\n",       # leading blank line
+        "1, 0\n0,1\n",        # padded cell
+        " 1,0\n0,1\n",        # padded first cell
+        "1,0\n0,1 \n",        # padded last cell
+        "10,1\n2,1\n",        # multi-character cell
+        "1;0\n0;1\n",         # not a comma
+    ])
+    def test_other_layouts_parse_as_before(self, tmp_path, text):
+        path = str(tmp_path / "m.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert _digit_matrix(read_bytes(path)) is None
+        try:
+            want = per_cell_floats(path)
+        except ValueError:
+            with pytest.raises(CsvFormatError) as general:
+                _parse_text_matrix(path)
+            with pytest.raises(CsvFormatError) as got:
+                _parse_matrix(path)
+            assert str(got.value) == str(general.value)
+        else:
+            got = _parse_matrix(path)
+            assert got.tobytes() == want.tobytes() == _parse_text_matrix(path).tobytes()
+
+    @pytest.mark.parametrize("text,where", [
+        ("1,0,1\n0,1\n", "2: expected 3 columns, got 2"),
+        ("1,0,1\n0,1,1\n1,1\n0,0,0\n", "3: expected 3 columns, got 2"),
+        ("1,0\n2,1x\n", "2: column 2: non-numeric cell '1x'"),
+        # Same line length or same byte count as the fixed layout:
+        ("1,0\n0,1,0,1\n", "2: expected 2 columns, got 4"),
+        ("1,0\n0,x\n", "2: column 2: non-numeric cell 'x'"),
+        ("1,0\n+,1\n", "2: column 1: non-numeric cell '+'"),
+    ])
+    def test_faulty_digit_files_keep_their_errors(self, tmp_path, text, where):
+        path = str(tmp_path / "m.csv")
+        open(path, "w").write(text)
+        assert _digit_matrix(read_bytes(path)) is None
+        for parse in (_parse_matrix, _parse_text_matrix):
+            with pytest.raises(CsvFormatError) as info:
+                parse(path)
+            assert str(info.value) == f"{path}:{where}"
+
+    def test_empty_file_takes_the_general_path(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        open(path, "w").close()
+        assert _digit_matrix(read_bytes(path)) is None
+        assert _parse_matrix(path).shape == (0, 0)
+
     def test_save_empty_dataset(self, tmp_path):
         views = [ViewConfig("x", 2, Family.GAUSSIAN_UNIT_VARIANCE)]
         ds = MultiViewDataset(views, [np.zeros((0, 2))])
         path = str(tmp_path / "x.csv")
         save_multiview_csv(ds, [path])
         assert open(path).read() == ""
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def per_cell_bytes(arr: np.ndarray) -> bytes:
+    """The CSV bytes of arr with every cell formatted by `%.17g` on its own."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr).encode()
+
+
+def per_cell_floats(path: str) -> np.ndarray:
+    """The matrix of a CSV file with every cell parsed by float() on its own."""
+    with open(path) as fh:
+        return np.array([[float(c) for c in line.split(",")]
+                         for line in fh if line.strip()], dtype=np.float64, ndmin=2)
 
 
 class TestManifest:

@@ -38,6 +38,7 @@ from samvh.model import (
     structure_report,
     unnormalized_log_joint,
     visible_shifted_batch,
+    write_json,
 )
 
 SIGMOID_2 = 0.88079707797788244405972914130239679520638429862897
@@ -758,3 +759,12 @@ class TestCheckpoint:
         before = open(path).read()
         save_checkpoint(p, path)
         assert open(path).read() == before
+
+    def test_failed_write_leaves_target_and_directory_as_they_were(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        write_json({"a": 1}, path)
+        before = open(path).read()
+        with pytest.raises(TypeError):
+            write_json({"a": object()}, path)
+        assert open(path).read() == before
+        assert os.listdir(tmp_path) == ["doc.json"]
