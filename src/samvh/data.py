@@ -362,6 +362,9 @@ def _parse_text_matrix(path: str) -> np.ndarray:
     raise CsvFormatError(f"{path}: {reason}")
 
 
+_CHECK_BYTES = 1 << 16  # bytes of a file that `_digit_matrix` checks at once
+
+
 def _digit_matrix(text: bytes) -> np.ndarray | None:
     """The matrix that a file's bytes hold in the fixed single-digit layout,
     or None if the bytes have any other layout."""
@@ -369,12 +372,18 @@ def _digit_matrix(text: bytes) -> np.ndarray | None:
     if width == 0 or width % 2 or len(text) % width:
         return None
     rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
-    cells = rows[:, ::2]
-    if ((cells - ord("0") <= 9).all()  # uint8: bytes below '0' wrap past 9
-            and (rows[:, 1:-1:2] == ord(",")).all()
-            and (rows[:, -1] == ord("\n")).all()):
-        return np.subtract(cells, ord("0"), dtype=np.float64)
-    return None
+    matrix = np.empty((rows.shape[0], width // 2))
+    step = max(1, _CHECK_BYTES // width)
+    # Block by block, so the check's temporaries stay small.
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        cells = block[:, ::2]
+        if not ((cells - ord("0") <= 9).all()  # uint8: bytes below '0' wrap past 9
+                and (block[:, 1:-1:2] == ord(",")).all()
+                and (block[:, -1] == ord("\n")).all()):
+            return None
+        np.subtract(cells, ord("0"), out=matrix[start:start + step], dtype=np.float64)
+    return matrix
 
 
 def _locate_csv_fault(path: str) -> None:
@@ -458,21 +467,26 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
 
 
 def save_matrix_csv(path: str, arr: np.ndarray) -> None:
-    """Write a 2-D array as CSV, one row per line, every value with 17
-    significant digits (enough to read each double back exactly).
+    """Write a 2-D array as CSV, one row per line, each value as its
+    `'%.17g' % value` text: at most 17 significant digits with trailing
+    zeros dropped, so every double reads back exactly.
 
     An array of single digits (see `_digit_text`) is written from one byte
-    buffer; its bytes are the same.
+    buffer; any other array is formatted by `_g17_text` in blocks of
+    `_BLOCK_CELLS` cells. The bytes are those of `%.17g` either way.
     """
     text = _digit_text(arr)
-    if text is not None:
-        with open(path, "wb") as fh:
+    with open(path, "wb") as fh:
+        if text is not None:
             fh.write(text.data)
-        return
-    template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for row in arr:  # row by row: a whole-array tolist() would cost ~40 B per cell
-            fh.write(template % tuple(row.tolist()))
+            return
+        rows, cols = arr.shape
+        if not cols:
+            fh.write(b"\n" * rows)
+            return
+        flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+        for start in range(0, flat.size, _BLOCK_CELLS):
+            fh.write(_g17_text(flat[start:start + _BLOCK_CELLS], cols, start))
 
 
 def _digit_text(arr: np.ndarray) -> np.ndarray | None:
@@ -490,9 +504,208 @@ def _digit_text(arr: np.ndarray) -> np.ndarray | None:
     return text
 
 
+# `%.17g` text of float64 cells in numpy. A finite nonzero |x| = f 2**e
+# (frexp) with decimal exponent X, 10**X <= |x| < 10**(X+1), has the digits
+# N = round-half-even(|x| 10**(16-X)), an integer in [1e16, 1e17] (1e17 is
+# the digits 1e16 of exponent X+1). 10**(16-X) is held as (H + L) 2**k with
+# H + L a double-double in (0.5, 2); Dekker's exact product gives
+# f H = P + p, and
+#   |x| 10**(16-X) = ldexp(P, e+k) + ldexp(p + f L, e+k) = big + t,
+# where big is an integer-valued double (>= 2**53 once X is right) and the
+# remainder t (|t| < 32) is off by less than 2**-45. N = big + rint(t) unless
+# t lies within _TIE_MARGIN of a half-integer; those cells (exact 18-digit
+# ties among them), NaN and +-inf take `'%.17g' %` one at a time (Loitsch,
+# PLDI 2010: a fast path that knows when it may be wrong).
+_BLOCK_CELLS = 1 << 13  # 64 KB per float64 temporary, ~1.5 MB per block in all
+_TIE_MARGIN = 2.0 ** -32
+_X_MIN, _X_MAX = -325, 309  # X from log10 of a double, one off either way
+_SPLIT = 2.0 ** 27 + 1  # Dekker's split constant for 53-bit doubles
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(H_hi, H_lo, L, k) at X - _X_MIN for X in [_X_MIN, _X_MAX]:
+    10**(16-X) = (H + L) 2**k to within 2**-106 of H, from exact integer
+    arithmetic, with H = H_hi + H_lo split in 26-bit halves."""
+    H, L, K = [], [], []
+    for X in range(_X_MIN, _X_MAX + 1):
+        q = 16 - X
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        k = num.bit_length() - den.bit_length()
+        if k >= 0:
+            den <<= k
+        else:
+            num <<= -k
+        h = num / den  # int / int rounds correctly
+        a, b = h.as_integer_ratio()
+        H.append(h)
+        L.append((num * b - a * den) / (den * b))
+        K.append(k)
+    H = np.array(H)
+    c = _SPLIT * H
+    hi = c - (c - H)
+    return hi, H - hi, np.array(L), np.array(K, dtype=np.int32)
+
+
+_P10_HI, _P10_LO, _P10_L, _P10_K = _pow10_table()
+
+
+def _scaled(f: np.ndarray, e: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(big, t) with big + t = f 2**e 10**(16-X) as described above."""
+    i = X - _X_MIN
+    c = _SPLIT * f
+    f_hi = c - (c - f)
+    f_lo = f - f_hi
+    h_hi, h_lo = _P10_HI.take(i), _P10_LO.take(i)
+    P = f * (h_hi + h_lo)
+    p = ((f_hi * h_hi - P) + f_hi * h_lo + f_lo * h_hi) + f_lo * h_lo
+    shift = e + _P10_K.take(i)
+    return np.ldexp(P, shift), np.ldexp(p + f * _P10_L.take(i), shift)
+
+
+# A cell's text in 32 fixed columns: a uint64 word of sign, "0.000", lead
+# digit and "."; the 16 other digits as four uint32 words; a uint64 word of
+# "e", exponent sign, three exponent digits, separator and pad.
+# `_keep_table` says which columns a cell shows; a point that follows digit
+# X > 0 instead of the lead digit is moved in place.
+_LAYOUT = np.frombuffer(b"-0.0000." + b"0" * 16 + b"e+000,  ", dtype=np.uint8)
+_HEAD = _LAYOUT[:8].view(np.uint64)[0]
+_LEAD, _SEP = 6, 29
+
+
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uint32 words of the 4-digit groups 0000-9999; the uint64 words
+    "e+ddd," / "e-ddd," of the exponents -400..400; and end[i, g], the count
+    of digits up to g's last nonzero one when g is group i (digits 4i+1 ..
+    4i+4 of 17), 0 for 0000. Built in small dtypes: they stay resident."""
+    g = np.arange(10000, dtype=np.int16)
+    digits = np.empty((g.size, 4), dtype=np.uint8)
+    for i, unit in enumerate((1000, 100, 10, 1)):
+        digits[:, i] = g // unit % 10 + ord("0")
+    X = np.arange(-400, 401, dtype=np.int16)
+    tail = np.tile(_LAYOUT[24:32], (X.size, 1))
+    tail[:, 1] = np.where(X < 0, ord("-"), ord("+"))
+    for i, unit in enumerate((100, 10, 1)):
+        tail[:, 2 + i] = abs(X) // unit % 10 + ord("0")
+    used = np.full(g.size, 4, dtype=np.int8) - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
+    end = np.where(g > 0, 1 + 4 * np.arange(4, dtype=np.int8)[:, None] + used, 0)
+    return digits.view(np.uint32).ravel(), tail.view(np.uint64).ravel(), end
+
+
+def _keep_table() -> np.ndarray:
+    """keep[code]: the columns of the layout that a cell of this code shows,
+    code = (form * 18 + nd) * 2 + sign bit. nd (1-17) counts the digits up
+    to the last nonzero one; form is X + 4 for fixed notation (X in [-4,
+    16]), 21 for an exponent of two digits, 22 of three, and 23 for a cell
+    whose text is spliced in, which shows only its separator."""
+    form, nd, neg = (a.ravel()[:, None] for a in
+                     np.meshgrid(np.arange(24), np.arange(18), np.arange(2), indexing="ij"))
+    sci = form >= 21
+    X = form - 4
+    point = np.where(sci | (X < 0), 0, X)  # the digit the point slot follows
+    slot = np.arange(18)  # columns 6-23: digits 0..point, point slot, the rest
+    keep = np.zeros((form.size, _LAYOUT.size), dtype=bool)
+    keep[:, :1] = neg
+    keep[:, 1:6] = np.arange(5) < np.where(~sci & (X < 0), 1 - X, 0)
+    keep[:, 6:24] = ((slot <= point) | (slot > point + 1) & (slot <= nd)
+                     | (slot == point + 1) & (nd > point + 1) & (sci | (X >= 0)))
+    keep[:, 24:29] = sci
+    keep[:, 26:27] &= form == 22
+    keep[:, _SEP] = True
+    keep[form[:, 0] == 23, :_SEP] = False
+    return keep
+
+
+def _point_moves() -> np.ndarray:
+    """moves[X - 1]: the order of columns 6-23 that puts the point after
+    digit X (1-16) instead of after the lead digit."""
+    slot = np.arange(18)
+    X = np.arange(1, 17)[:, None]
+    return np.where(slot == 0, 0, np.where(slot <= X, slot + 1,
+                                           np.where(slot == X + 1, 1, slot)))
+
+
+_GROUP_TEXT, _TAIL_TEXT, _GROUP_END = _text_tables()
+_KEEP, _POINT_MOVES = _keep_table(), _point_moves()
+
+
+def _g17_layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(text, keep, slow) for a 1-D float64 array x: text[i][keep[i]] is
+    `'%.17g' % x[i]` followed by the separator column, left as ",", for
+    every cell but the `slow` ones, whose keep holds the separator alone."""
+    n = x.size
+    mag = np.abs(x)
+    zero = mag == 0
+    fast = (mag > 0) & (mag < np.inf)
+    mag[~fast] = 1.0
+    f, e = np.frexp(mag)
+    X = np.floor(np.log10(mag)).astype(np.int32)
+    big, t = _scaled(f, e, X)
+    # log10 may miss the decade by one near a power of ten.
+    below = (big - 1e16) + t < 0
+    above = (big - 1e17) + t >= 0
+    off = np.flatnonzero(below | above)
+    if off.size:
+        X[off] += above[off].astype(np.int32) - below[off]
+        big[off], t[off] = _scaled(f[off], e[off], X[off])
+    r = np.rint(t)
+    N = big.astype(np.int64) + r.astype(np.int64)
+    slow = ~(zero | fast & (np.abs(t - r) < 0.5 - _TIE_MARGIN)
+             & (N >= 10 ** 16) & (N <= 10 ** 17))
+    plain = zero | slow
+    N[plain] = 10 ** 16
+    X[plain] = 0
+    top = N == 10 ** 17
+    N[top] = 10 ** 16
+    X[top] += 1
+
+    lead = N // 10 ** 16
+    rest = N - lead * 10 ** 16
+    high = rest // 10 ** 8
+    low = (rest - high * 10 ** 8).astype(np.int32)
+    high = high.astype(np.int32)
+    high_g, low_g = high // 10 ** 4, low // 10 ** 4
+    groups = (high_g, high - high_g * 10 ** 4, low_g, low - low_g * 10 ** 4)
+    text = np.empty((n, _LAYOUT.size), dtype=np.uint8)
+    text.view(np.uint64)[:, 0] = _HEAD
+    lead[zero] = 0
+    text[:, _LEAD] = lead + ord("0")
+    nd = np.ones(n, dtype=np.int8)  # digits up to the last nonzero one
+    for i, g in enumerate(groups):
+        _GROUP_TEXT.take(g, out=text.view(np.uint32)[:, 2 + i])
+        np.maximum(nd, _GROUP_END[i].take(g), out=nd)
+    _TAIL_TEXT.take(X + 400, out=text.view(np.uint64)[:, 3])
+    moved = np.flatnonzero((X > 0) & (X <= 16))
+    if moved.size:
+        text[moved, 6:24] = np.take_along_axis(
+            text[moved, 6:24], _POINT_MOVES[X[moved] - 1], axis=1)
+
+    form = np.where((X < -4) | (X > 16), 21 + (np.abs(X) >= 100), X + 4)
+    form[slow] = 23
+    return text, _KEEP.take((form * 18 + nd) * 2 + np.signbit(x), axis=0), slow
+
+
+def _g17_text(x: np.ndarray, cols: int, start: int) -> bytes:
+    """The CSV bytes of the cells x of a row-major matrix with `cols`
+    columns, x[0] being flat cell `start`: each cell's `%.17g` text, then
+    "," or, after a row's last cell, a newline."""
+    text, keep, slow = _g17_layout(x)
+    text[cols - 1 - start % cols::cols, _SEP] = ord("\n")
+    out = np.compress(keep.ravel(), text.ravel()).tobytes()
+    if not slow.any():
+        return out
+    at = np.cumsum(keep.sum(axis=1)) - 1  # each cell's separator byte
+    pieces, prev = [], 0
+    for i in np.flatnonzero(slow):
+        pieces += [out[prev:at[i]], b"%.17g" % x[i]]
+        prev = at[i]
+    pieces.append(out[prev:])
+    return b"".join(pieces)
+
+
 def save_multiview_csv(data: MultiViewDataset, paths: list[str],
                        label_path: str | None = None) -> None:
-    """Write one CSV per view with 17 significant digits."""
+    """Write one CSV per view, each value as its `%.17g` text (see
+    `save_matrix_csv`)."""
     if len(paths) != data.num_views:
         raise ValueError("need exactly one output path per view")
     for path, arr in zip(paths, data.view_arrays):

@@ -527,6 +527,29 @@ class TestEvalPipeline:
         assert lines[1].startswith("10,")
         assert "accuracy" in capsys.readouterr().out
 
+    # sha256 of the features.csv that `extract` writes, pinned so that a
+    # change to the real-valued CSV writer shows: for the trained checkpoint,
+    # and for the same checkpoint with W and lam scaled by 180, whose
+    # features run from about 1e-108 to 1 - 1e-15 (three-digit exponents).
+    FEATURE_DIGESTS = {
+        1.0: "b9090d40289fcc1e8e6beb6141958e4f28f5597833ddbb5e973e40924b7dffdd",
+        180.0: "c182ec5412b656f741e3a728c85ba181d9f9aa39b6f74e783b5822bfa436e42e",
+    }
+
+    @pytest.mark.parametrize("scale", sorted(FEATURE_DIGESTS))
+    def test_features_golden_digest(self, tmp_path, trained, scale):
+        cfg, data_dir, ckpt = trained
+        params = load_checkpoint(ckpt)
+        params.W = [scale * w for w in params.W]
+        params.lam = scale * params.lam
+        scaled = str(tmp_path / "scaled.json")
+        save_checkpoint(params, scaled)
+        feat_dir = str(tmp_path / "feat")
+        assert cli.main(["--config", cfg, "extract", "--checkpoint", scaled,
+                         "--data", data_dir, "--out", feat_dir]) == cli.EXIT_OK
+        text = read_bytes(os.path.join(feat_dir, "features.csv"))
+        assert hashlib.sha256(text).hexdigest() == self.FEATURE_DIGESTS[scale]
+
     def test_dataset_views_must_match_checkpoint(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained
         # 12x12 glyphs against a checkpoint trained on 10x10.

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 from scipy.stats import chisquare
 
 from samvh.data import (
+    _BLOCK_CELLS,
+    _CHECK_BYTES,
     CsvFormatError,
     MultiViewDataset,
     _digit_matrix,
+    _g17_layout,
     _parse_matrix,
     _parse_text_matrix,
     SynthConfig,
@@ -378,12 +382,98 @@ class TestCsv:
         assert _digit_matrix(read_bytes(path)) is None
         assert _parse_matrix(path).shape == (0, 0)
 
+    def test_digit_check_runs_in_blocks(self, tmp_path):
+        # More rows than one check block holds; a fault in the last block
+        # still sends the file to the general reader and its error.
+        rows = ["1,0"] * (_CHECK_BYTES // 4 + 100)
+        path = str(tmp_path / "m.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        assert _digit_matrix(read_bytes(path)).tobytes() == per_cell_floats(path).tobytes()
+        rows[-50] = "1,x"
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        assert _digit_matrix(read_bytes(path)) is None
+        with pytest.raises(CsvFormatError, match=f":{len(rows) - 49}: column 2"):
+            _parse_matrix(path)
+
     def test_save_empty_dataset(self, tmp_path):
         views = [ViewConfig("x", 2, Family.GAUSSIAN_UNIT_VARIANCE)]
         ds = MultiViewDataset(views, [np.zeros((0, 2))])
         path = str(tmp_path / "x.csv")
         save_multiview_csv(ds, [path])
         assert open(path).read() == ""
+
+
+def edge_values() -> np.ndarray:
+    """Doubles where `%.17g` text is easiest to get wrong: every power of
+    two, both neighbours of every power of ten, subnormals, signed zeros,
+    NaN, infinities and the ends of the 17-digit range."""
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    subnormal = np.ldexp(np.arange(1.0, 4097.0), -1074) * 1.75
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e16 - 2, 1e16, 1e16 + 2,
+               99999999999999999.0, 1e17, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.5, 1.0, 100.0, 1e-4, 1e-5]
+    values = np.concatenate([pow2, pow10, np.nextafter(pow10, 0),
+                             np.nextafter(pow10, np.inf), subnormal, special])
+    return np.concatenate([values, -values])
+
+
+class TestFloatText:
+    """`save_matrix_csv` writes every cell as `'%.17g' % value`."""
+
+    def save(self, tmp_path, arr) -> bytes:
+        path = str(tmp_path / "m.csv")
+        save_matrix_csv(path, arr)
+        return read_bytes(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                       max_side=16)))
+    def test_any_bit_pattern(self, tmp_path_factory, bits):
+        arr = bits.view(np.float64)
+        assert self.save(tmp_path_factory.mktemp("bits"), arr) == per_cell_bytes(arr)
+
+    def test_edge_values(self, tmp_path):
+        values = edge_values()
+        arr = np.resize(values, (-(-values.size // 7), 7))
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
+
+    def test_random_bits_across_blocks(self, tmp_path, rng):
+        arr = rng.integers(0, 2 ** 64, size=(100, 333), dtype=np.uint64).view(np.float64)
+        assert arr.size > 3 * _BLOCK_CELLS
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (1, 1), (1, 5000), (3, 5000)])
+    def test_shapes(self, tmp_path, rng, shape):
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced", "float32", "int64"])
+    def test_input_layouts(self, tmp_path, rng, layout):
+        base = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-8, 8, (40, 30))
+        arr = {"fortran": np.asfortranarray(base),
+               "sliced": base[::3, 5:-2:2],
+               "float32": base.astype(np.float32),
+               "int64": (base * 1e10).astype(np.int64)}[layout]
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
+
+    def test_sigmoid_features_take_no_per_cell_path(self, tmp_path, rng):
+        # Posterior means from 1e-300 to exactly 1.0, as `extract` writes
+        # them: the numpy path must handle every cell itself.
+        arr = expit(rng.uniform(-690.0, 40.0, size=(300, 60)))
+        assert arr.min() < 1e-295 and (arr == 1.0).any()
+        assert not _g17_layout(arr.ravel())[2].any()
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
+
+    def test_exact_ties_take_the_per_cell_path(self, tmp_path):
+        # 1 + k 2**-17 for odd k has 18 significant digits ending in 5, an
+        # exact tie at 17 digits that rounds half to even.
+        arr = 1.0 + np.arange(1, 4000, 2).reshape(-1, 10) * 2.0 ** -17
+        assert ("%.17g" % arr[0, 0]).endswith("2")  # 1.00000762939453125
+        assert _g17_layout(arr.ravel())[2].all()
+        assert self.save(tmp_path, arr) == per_cell_bytes(arr)
 
 
 def read_bytes(path: str) -> bytes:
