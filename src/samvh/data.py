@@ -745,6 +745,8 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
         families = [Family(require_key(views, [i, "family"], manifest))
                     for i in range(len(views))]
         names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError(f"view names must be strings, got {names!r}")
         dims = [require_key(views, [i, "dim"], manifest) for i in range(len(views))]
         num_samples = require_key(doc, ["num_samples"], manifest)
         paths = [os.path.join(directory, f)

@@ -28,7 +28,7 @@ class NonFiniteError(ValueError):
 
 def _check_finite(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=np.float64)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise NonFiniteError("natural parameter must be finite")
     return eta
 
@@ -39,7 +39,7 @@ def suff_stat(family: Family, x):
     Raises DomainError if a Bernoulli value is not in {0, 1}.
     """
     x = np.asarray(x, dtype=np.float64)
-    if family is Family.BERNOULLI and not np.all((x == 0.0) | (x == 1.0)):
+    if family is Family.BERNOULLI and not ((x == 0.0) | (x == 1.0)).all():
         raise DomainError("Bernoulli support is {0, 1}")
     return x if x.ndim else float(x)
 
@@ -54,19 +54,23 @@ def log_partition(family: Family, eta):
     return out if out.ndim else float(out)
 
 
-def mean(family: Family, eta):
-    """Mean map A'(eta): sigmoid for Bernoulli, identity for Gaussian."""
+def mean(family: Family, eta, out=None):
+    """Mean map A'(eta): sigmoid for Bernoulli, identity for Gaussian, as a
+    new array, or written into out if one is given (out may be eta itself)."""
     eta = _check_finite(eta)
-    out = expit(eta) if family is Family.BERNOULLI else eta
+    out = (expit if family is Family.BERNOULLI else np.positive)(eta, out=out)
     return out if out.ndim else float(out)
 
 
 def sample(family: Family, eta, rng: np.random.Generator):
     """Draw one value per entry of eta. Deterministic given the rng state."""
     eta = _check_finite(eta)
-    if family is Family.BERNOULLI:
-        p = expit(eta)
-        out = (rng.random(size=eta.shape) < p).astype(np.float64)
-    else:
-        out = eta + rng.standard_normal(size=eta.shape)
+    out = sample_from_mean(family, expit(eta) if family is Family.BERNOULLI else eta, rng)
     return out if out.ndim else float(out)
+
+
+def sample_from_mean(family: Family, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`sample` given mu = `mean(family, eta)` of a checked eta; mu is not checked."""
+    if family is Family.BERNOULLI:
+        return (rng.random(size=mu.shape) < mu).astype(np.float64)
+    return mu + rng.standard_normal(size=mu.shape)

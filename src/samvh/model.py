@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .expfam import DomainError, Family, mean, sample, suff_stat
+from .expfam import DomainError, Family, mean, sample, sample_from_mean, suff_stat
 
 # Checkpoints are written in format 2 (theta as one base64 payload); format
 # 1 (one JSON list per array) is still read.
@@ -288,12 +288,14 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
         if arr.ndim != 2 or arr.shape[1] != cfg.dim:
             raise ShapeMismatchError(
                 f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"view {cfg.name!r}: values must be finite")
+        # The Bernoulli support test fails on NaN and inf too.
         try:
+            if cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():
+                raise DomainError("values must be finite")
             out.append(suff_stat(cfg.family, arr))
         except DomainError as exc:
-            raise DomainError(f"view {cfg.name!r}: {exc}") from None
+            fault = exc if np.isfinite(arr).all() else "values must be finite"
+            raise DomainError(f"view {cfg.name!r}: {fault}") from None
     rows = {a.shape[0] for a in out}
     if len(rows) != 1 or 0 in rows:
         raise ShapeMismatchError(
@@ -324,13 +326,13 @@ def _visible_shifted(params: HarmoniumParams, wg: list[np.ndarray],
     return out
 
 
-def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], lam_hat: np.ndarray,
+def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray,
                 rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One block Gibbs sweep from a chain state whose hidden natural parameter
-    lam_hat is already known."""
-    h = sample(params.hidden_family, lam_hat, rng)
-    gh = suff_stat(params.hidden_family, h)
-    fv_next = [sample(cfg.family, _visible_shifted(params, wg, gh, k), rng)
+    """One block Gibbs sweep from a chain state whose hidden mean
+    hmean = B'(lam_hat) is already known and checked: h is drawn from hmean
+    and is its own sufficient statistic, then each view from p(v^k | h)."""
+    h = sample_from_mean(params.hidden_family, hmean, rng)
+    fv_next = [sample(cfg.family, _visible_shifted(params, wg, h, k), rng)
                for k, cfg in enumerate(params.views)]
     return h, fv_next
 
@@ -508,7 +510,8 @@ def gibbs_step_batch(params: HarmoniumParams, fv: list[np.ndarray],
                      rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
     """One block Gibbs sweep for a batch: h ~ p(h|v), then v' ~ p(v|h)."""
     wg = gated_weights(params, gates(params))
-    return _gibbs_step(params, wg, _hidden_shifted(params, wg, fv), rng)
+    hmean = mean(params.hidden_family, _hidden_shifted(params, wg, fv))
+    return _gibbs_step(params, wg, hmean, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ out of them.
 
 A gradient step computes the gates once and builds the gated weights
 sigma(s) W^k of every view once (`model.gated_weights`); every product of
-the step uses them. The positive phase's lam_hat is also the
-hidden natural parameter of the first Gibbs step, so each chain state's
-lam_hat is computed once. A `GradientSet` is one flat vector laid out as in
-`model.param_vector` (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps
-the parameters it updates as views into one such vector theta, with one
-velocity vector beside it, so a step updates every group at once:
+the step uses them. Each chain state's hidden mean B'(lam_hat) drives the
+next Gibbs step (h is drawn from it) and gives the state's statistics; it
+is computed, and each natural-parameter array checked for finiteness, once.
+A `GradientSet` is one flat vector laid out as in `model.param_vector`
+(W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps the parameters it
+updates as views into one such vector theta, with one velocity vector
+beside it, so a step updates every group at once:
 
     vel = momentum * vel + grad
     theta += lr * vel - lr * weight_decay * theta   (decay on W only)
@@ -182,24 +183,23 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     """Contrastive-divergence gradient estimate over a batch fv, one (B, D_k)
     array per view.
 
-    The gates and the gated weights are computed once. The positive phase's
-    lam_hat is also the first Gibbs step's hidden natural parameter, and each
-    later chain state's lam_hat feeds the next step or the negative phase.
-    The negative phase uses the posterior mean at the chain's final visible
-    state rather than a sampled h (lower variance, same expectation).
+    The gates and the gated weights are computed once, and so is each chain
+    state's hidden mean (its lam_hat checked once): the data's drives the
+    first Gibbs step, each later state's the next step, and the final
+    state's the negative phase, which uses that mean rather than a sampled
+    h (lower variance, same expectation).
     """
     fv = check_views(params, fv)
     g = gates(params)
     wg = gated_weights(params, g)
     hf = params.hidden_family
-    lam_hat = _hidden_shifted(params, wg, fv)
-    grad = _batch_mean_stats(params, fv, mean(hf, lam_hat), g)
+    hmean = mean(hf, _hidden_shifted(params, wg, fv))
+    grad = _batch_mean_stats(params, fv, hmean, g)
 
-    fv_chain = fv
     for _ in range(cd_steps):
-        _, fv_chain = _gibbs_step(params, wg, lam_hat, rng)
-        lam_hat = _hidden_shifted(params, wg, fv_chain)
-    grad.vec -= _batch_mean_stats(params, fv_chain, mean(hf, lam_hat), g).vec
+        _, fv = _gibbs_step(params, wg, hmean, rng)
+        hmean = mean(hf, _hidden_shifted(params, wg, fv))
+    grad.vec -= _batch_mean_stats(params, fv, hmean, g).vec
     return grad
 
 
@@ -247,10 +247,11 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     hmean = mean(params.hidden_family, _hidden_shifted(params, wg, fv))
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
-        # (fv - recon)^2 in recon's buffer, freed before the next view's
-        # reconstruction is built: over a whole dataset these are the largest
-        # arrays of a training run.
-        diff = mean(cfg.family, _visible_shifted(params, wg, hmean, k))
+        # The mean and (fv - recon)^2 in the natural parameter's buffer,
+        # freed before the next view's is built: over a whole dataset these
+        # are the largest arrays of a training run.
+        diff = _visible_shifted(params, wg, hmean, k)
+        mean(cfg.family, diff, out=diff)
         np.subtract(fv[k], diff, out=diff)
         errs[k] = np.mean(np.square(diff, out=diff))
         del diff

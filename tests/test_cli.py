@@ -308,6 +308,27 @@ class TestTrain:
         assert "Bernoulli support" in err and "'a'" in err
         assert "non-finite" not in err
 
+    @pytest.mark.parametrize("family,cells,message", [
+        ("bernoulli", ["nan"], "values must be finite"),
+        ("bernoulli", ["inf"], "values must be finite"),
+        ("bernoulli", ["-inf"], "values must be finite"),
+        ("bernoulli", ["0.5"], "Bernoulli support is {0, 1}"),
+        ("bernoulli", ["0.5", "nan"], "values must be finite"),
+        ("gaussian_unit_variance", ["nan"], "values must be finite"),
+    ])
+    def test_bad_view_value_message(self, tmp_path, capsys, family, cells, message):
+        paths = write_binary_csvs(tmp_path)
+        with open(paths[0], "w") as fh:
+            fh.write(",".join(cells + ["1"] * (3 - len(cells))) + "\n1,0,1\n0,1,1\n0,0,1\n")
+        cfg = write_config(tmp_path, {
+            "model": {"hidden_dim": 2},
+            "views": [{"name": "a", "family": family}, {"name": "b", "family": "bernoulli"}],
+            "train": {"epochs": 1, "batch_size": 2}})
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", ",".join(paths), "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: view 'a': {message}\n"
+
     def test_manifest_without_view_files_is_config_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         data_dir = str(tmp_path / "d")
@@ -653,6 +674,25 @@ class TestEvalPipeline:
             assert code == cli.EXIT_CONFIG
             assert capsys.readouterr().err.startswith(
                 f"error: {os.path.join(str(tmp_path), message)}")
+
+    @pytest.mark.parametrize("name", [5, None, []])
+    def test_view_name_not_a_string_is_config_error(self, tmp_path, trained, capsys, name):
+        cfg, data_dir, ckpt = trained
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["views"][0]["name"] = name
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        for command, args in (("train", []), ("extract", ["--checkpoint", ckpt]),
+                              ("eval-knn", ["--checkpoint", ckpt])):
+            code = cli.main(["--config", cfg, "--seed", "2", command, *args,
+                             "--data", data_dir, "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG, command
+            assert capsys.readouterr().err == (
+                f"error: {manifest}: malformed manifest: view names must be "
+                f"strings, got {[name, 'roman']!r}\n")
+        assert not os.path.exists(str(tmp_path / "o"))
 
     def test_corrupt_manifest_names_the_file(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samvh.expfam import DomainError, Family, log_partition, mean, sample, suff_stat
+from samvh.expfam import (
+    DomainError,
+    Family,
+    NonFiniteError,
+    log_partition,
+    mean,
+    sample,
+    sample_from_mean,
+    suff_stat,
+)
 
 # Frozen with 50-digit arithmetic: log(1 + e^30), 1/(1+e^-2), 1/(1+e^-0.5).
 LOG1P_EXP_30 = 30.000000000000093576229688397367793776974246751577
@@ -107,3 +116,41 @@ class TestSample:
         z_var = (draws.var() - 1.0) / math.sqrt(2.0 / n)
         assert abs(z_mean) < 3.29
         assert abs(z_var) < 3.29
+
+
+ETAS = [0.3, -2.0, np.linspace(-3.0, 3.0, 12).reshape(3, 4)]
+
+
+@pytest.mark.parametrize("eta", ETAS, ids=["scalar", "negative_scalar", "array"])
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_is_draw_from_mean(family, eta):
+    # Same values, bit for bit, and the same rng state after the draw.
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample(family, eta, rng_a)
+    want = sample_from_mean(family, np.asarray(mean(family, eta)), rng_b)
+    assert np.array_equal(got, want)
+    assert isinstance(got, float) == np.isscalar(eta)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_and_mean_reject_non_finite(family, bad):
+    for eta in (bad, np.array([0.0, bad])):
+        with pytest.raises(NonFiniteError):
+            mean(family, eta)
+        with pytest.raises(NonFiniteError):
+            sample(family, eta, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_mean_into_out(family):
+    eta = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    want = mean(family, eta)
+    assert not np.shares_memory(want, eta)
+    buf = np.empty_like(eta)
+    assert mean(family, eta, out=buf) is buf
+    assert np.array_equal(buf, want)
+    inplace = eta.copy()
+    assert mean(family, inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, want)

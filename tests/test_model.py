@@ -7,9 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
-from samvh.expfam import Family
+from samvh.expfam import DomainError, Family
 from samvh.model import (
     EnumerationBoundError,
     HarmoniumParams,
@@ -19,6 +19,7 @@ from samvh.model import (
     StructureKind,
     StructureMode,
     ViewConfig,
+    check_views,
     enumerate_binary_states,
     exact_log_likelihood,
     exact_log_partition,
@@ -301,6 +302,45 @@ class TestShiftedParams:
                 unnormalized_log_joint(p, bad, h)
 
 
+class TestCheckViews:
+    """Which fault a bad value is reported as: a non-finite value in any
+    view, before a finite value outside a Bernoulli view's support."""
+
+    @staticmethod
+    def model(first_family):
+        views = [ViewConfig("a", 3, first_family), ViewConfig("b", 2, Family.BERNOULLI)]
+        return HarmoniumParams(
+            views=views, hidden_dim=2, hidden_family=Family.BERNOULLI,
+            W=[np.zeros((v.dim, 2)) for v in views], xi=[np.zeros(v.dim) for v in views],
+            lam=np.zeros(2), s=np.zeros((2, 2)), structure=StructureMode(StructureKind.SA))
+
+    @pytest.mark.parametrize("family,cells,message", [
+        (Family.BERNOULLI, [np.nan], "values must be finite"),
+        (Family.BERNOULLI, [np.inf], "values must be finite"),
+        (Family.BERNOULLI, [-np.inf], "values must be finite"),
+        (Family.BERNOULLI, [0.5], "Bernoulli support is {0, 1}"),
+        (Family.BERNOULLI, [0.5, np.nan], "values must be finite"),
+        (Family.GAUSSIAN_UNIT_VARIANCE, [np.nan], "values must be finite"),
+        (Family.GAUSSIAN_UNIT_VARIANCE, [-np.inf], "values must be finite"),
+    ])
+    def test_fault_message(self, family, cells, message):
+        fv = [np.ones((3, 3)), np.zeros((3, 2))]
+        fv[0].flat[:len(cells)] = cells
+        with pytest.raises(DomainError) as info:
+            check_views(self.model(family), fv)
+        assert str(info.value) == f"view 'a': {message}"
+
+    def test_second_view_is_named(self):
+        fv = [np.ones((3, 3)), np.full((3, 2), 2.0)]
+        with pytest.raises(DomainError, match="^view 'b': Bernoulli support"):
+            check_views(self.model(Family.BERNOULLI), fv)
+
+    def test_gaussian_view_takes_any_finite_value(self):
+        fv = [np.full((3, 3), 0.5), np.zeros((3, 2))]
+        out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv)
+        assert np.array_equal(out[0], fv[0])
+
+
 class TestPosteriorHiddenMean:
     def test_bernoulli_at_zero(self, rng):
         p = make_tiny_model(rng)
@@ -475,6 +515,40 @@ class TestGibbs:
         assert np.array_equal(h1, h2)
         for a, b in zip(v1, v2):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden", list(Family))
+    def test_equals_seeded_reference(self, hidden):
+        # h ~ p(h|v), then each view ~ p(v^k|h) in view order, drawn from
+        # one rng: Bernoulli as uniform < sigmoid, Gaussian as eta + normal.
+        rng = np.random.default_rng(17)
+        views = [ViewConfig("b", 4, Family.BERNOULLI),
+                 ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE)]
+        p = HarmoniumParams(
+            views=views, hidden_dim=5, hidden_family=hidden,
+            W=[0.5 * rng.standard_normal((v.dim, 5)) for v in views],
+            xi=[0.5 * rng.standard_normal(v.dim) for v in views],
+            lam=0.5 * rng.standard_normal(5), s=rng.standard_normal((2, 5)),
+            structure=StructureMode(StructureKind.SA))
+        fv = [(rng.random((6, 4)) < 0.5).astype(float), rng.standard_normal((6, 3))]
+
+        def draw(family, eta, r):
+            if family is Family.BERNOULLI:
+                return (r.random(eta.shape) < expit(eta)).astype(float)
+            return eta + r.standard_normal(eta.shape)
+
+        ref = np.random.default_rng(4)
+        wg = [w * gk for w, gk in zip(p.W, gates(p))]
+        lam_hat = p.lam + fv[0] @ wg[0]
+        lam_hat += fv[1] @ wg[1]
+        h_want = draw(hidden, lam_hat, ref)
+        v_want = [draw(v.family, h_want @ wg[k].T + p.xi[k], ref)
+                  for k, v in enumerate(views)]
+        got_rng = np.random.default_rng(4)
+        h, v = gibbs_step_batch(p, fv, got_rng)
+        assert np.array_equal(h, h_want)
+        for a, b in zip(v, v_want):
+            assert np.array_equal(a, b)
+        assert got_rng.bit_generator.state == ref.bit_generator.state
 
     def test_long_run_marginals_match_enumeration(self, rng):
         # 200 parallel chains x 500 sweeps = 1e5 post-burn-in states.

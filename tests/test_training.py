@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from samvh.model import (
     make_binary_data,
     make_tiny_model,
     posterior_hidden_mean_batch,
+    save_checkpoint,
 )
 from samvh.training import (
     GradientSet,
@@ -474,6 +476,62 @@ class TestTrain:
         data = as_dataset(p, make_binary_data(p, rng, 10))
         out, _ = train(p, data, TrainConfig(epochs=2, batch_size=5, seed=2))
         assert np.array_equal(out.s, p.s)
+
+
+def gaussian_view_model(rng, hidden_family):
+    """SA model with a Gaussian and a Bernoulli view, and 24 rows of data."""
+    views = [ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE),
+             ViewConfig("b", 4, Family.BERNOULLI)]
+    p = HarmoniumParams(
+        views=views, hidden_dim=5, hidden_family=hidden_family,
+        W=[0.1 * rng.standard_normal((v.dim, 5)) for v in views],
+        xi=[0.1 * rng.standard_normal(v.dim) for v in views],
+        lam=0.1 * rng.standard_normal(5), s=rng.standard_normal((2, 5)),
+        structure=StructureMode(StructureKind.SA))
+    return p, [rng.standard_normal((24, 3)), (rng.random((24, 4)) < 0.5).astype(float)]
+
+
+class TestTrainGoldenDigests:
+    """sha256 of the checkpoint bytes plus `TrainLog.to_csv()` of short CD
+    runs with weight decay, pinned so that any change to the bits a training
+    run produces (the CD step, its rng order, the update or the epoch-end
+    metrics) shows."""
+
+    DIGESTS = {
+        ("sa", 1): "740afc6cb3b627a1d2b4f32f5c7b33f9d095120b5330aeb425815beb13a63b33",
+        ("sa", 3): "797959943bba0ae0f54f1fae3dcbddc42467c16689c3f00bd882718ff42f3ebc",
+        ("dwh", 1): "f56c4e937fefef4b587fb43e75580440a10787852379b3957624e7b07a7fb470",
+        ("dwh", 3): "4a2123437cbaf960db37f4c0887772bb693118518ab59fb69c2980b4e753c85a",
+        ("mvh", 1): "76523bd336ecaa4e5709a7182d1310d019a0ee0167a64580922d5e9071028499",
+        ("mvh", 3): "8e6e01039e437173e3fa8fb6ad760208a0758e03870837ca6bfe0d4ac4e98239",
+        ("gaussian_view", "bernoulli"):
+            "99baa7f9b35d2d9d6fe3f57039b851ac09c3a33c530784fd659136219e486078",
+        ("gaussian_view", "gaussian_unit_variance"):
+            "aa674c3d1304bf986a0dffa6fe4fe3ea5c46d4ad2794edf40d00e3c6efaa8eca",
+    }
+
+    @staticmethod
+    def digest(tmp_path, p, fv, cd_steps):
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=5, cd_steps=cd_steps,
+                          seed=4, weight_decay=0.01)
+        out, log = train(p, as_dataset(p, fv), cfg)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(out, str(path))
+        return hashlib.sha256(path.read_bytes() + log.to_csv().encode()).hexdigest()
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_all_bernoulli(self, tmp_path, kind, cd_steps):
+        rng = np.random.default_rng(31)
+        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        fv = make_binary_data(p, rng, 24)
+        assert self.digest(tmp_path, p, fv, cd_steps) == self.DIGESTS[kind.value, cd_steps]
+
+    @pytest.mark.parametrize("hidden_family", list(Family))
+    def test_gaussian_view(self, tmp_path, hidden_family):
+        p, fv = gaussian_view_model(np.random.default_rng(32), hidden_family)
+        assert (self.digest(tmp_path, p, fv, 2)
+                == self.DIGESTS["gaussian_view", hidden_family.value])
 
 
 class TestReconstructionError:
