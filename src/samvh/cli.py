@@ -132,14 +132,24 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
             for name, ss in zip(("data", "init", "cd"), children)}
 
 
+def _seed(source: str, seed: int) -> int:
+    """seed, or a ConfigError naming its source (numpy takes no negative seed)."""
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def _settings(cls, config: dict, key: str, flag_seed):
     """A settings dataclass from the config section key. The seed comes from
     --seed, else from the config, and one is required. A range error names
     its key, e.g. `train.cd_steps must be >= 1, got 0`."""
     section = config[key]
-    seed = section["seed"] if flag_seed is None else flag_seed
-    if seed is None:
+    if flag_seed is not None:
+        seed = _seed("--seed", flag_seed)
+    elif section["seed"] is None:
         raise ConfigError("a seed is required (config seed or --seed)")
+    else:
+        seed = _seed(f"{key}.seed", section["seed"])
     try:
         return cls(**{**section, "seed": seed})
     except ValueError as exc:
@@ -262,7 +272,7 @@ def cmd_grad_check(args) -> int:
     if not lo <= gc["step"] <= hi:
         raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}")
     kind = _choice("grad_check.structure", model_mod.StructureKind, gc["structure"])
-    rng = np.random.default_rng(gc["seed"])
+    rng = np.random.default_rng(_seed("grad_check.seed", gc["seed"]))
     worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
     worst_at = {}  # group -> (model, theta offset)
 
@@ -336,13 +346,20 @@ def cmd_eval_knn(args) -> int:
         raise ConfigError("eval-knn requires a labeled dataset")
     ecfg = config["eval"]
     selection = _parse_selection(ecfg["selection"], dataset)
+    if not ecfg["ks"]:
+        raise ConfigError("eval.ks is empty")
+    if min(ecfg["ks"]) < 1:
+        raise ConfigError(f"eval.ks values must be >= 1, got {min(ecfg['ks'])}")
+    if not 0.0 < ecfg["test_fraction"] < 1.0:
+        raise ConfigError(f"eval.test_fraction must be in (0, 1), got {ecfg['test_fraction']}")
     train_set, test_set = data_mod.train_test_split(
-        dataset, ecfg["test_fraction"], ecfg["knn_seed"])
+        dataset, ecfg["test_fraction"], _seed("eval.knn_seed", ecfg["knn_seed"]))
     tr_feat = eval_mod.extract_features(params, train_set, selection)
     te_feat = eval_mod.extract_features(params, test_set, selection)
     ks = [k for k in ecfg["ks"] if k <= tr_feat.values.shape[0]]
     if not ks:
-        raise ConfigError("all k values exceed the training-set size")
+        raise ConfigError(f"eval.ks: every k exceeds the training-set size "
+                          f"{tr_feat.values.shape[0]}")
     rows = eval_mod.knn_sweep(tr_feat, train_set.labels, te_feat,
                               test_set.labels, ks)
     print(eval_mod.format_sweep_table(rows))
@@ -357,6 +374,8 @@ def cmd_render_filters(args) -> int:
     params = model_mod.load_checkpoint(args.checkpoint)
     ecfg = config["eval"]
     view = _view_index("eval.view", ecfg["view"], params.views)
+    if ecfg["grid_cols"] < 1:
+        raise ConfigError(f"eval.grid_cols must be >= 1, got {ecfg['grid_cols']}")
     written = eval_mod.export_filter_images(
         params, view, args.out, grid_cols=ecfg["grid_cols"])
     for path in written:

@@ -22,10 +22,12 @@ checks its view arrays once before the first step, and slices minibatches
 out of them.
 
 A gradient step computes the gates once and builds the gated weights
-sigma(s) W^k of every view once (`model.gated_weights`); every product of
-the step uses them. Each chain state's hidden mean B'(lam_hat) drives the
-next Gibbs step (h is drawn from it) and gives the state's statistics; it
-is computed, and each natural-parameter array checked for finiteness, once.
+sigma(s) W^k of every view once (`model.gated_weights`); the hidden and
+visible products use them. Each chain state's hidden mean B'(lam_hat) drives
+the next Gibbs step (h is drawn from it) and gives the state's statistics;
+it is computed, and each natural-parameter array checked for finiteness,
+once. One `_contrast_stats` call takes both phases' statistics, one GEMM
+per view, into the step's one `GradientSet`.
 A `GradientSet` is one flat vector laid out as in `model.param_vector`
 (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps the parameters it
 updates as views into one such vector theta, with one velocity vector
@@ -152,30 +154,33 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _weighted_stats(params: HarmoniumParams, fv: list[np.ndarray],
-                    hmean: np.ndarray, weights: np.ndarray,
-                    g: np.ndarray | None = None) -> GradientSet:
-    """Expectation of the sufficient statistics under the given sample weights
-    (weights must sum to 1). g is gates(params), computed if not given. The
-    switch statistic is left at zero outside SA mode, where s is frozen."""
-    if g is None:
-        g = gates(params)
-    wh = hmean * weights[:, None]
+def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> GradientSet:
+    """Weighted positive- minus negative-phase sums of the sufficient
+    statistics; g is gates(params). pos and neg are each (fv, hmean, weights),
+    one weight per row. With F^k = [f(v+); f(v-)], H = [w+ h+; -w- h-] and one
+    GEMM per view, stat^k = F^k' H (formed in dW^k's place):
+
+        dW^k = g_k * stat^k        ds_k = g_k (1 - g_k) * colsum(W^k * stat^k)
+        dlam = colsum(H)           dxi^k = F^k' [w+; -w-]
+
+    ds_k uses sum_b (F W)_bj H_bj = sum_i W_ij (F' H)_ij; outside SA mode,
+    where s is frozen, it is left at zero."""
+    (fv_pos, h_pos, w_pos), (fv_neg, h_neg, w_neg) = pos, neg
+    w = np.concatenate([w_pos, -w_neg])
+    H = np.concatenate([h_pos, h_neg])
+    H *= w[:, None]
     out = GradientSet.zeros_like(params)
-    out.dlam[:] = wh.sum(axis=0)
+    H.sum(axis=0, out=out.dlam)
     sa_mode = params.structure.kind is StructureKind.SA
     for k in range(params.num_views):
-        np.multiply(g[k], fv[k].T @ wh, out=out.dW[k])
-        out.dxi[k][:] = fv[k].T @ weights
+        F = np.concatenate([fv_pos[k], fv_neg[k]])
+        stat = np.matmul(F.T, H, out=out.dW[k])
+        np.matmul(F.T, w, out=out.dxi[k])
         if sa_mode:
-            sprime = g[k] * (1.0 - g[k])
-            np.multiply(sprime, ((fv[k] @ params.W[k]) * wh).sum(axis=0), out=out.ds[k])
+            np.multiply(g[k] * (1.0 - g[k]), np.einsum("ij,ij->j", params.W[k], stat),
+                        out=out.ds[k])
+        stat *= g[k]
     return out
-
-
-def _batch_mean_stats(params, fv, hmean, g=None) -> GradientSet:
-    B = hmean.shape[0]
-    return _weighted_stats(params, fv, hmean, np.full(B, 1.0 / B), g)
 
 
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -187,34 +192,32 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     state's hidden mean (its lam_hat checked once): the data's drives the
     first Gibbs step, each later state's the next step, and the final
     state's the negative phase, which uses that mean rather than a sampled
-    h (lower variance, same expectation).
+    h (lower variance, same expectation). Both phases are weighted 1/B.
     """
     fv = check_views(params, fv)
     g = gates(params)
     wg = gated_weights(params, g)
     hf = params.hidden_family
-    hmean = mean(hf, _hidden_shifted(params, wg, fv))
-    grad = _batch_mean_stats(params, fv, hmean, g)
-
+    h_data = hmean = mean(hf, _hidden_shifted(params, wg, fv))
+    chain = fv
     for _ in range(cd_steps):
-        _, fv = _gibbs_step(params, wg, hmean, rng)
-        hmean = mean(hf, _hidden_shifted(params, wg, fv))
-    grad.vec -= _batch_mean_stats(params, fv, hmean, g).vec
-    return grad
+        _, chain = _gibbs_step(params, wg, hmean, rng)
+        hmean = mean(hf, _hidden_shifted(params, wg, chain))
+    weights = np.full(len(hmean), 1.0 / len(hmean))
+    return _contrast_stats(params, g, (fv, h_data, weights), (chain, hmean, weights))
 
 
 def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet:
-    """Exact likelihood gradient over the batch fv via enumeration of all
-    visible states."""
+    """Exact likelihood gradient over the batch fv (weights 1/B) against all
+    enumerated visible states (weights p(v))."""
     fv = check_views(params, fv)
     g = gates(params)
     wg = gated_weights(params, g)
     hf = params.hidden_family
-    grad = _batch_mean_stats(params, fv, mean(hf, _hidden_shifted(params, wg, fv)), g)
-
+    h_data = mean(hf, _hidden_shifted(params, wg, fv))
     fv_all, lam_all, probs = _visible_distribution(params, wg)
-    grad.vec -= _weighted_stats(params, fv_all, mean(hf, lam_all), probs, g).vec
-    return grad
+    return _contrast_stats(params, g, (fv, h_data, np.full(len(h_data), 1.0 / len(h_data))),
+                           (fv_all, mean(hf, lam_all), probs))
 
 
 def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],

@@ -1,7 +1,8 @@
 """The samvh names the benchmark binds must stay bound.
 
 `bench/spans.py` wraps every function in its `TARGETS` list, and
-`bench/tests/test_bench.py` looks further names up in samvh's modules. The
+`bench/tests/test_bench.py` looks further names up in samvh's modules and
+counts the calls `training.train` makes to `training.cd_gradient`. The
 benchmark's own tests run separately (`python3 -m pytest -q bench/tests`),
 so these checks keep a deletion in samvh from breaking `bench/run.py
 --trace 1` unnoticed. Both files are only read here.
@@ -11,10 +12,12 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 import samvh
 from samvh import model, training
+from samvh.data import MultiViewDataset
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -63,3 +66,23 @@ def test_bench_test_lookups_are_bound():
     assert lookups
     for home, name, original in lookups:
         assert getattr(resolve(home), name) is resolve(original), (home, name)
+
+
+def test_train_calls_cd_gradient_once_per_minibatch(monkeypatch):
+    """The benchmark counts training steps as calls of the module-level name
+    `samvh.training.cd_gradient`; `train` must look it up there, once per
+    minibatch."""
+    calls = []
+    step = training.cd_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(args[1][0].shape[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "cd_gradient", counted)
+    rng = np.random.default_rng(5)
+    params = model.make_tiny_model(rng)
+    data = MultiViewDataset(views=list(params.views),
+                            view_arrays=model.make_binary_data(params, rng, 13))
+    training.train(params, data, training.TrainConfig(epochs=3, batch_size=5, seed=1))
+    assert calls == [5, 5, 3] * 3

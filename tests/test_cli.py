@@ -184,6 +184,36 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag_seed,doc,message", [
+        ("gen-data", "-1", {}, "--seed must be >= 0, got -1"),
+        ("train", "-1", {}, "--seed must be >= 0, got -1"),
+        ("gen-data", None, {"synth": {"seed": -2}}, "synth.seed must be >= 0, got -2"),
+        ("train", None, {"train": {"seed": -1}}, "train.seed must be >= 0, got -1"),
+        ("grad-check", None, {"grad_check": {"seed": -1}},
+         "grad_check.seed must be >= 0, got -1"),
+        ("eval-knn", None, {"eval": {"knn_seed": -2}}, "eval.knn_seed must be >= 0, got -2")])
+    def test_negative_seed_names_its_source(self, tmp_path, capsys, command, flag_seed,
+                                            doc, message):
+        data_dir, ckpt = str(tmp_path / "d"), str(tmp_path / "run" / "checkpoint.json")
+        base = small_config(tmp_path, train={"epochs": 0})
+        assert cli.main(["--config", base, "--seed", "1", "gen-data",
+                         "--out", data_dir]) == cli.EXIT_OK
+        assert cli.main(["--config", base, "--seed", "1", "train", "--data", data_dir,
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        argv = {"gen-data": ["--out", out], "train": ["--data", data_dir, "--out", out],
+                "grad-check": [],
+                "eval-knn": ["--checkpoint", ckpt, "--data", data_dir, "--out", out]}[command]
+        cfg = write_config(tmp_path, {"synth": SMALL_SYNTH, **doc}, name="seed.json")
+        code = cli.main(["--config", cfg, *(["--seed", flag_seed] if flag_seed else []),
+                         command, *argv])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
 
 class TestGenData:
     def test_writes_dataset(self, tmp_path, capsys):
@@ -553,8 +583,8 @@ class TestEvalPipeline:
     # and for the same checkpoint with W and lam scaled by 180, whose
     # features run from about 1e-108 to 1 - 1e-15 (three-digit exponents).
     FEATURE_DIGESTS = {
-        1.0: "b9090d40289fcc1e8e6beb6141958e4f28f5597833ddbb5e973e40924b7dffdd",
-        180.0: "c182ec5412b656f741e3a728c85ba181d9f9aa39b6f74e783b5822bfa436e42e",
+        1.0: "86027e90c9202b35aa688cf55e4d7ec71efb5da959c27dccfee6cf27217e9028",
+        180.0: "4b5cc073e8df237fd64b135451c1f5ae90f51662d382a3ba84e9e320c2ec6f0c",
     }
 
     @pytest.mark.parametrize("scale", sorted(FEATURE_DIGESTS))
@@ -570,6 +600,34 @@ class TestEvalPipeline:
                          "--data", data_dir, "--out", feat_dir]) == cli.EXIT_OK
         text = read_bytes(os.path.join(feat_dir, "features.csv"))
         assert hashlib.sha256(text).hexdigest() == self.FEATURE_DIGESTS[scale]
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"ks": []}, "eval.ks is empty"),
+        ({"ks": [0]}, "eval.ks values must be >= 1, got 0"),
+        ({"ks": [10, -3]}, "eval.ks values must be >= 1, got -3"),
+        ({"ks": [21, 30]}, "eval.ks: every k exceeds the training-set size 20"),
+        ({"test_fraction": 0}, "eval.test_fraction must be in (0, 1), got 0"),
+        ({"test_fraction": 1.5}, "eval.test_fraction must be in (0, 1), got 1.5")])
+    def test_knn_range_error_names_the_key(self, tmp_path, trained, capsys, settings,
+                                           message):
+        _, data_dir, ckpt = trained
+        cfg = write_config(tmp_path, {"eval": settings}, name="eval.json")
+        out = str(tmp_path / "knn")
+        assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                         "--data", data_dir, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("grid_cols", [0, -2])
+    def test_grid_cols_range_error_names_the_key(self, tmp_path, trained, capsys,
+                                                 grid_cols):
+        cfg = write_config(tmp_path, {"eval": {"grid_cols": grid_cols}}, name="eval.json")
+        out = str(tmp_path / "filters")
+        assert cli.main(["--config", cfg, "render-filters", "--checkpoint", trained[2],
+                         "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: eval.grid_cols must be >= 1, got {grid_cols}\n")
+        assert not os.path.exists(out)
 
     def test_dataset_views_must_match_checkpoint(self, tmp_path, trained, capsys):
         cfg, data_dir, ckpt = trained

@@ -14,6 +14,8 @@ from samvh.model import (
     StructureKind,
     StructureMode,
     ViewConfig,
+    _visible_distribution,
+    gated_weights,
     gates,
     make_binary_data,
     make_tiny_model,
@@ -24,7 +26,7 @@ from samvh.training import (
     GradientSet,
     TrainConfig,
     TrainingDivergedError,
-    _batch_mean_stats,
+    _contrast_stats,
     cd_gradient,
     exact_gradient,
     finite_diff_gradient,
@@ -59,12 +61,11 @@ def oracle_stats(params, values, hmean):
     return out
 
 
-def reference_cd_gradient(params, fv, cd_steps, rng):
-    """CD-k computed view by view, as a flat vector laid out like
-    `GradientSet.vec`: every product recomputes the gates and its view's gated
-    weights, and each phase gets its own statistics."""
+def reference_chain(params, fv, cd_steps, rng):
+    """The two phases of CD-k computed view by view, as (fv, hidden means)
+    of the data and of the final chain state: every product recomputes the
+    gates and its view's gated weights."""
     hf = params.hidden_family
-    sa = params.structure.kind is StructureKind.SA
 
     def gated(k):
         return params.W[k] * gates(params)[k][None, :]
@@ -75,24 +76,54 @@ def reference_cd_gradient(params, fv, cd_steps, rng):
             out += fv[k] @ gated(k)
         return out
 
-    def stats(fv, hmean):
-        weights = np.full(hmean.shape[0], 1.0 / hmean.shape[0])
-        g = gates(params)
-        sprime = g * (1.0 - g) if sa else np.zeros_like(g)
-        wh = hmean * weights[:, None]
-        dW = [g[k][None, :] * (fv[k].T @ wh) for k in range(params.num_views)]
-        dxi = [fv[k].T @ weights for k in range(params.num_views)]
-        ds = [sprime[k] * ((fv[k] @ params.W[k]) * wh).sum(axis=0)
-              for k in range(params.num_views)]
-        return np.concatenate([a.ravel() for a in (*dW, *dxi, wh.sum(axis=0), *ds)])
-
-    pos = stats(fv, mean(hf, hidden(fv)))
     chain = fv
     for _ in range(cd_steps):
         gh = suff_stat(hf, sample(hf, hidden(chain), rng))
         chain = [sample(cfg.family, params.xi[k][None, :] + gh @ gated(k).T, rng)
                  for k, cfg in enumerate(params.views)]
-    return pos - stats(chain, mean(hf, hidden(chain)))
+    return (fv, mean(hf, hidden(fv))), (chain, mean(hf, hidden(chain)))
+
+
+def reference_cd_gradient(params, fv, cd_steps, rng):
+    """CD-k as a flat vector laid out like `GradientSet.vec`, from the phases
+    of `reference_chain`. The statistics stack both phases, F = [fv+; fv-]
+    and H = [h+/B; -h-/B], and take each view's groups from one product
+    stat = F' H, the switch statistic as g (1 - g) colsum(W * stat)."""
+    (fv_pos, h_pos), (fv_neg, h_neg) = reference_chain(params, fv, cd_steps, rng)
+    B = h_pos.shape[0]
+    w = np.concatenate([np.full(B, 1.0 / B), -np.full(B, 1.0 / B)])
+    H = np.concatenate([h_pos, h_neg]) * w[:, None]
+    F = [np.concatenate([a, b]) for a, b in zip(fv_pos, fv_neg)]
+    g = gates(params)
+    sa = params.structure.kind is StructureKind.SA
+    stat = [F[k].T @ H for k in range(params.num_views)]
+    dW = [g[k][None, :] * stat[k] for k in range(params.num_views)]
+    dxi = [F[k].T @ w for k in range(params.num_views)]
+    ds = [g[k] * (1.0 - g[k]) * np.einsum("ij,ij->j", params.W[k], stat[k]) if sa
+          else np.zeros(params.hidden_dim) for k in range(params.num_views)]
+    return np.concatenate([a.ravel() for a in (*dW, *dxi, H.sum(axis=0), *ds)])
+
+
+def textbook_stats(params, fv, hmean, weights):
+    """One phase's weighted statistics as the two-phase formula writes them:
+    a product f(v)' (w h) per view, and the switch statistic from the
+    product f(v) W, as sum_b ((f(v) W) * w h)_bj."""
+    g = gates(params)
+    sprime = g * (1.0 - g)
+    if params.structure.kind is not StructureKind.SA:
+        sprime[:] = 0.0
+    wh = hmean * weights[:, None]
+    dW = [g[k] * (fv[k].T @ wh) for k in range(params.num_views)]
+    dxi = [fv[k].T @ weights for k in range(params.num_views)]
+    ds = [sprime[k] * ((fv[k] @ params.W[k]) * wh).sum(axis=0)
+          for k in range(params.num_views)]
+    return np.concatenate([a.ravel() for a in (*dW, *dxi, wh.sum(axis=0), *ds)])
+
+
+def assert_matches_textbook(got, want):
+    """Equal to 1e-12 relative, elements near zero measured against the
+    largest |want|: the two forms sum the same terms in different orders."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def reference_finite_diff_gradient(params, fv, step):
@@ -151,9 +182,16 @@ def as_dataset(params, fv):
     return MultiViewDataset(views=list(params.views), view_arrays=fv)
 
 
+def positive_stats(params, fv, hmean):
+    """`_contrast_stats` of a batch weighted 1/B against an empty negative phase."""
+    weights = np.full(hmean.shape[0], 1.0 / hmean.shape[0])
+    return _contrast_stats(params, gates(params), (fv, hmean, weights),
+                           ([a[:0] for a in fv], hmean[:0], weights[:0]))
+
+
 def sample_stats(params, fv):
     """Positive-phase statistics of a batch, at its posterior hidden means."""
-    return _batch_mean_stats(params, fv, posterior_hidden_mean_batch(params, fv))
+    return positive_stats(params, fv, posterior_hidden_mean_batch(params, fv))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +216,7 @@ class TestSufficientStats:
             p = make_tiny_model(rng, kind)
             fv = make_binary_data(p, rng, 1)
             hmean = posterior_hidden_mean_batch(p, fv)
-            got = _batch_mean_stats(p, fv, hmean)
+            got = positive_stats(p, fv, hmean)
             want = oracle_stats(p, [a[0] for a in fv], hmean[0])
             for a, b in zip(got.dW, want.dW):
                 np.testing.assert_allclose(a, b, atol=1e-12)
@@ -186,6 +224,61 @@ class TestSufficientStats:
                 np.testing.assert_allclose(a, b, atol=1e-12)
             np.testing.assert_allclose(got.dlam, want.dlam, atol=1e-12)
             np.testing.assert_allclose(got.ds, want.ds, atol=1e-12)
+
+
+class TestContrastStats:
+    """`_contrast_stats`, which takes every statistic of both phases from one
+    product per view, against the two-phase `textbook_stats`."""
+
+    def test_switch_identity(self):
+        # sum_b (F W)_bj H_bj = sum_i W_ij (F' H)_ij
+        rng = np.random.default_rng(41)
+        F, W, H = (rng.standard_normal(shape) for shape in ((13, 7), (7, 5), (13, 5)))
+        np.testing.assert_allclose((W * (F.T @ H)).sum(axis=0),
+                                   ((F @ W) * H).sum(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_phases_of_any_size_and_weight(self, kind):
+        rng = np.random.default_rng(42)
+        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        pos = (make_binary_data(p, rng, 7), rng.random((7, 5)), rng.random(7))
+        neg = (make_binary_data(p, rng, 11), rng.random((11, 5)), rng.random(11))
+        got = _contrast_stats(p, gates(p), pos, neg)
+        assert_matches_textbook(flatten(got), textbook_stats(p, *pos) - textbook_stats(p, *neg))
+
+    @staticmethod
+    def check_cd(p, fv, cd_steps):
+        got = cd_gradient(p, fv, cd_steps, np.random.default_rng(45))
+        (fv_pos, h_pos), (fv_neg, h_neg) = reference_chain(
+            p, fv, cd_steps, np.random.default_rng(45))
+        w = np.full(h_pos.shape[0], 1.0 / h_pos.shape[0])
+        want = textbook_stats(p, fv_pos, h_pos, w) - textbook_stats(p, fv_neg, h_neg, w)
+        assert_matches_textbook(flatten(got), want)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_cd_gradient(self, kind, cd_steps):
+        rng = np.random.default_rng(43)
+        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        self.check_cd(p, make_binary_data(p, rng, 9), cd_steps)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("hidden_family", list(Family))
+    def test_cd_gradient_gaussian_view(self, hidden_family, cd_steps):
+        p, fv = gaussian_view_model(np.random.default_rng(44), hidden_family)
+        self.check_cd(p, fv, cd_steps)
+
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_exact_gradient(self, kind):
+        # Enumeration is all-Bernoulli; the negative phase is every visible
+        # state weighted by its probability.
+        rng = np.random.default_rng(46)
+        p = make_tiny_model(rng, kind)
+        fv = make_binary_data(p, rng, 6)
+        fv_all, lam_all, probs = _visible_distribution(p, gated_weights(p, gates(p)))
+        want = (textbook_stats(p, fv, posterior_hidden_mean_batch(p, fv), np.full(6, 1 / 6))
+                - textbook_stats(p, fv_all, mean(p.hidden_family, lam_all), probs))
+        assert_matches_textbook(flatten(exact_gradient(p, fv)), want)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +591,16 @@ class TestTrainGoldenDigests:
     metrics) shows."""
 
     DIGESTS = {
-        ("sa", 1): "740afc6cb3b627a1d2b4f32f5c7b33f9d095120b5330aeb425815beb13a63b33",
-        ("sa", 3): "797959943bba0ae0f54f1fae3dcbddc42467c16689c3f00bd882718ff42f3ebc",
-        ("dwh", 1): "f56c4e937fefef4b587fb43e75580440a10787852379b3957624e7b07a7fb470",
-        ("dwh", 3): "4a2123437cbaf960db37f4c0887772bb693118518ab59fb69c2980b4e753c85a",
-        ("mvh", 1): "76523bd336ecaa4e5709a7182d1310d019a0ee0167a64580922d5e9071028499",
-        ("mvh", 3): "8e6e01039e437173e3fa8fb6ad760208a0758e03870837ca6bfe0d4ac4e98239",
+        ("sa", 1): "8b146a5283d683bb1c6a52c758352d0a5d3d9f6242c31a9febf0793df1b6a2ca",
+        ("sa", 3): "703497f94af9aa713e51b53e5a1fff029070d6d7da4b2735c366edaac45ea4ec",
+        ("dwh", 1): "8c8827fcc38c97926a23e96447ce0a8c979e9dbbba0b43689989aaba9ec50b33",
+        ("dwh", 3): "45e5069468fb1603031b045d8041c4598d967586cba36b4c7b4e1a59c48f065e",
+        ("mvh", 1): "0ab7a5d1e565dae1637686ea7d7bb220f8ce6a15e745422643c9193b5b79d7bf",
+        ("mvh", 3): "511f62f0502540096d14350f77970d1f0fc7a3b927fdd586cc4982a08a2ff03e",
         ("gaussian_view", "bernoulli"):
-            "99baa7f9b35d2d9d6fe3f57039b851ac09c3a33c530784fd659136219e486078",
+            "66d4d9fbf624a7c3304c7561c1d3d6e69b7553cc32fcfceb18f1bc0053d84178",
         ("gaussian_view", "gaussian_unit_variance"):
-            "aa674c3d1304bf986a0dffa6fe4fe3ea5c46d4ad2794edf40d00e3c6efaa8eca",
+            "a420c5464d1dd55db55feaaf0ab9e7bd8f6693136fd395115f0aa3d9e4f6a849",
     }
 
     @staticmethod
