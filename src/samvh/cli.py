@@ -350,10 +350,11 @@ def cmd_eval_knn(args) -> int:
         raise ConfigError("eval.ks is empty")
     if min(ecfg["ks"]) < 1:
         raise ConfigError(f"eval.ks values must be >= 1, got {min(ecfg['ks'])}")
-    if not 0.0 < ecfg["test_fraction"] < 1.0:
-        raise ConfigError(f"eval.test_fraction must be in (0, 1), got {ecfg['test_fraction']}")
-    train_set, test_set = data_mod.train_test_split(
-        dataset, ecfg["test_fraction"], _seed("eval.knn_seed", ecfg["knn_seed"]))
+    seed = _seed("eval.knn_seed", ecfg["knn_seed"])
+    try:
+        train_set, test_set = data_mod.train_test_split(dataset, ecfg["test_fraction"], seed)
+    except data_mod.SplitFractionError as exc:  # names test_fraction and its value
+        raise ConfigError(f"eval.{exc}") from None
     tr_feat = eval_mod.extract_features(params, train_set, selection)
     te_feat = eval_mod.extract_features(params, test_set, selection)
     ks = [k for k in ecfg["ks"] if k <= tr_feat.values.shape[0]]

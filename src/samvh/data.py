@@ -23,6 +23,10 @@ class CsvFormatError(ValueError):
     """Malformed multi-view CSV input, with file/line/column context."""
 
 
+class SplitFractionError(ValueError):
+    """A test fraction outside (0, 1), or one that leaves a side empty."""
+
+
 @dataclass
 class MultiViewDataset:
     views: list[ViewConfig]
@@ -773,18 +777,16 @@ def train_test_split(data: MultiViewDataset, test_fraction: float,
                      seed: int) -> tuple[MultiViewDataset, MultiViewDataset]:
     """Deterministic split, stratified by label when labels are present."""
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n = data.num_samples
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
+        raise SplitFractionError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     # Unlabeled data is split as one class.
-    labels = np.zeros(n, dtype=np.int64) if data.labels is None else data.labels
-    test_mask = np.zeros(n, dtype=bool)
+    labels = np.zeros(data.num_samples, dtype=np.int64) if data.labels is None else data.labels
+    test_mask = np.zeros(len(labels), dtype=bool)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(len(members))]
         test_mask[members[:int(round(len(members) * test_fraction))]] = True
-    if test_mask.all() or not test_mask.any():
-        raise ValueError("test_fraction leaves one side of the split empty")
+    if test_mask.all() or not test_mask.any():  # always so below 2 samples
+        raise SplitFractionError(
+            f"test_fraction {test_fraction} leaves one side of the split empty")
     return data.subset(~test_mask), data.subset(test_mask)

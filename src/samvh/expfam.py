@@ -3,14 +3,14 @@
 Each family is described by its sufficient statistic (identity for both
 implemented families), log-partition function, mean map (the derivative of
 the log-partition), and a sampler. All functions accept scalars or numpy
-arrays and operate elementwise.
+arrays and operate elementwise. `sigmoid`, built from numpy's vectorised
+exp, is the package's one sigmoid: Bernoulli means and draws, switch gates.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 
 class Family(Enum):
@@ -44,6 +44,16 @@ def suff_stat(family: Family, x):
     return x if x.ndim else float(x)
 
 
+def sigmoid(x, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) as a new float64 array (0-d for a scalar), or in
+    out, which may be x. Below x ~ -709.8 it is exactly 0, with no warning."""
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def log_partition(family: Family, eta):
     """Log-partition A(eta), stable for |eta| up to ~700."""
     eta = _check_finite(eta)
@@ -58,14 +68,17 @@ def mean(family: Family, eta, out=None):
     """Mean map A'(eta): sigmoid for Bernoulli, identity for Gaussian, as a
     new array, or written into out if one is given (out may be eta itself)."""
     eta = _check_finite(eta)
-    out = (expit if family is Family.BERNOULLI else np.positive)(eta, out=out)
+    if family is Family.BERNOULLI:
+        out = sigmoid(eta, out=out)
+    elif out is not eta:  # the identity needs no pass over eta's own buffer
+        out = np.positive(eta, out=out)
     return out if out.ndim else float(out)
 
 
 def sample(family: Family, eta, rng: np.random.Generator):
     """Draw one value per entry of eta. Deterministic given the rng state."""
     eta = _check_finite(eta)
-    out = sample_from_mean(family, expit(eta) if family is Family.BERNOULLI else eta, rng)
+    out = sample_from_mean(family, sigmoid(eta) if family is Family.BERNOULLI else eta, rng)
     return out if out.ndim else float(out)
 
 

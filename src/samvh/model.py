@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
-from .expfam import DomainError, Family, mean, sample, sample_from_mean, suff_stat
+from .expfam import DomainError, Family, mean, sample_from_mean, sigmoid, suff_stat
 
 # Checkpoints are written in format 2 (theta as one base64 payload); format
 # 1 (one JSON list per array) is still read.
@@ -269,7 +269,7 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
         return np.ones_like(s)
     if structure.kind is StructureKind.MVH:
         return structure.mask.astype(np.float64)
-    return expit(s)
+    return sigmoid(s)
 
 
 def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
@@ -332,9 +332,9 @@ def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray
     hmean = B'(lam_hat) is already known and checked: h is drawn from hmean
     and is its own sufficient statistic, then each view from p(v^k | h)."""
     h = sample_from_mean(params.hidden_family, hmean, rng)
-    fv_next = [sample(cfg.family, _visible_shifted(params, wg, h, k), rng)
-               for k, cfg in enumerate(params.views)]
-    return h, fv_next
+    etas = [_visible_shifted(params, wg, h, k) for k in range(params.num_views)]
+    return h, [sample_from_mean(cfg.family, mean(cfg.family, eta, out=eta), rng)
+               for cfg, eta in zip(params.views, etas)]
 
 
 def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:

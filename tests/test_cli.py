@@ -582,9 +582,10 @@ class TestEvalPipeline:
     # change to the real-valued CSV writer shows: for the trained checkpoint,
     # and for the same checkpoint with W and lam scaled by 180, whose
     # features run from about 1e-108 to 1 - 1e-15 (three-digit exponents).
+    # Like the training digests, they depend on numpy's SIMD `exp`.
     FEATURE_DIGESTS = {
-        1.0: "86027e90c9202b35aa688cf55e4d7ec71efb5da959c27dccfee6cf27217e9028",
-        180.0: "4b5cc073e8df237fd64b135451c1f5ae90f51662d382a3ba84e9e320c2ec6f0c",
+        1.0: "fb11cffe56fee258a5fc421e2a40fdf73a5618d85543ab9559394873639b71be",
+        180.0: "8e94ba9c25865c01a6f7ec9f2b03d36e8bc8d83aacae4f9e36286c05fe8a5cdd",
     }
 
     @pytest.mark.parametrize("scale", sorted(FEATURE_DIGESTS))
@@ -607,7 +608,10 @@ class TestEvalPipeline:
         ({"ks": [10, -3]}, "eval.ks values must be >= 1, got -3"),
         ({"ks": [21, 30]}, "eval.ks: every k exceeds the training-set size 20"),
         ({"test_fraction": 0}, "eval.test_fraction must be in (0, 1), got 0"),
-        ({"test_fraction": 1.5}, "eval.test_fraction must be in (0, 1), got 1.5")])
+        ({"test_fraction": 1.5}, "eval.test_fraction must be in (0, 1), got 1.5"),
+        # Inside (0, 1), but rounds to no test sample in any class of 10.
+        ({"test_fraction": 0.01},
+         "eval.test_fraction 0.01 leaves one side of the split empty")])
     def test_knn_range_error_names_the_key(self, tmp_path, trained, capsys, settings,
                                            message):
         _, data_dir, ckpt = trained

@@ -19,6 +19,7 @@ from samvh.data import (
     _g17_layout,
     _parse_matrix,
     _parse_text_matrix,
+    SplitFractionError,
     SynthConfig,
     generate_synthetic_paired,
     glyph_templates,
@@ -589,5 +590,5 @@ class TestSplit:
     def test_degenerate_fraction(self):
         views = [ViewConfig("x", 1, Family.GAUSSIAN_UNIT_VARIANCE)]
         ds = MultiViewDataset(views, [np.zeros((3, 1))])
-        with pytest.raises(ValueError):
+        with pytest.raises(SplitFractionError, match="0.01 leaves one side"):
             train_test_split(ds, 0.01, seed=0)

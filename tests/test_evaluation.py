@@ -234,6 +234,33 @@ class TestKnn:
         for k, acc in rows:
             assert acc == knn_classify(X, y, X, y, k)
 
+    def test_sweep_equals_per_k_classify_with_ties(self, rng):
+        # Duplicated rows on a small integer grid give exact distance ties at
+        # every k, and five labels give vote ties. Each k's accuracy must be
+        # that of knn_classify and of a full stable sort per query.
+        base = rng.integers(0, 3, size=(10, 2)).astype(float)
+        Xtr = base[rng.integers(0, 10, size=50)]
+        ytr = rng.integers(0, 5, size=50)
+        Xte = rng.integers(0, 3, size=(40, 2)).astype(float)
+        yte = rng.integers(0, 5, size=40)
+        d2 = Xte @ Xtr.T
+        d2 *= -2.0
+        d2 += np.sum(Xte ** 2, axis=1)[:, None]
+        d2 += np.sum(Xtr ** 2, axis=1)[None, :]
+        ranked = np.argsort(d2, axis=1, kind="stable")
+        ks = [8, 1, 2, 3, 5, 13, 50, 4]
+        with pytest.warns(UserWarning, match="duplicate k=5"):
+            rows = knn_sweep(fm(Xtr), ytr, fm(Xte), yte, ks + [5])
+        assert [k for k, _ in rows] == ks
+        for k, acc in rows:
+            want = [np.bincount(ytr[row[:k]]).argmax() for row in ranked]
+            assert acc == knn_classify(fm(Xtr), ytr, fm(Xte), yte, k)
+            assert acc == np.mean(np.asarray(want) == yte)
+
+    def test_sweep_of_no_k_is_empty(self, rng):
+        X = fm(rng.standard_normal((4, 2)))
+        assert knn_sweep(X, [0, 1, 0, 1], X, [0, 1, 0, 1], []) == []
+
     def test_table_and_csv(self):
         rows = [(1, 1.0), (3, 0.625)]
         table = format_sweep_table(rows)

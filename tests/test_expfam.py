@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from samvh.expfam import (
     DomainError,
@@ -13,6 +15,7 @@ from samvh.expfam import (
     mean,
     sample,
     sample_from_mean,
+    sigmoid,
     suff_stat,
 )
 
@@ -154,3 +157,44 @@ def test_mean_into_out(family):
     inplace = eta.copy()
     assert mean(family, inplace, out=inplace) is inplace
     assert np.array_equal(inplace, want)
+
+
+class TestSigmoid:
+    X = np.linspace(-800.0, 800.0, 320_001)
+
+    def test_within_4_ulp_of_expit(self):
+        got, want = sigmoid(self.X), expit(self.X)
+        # The spacing of the smallest normal bounds the ulp of subnormals.
+        ulp = np.spacing(np.maximum(want, np.finfo(float).tiny))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+
+    def test_exact_zero_and_one_where_expit_gives_them(self):
+        got, want = sigmoid(self.X), expit(self.X)
+        for value in (0.0, 1.0):
+            assert np.any(want == value)
+            assert np.array_equal(got == value, want == value)
+
+    @pytest.mark.parametrize("x", [0.5, -3, np.float64(2.0), np.array(-0.25)],
+                             ids=["float", "int", "numpy_scalar", "0d_array"])
+    def test_scalars_and_0d_arrays(self, x):
+        got = sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+        assert abs(float(got) - expit(x)) <= 4 * np.spacing(expit(x))
+
+    def test_bernoulli_mean_of_0d_array_is_float(self):
+        assert mean(Family.BERNOULLI, np.array(0.0)) == 0.5
+        assert isinstance(mean(Family.BERNOULLI, np.array(0.0)), float)
+
+    def test_out_aliases_x(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        want = sigmoid(x)
+        assert not np.shares_memory(want, x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, want)
+
+    def test_no_warning_at_huge_arguments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(np.array([1e9, -1e9]))
+            assert float(sigmoid(-1e9)) == 0.0 and float(sigmoid(1e9)) == 1.0
+        assert list(got) == [1.0, 0.0]

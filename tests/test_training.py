@@ -588,17 +588,18 @@ class TestTrainGoldenDigests:
     """sha256 of the checkpoint bytes plus `TrainLog.to_csv()` of short CD
     runs with weight decay, pinned so that any change to the bits a training
     run produces (the CD step, its rng order, the update or the epoch-end
-    metrics) shows."""
+    metrics) shows. The bits also depend on the BLAS kernel and on numpy's
+    SIMD `exp`, which `expfam.sigmoid` uses (see README, Tests)."""
 
     DIGESTS = {
-        ("sa", 1): "8b146a5283d683bb1c6a52c758352d0a5d3d9f6242c31a9febf0793df1b6a2ca",
-        ("sa", 3): "703497f94af9aa713e51b53e5a1fff029070d6d7da4b2735c366edaac45ea4ec",
-        ("dwh", 1): "8c8827fcc38c97926a23e96447ce0a8c979e9dbbba0b43689989aaba9ec50b33",
-        ("dwh", 3): "45e5069468fb1603031b045d8041c4598d967586cba36b4c7b4e1a59c48f065e",
-        ("mvh", 1): "0ab7a5d1e565dae1637686ea7d7bb220f8ce6a15e745422643c9193b5b79d7bf",
-        ("mvh", 3): "511f62f0502540096d14350f77970d1f0fc7a3b927fdd586cc4982a08a2ff03e",
+        ("sa", 1): "56edad63934fcf5edde96c83d51fbd98236666d573606caa916dbdc2025a0d0e",
+        ("sa", 3): "f7365ceb047a05520fd4e7834d51b26275c797859fbe35ff4ccdbed7889b5a70",
+        ("dwh", 1): "062ba04bef5a00b68ac8f26f90a6f0d95272ebb4486e4447c088e95ff27e2563",
+        ("dwh", 3): "dbc34c46ea3eceb90a2d332382439203db538e3dff1054b96a5ab84c53a6991b",
+        ("mvh", 1): "68b97aed9e3f32c4acb1ab44c2f0aff5563789b38b8e2a2665d0b11c2b3a0f57",
+        ("mvh", 3): "03c96dcdb94103f043d66d6f8b92cd08a7cc4c2e4fe9f6be0a7ff6106c2138e7",
         ("gaussian_view", "bernoulli"):
-            "66d4d9fbf624a7c3304c7561c1d3d6e69b7553cc32fcfceb18f1bc0053d84178",
+            "c17f057cea9de98d5386b6b412d59b239299a7f9b7b5d8e15ee0e4091107ecee",
         ("gaussian_view", "gaussian_unit_variance"):
             "a420c5464d1dd55db55feaaf0ab9e7bd8f6693136fd395115f0aa3d9e4f6a849",
     }
