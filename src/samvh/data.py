@@ -429,7 +429,8 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
 
     By default views are treated as real-valued Gaussian features and each
     column is standardized; pass explicit families (e.g. Bernoulli for
-    binary data) to disable that.
+    binary data) to disable that. A file with no rows, or whose row count
+    differs from the first file's, is a CsvFormatError that names it.
     """
     if families is None:
         families = [Family.GAUSSIAN_UNIT_VARIANCE] * len(paths)
@@ -441,9 +442,11 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
     matrices = [_parse_matrix(p) for p in paths]
     n_rows = matrices[0].shape[0]
     for path, m in zip(paths, matrices):
+        if m.shape[0] == 0:
+            raise CsvFormatError(f"{path}: has no rows")
         if m.shape[0] != n_rows:
             raise CsvFormatError(
-                f"{path}: has {m.shape[0]} rows, other views have {n_rows}")
+                f"{path}: has {m.shape[0]} rows, but {paths[0]} has {n_rows}")
     if standardize:
         matrices = [standardize_columns(m) for m in matrices]
 
@@ -746,12 +749,12 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
     doc = read_json(manifest)
     try:
         views = require_key(doc, ["views"], manifest)
-        families = [Family(require_key(views, [i, "family"], manifest))
+        families = [Family(require_key(doc, ["views", i, "family"], manifest))
                     for i in range(len(views))]
-        names = [require_key(views, [i, "name"], manifest) for i in range(len(views))]
+        names = [require_key(doc, ["views", i, "name"], manifest) for i in range(len(views))]
         if not all(isinstance(name, str) for name in names):
             raise TypeError(f"view names must be strings, got {names!r}")
-        dims = [require_key(views, [i, "dim"], manifest) for i in range(len(views))]
+        dims = [require_key(doc, ["views", i, "dim"], manifest) for i in range(len(views))]
         num_samples = require_key(doc, ["num_samples"], manifest)
         paths = [os.path.join(directory, f)
                  for f in require_key(doc, ["view_files"], manifest)]

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiViewDataset
-from .model import (HarmoniumParams, check_views, gates, posterior_hidden_mean_batch,
-                    structure_report)
+from .model import (HarmoniumParams, check_views, gated_weights, gates,
+                    posterior_hidden_mean_batch, structure_report)
 # suff_stat is not called here, but the span tracer in bench/ rebinds it in
 # this namespace and its tests require the name to be bound.
 from .expfam import suff_stat  # noqa: F401
@@ -200,7 +200,7 @@ def export_filter_images(params: HarmoniumParams, view: int, out_dir: str,
             "perfect square; cannot render filters as images")
 
     report = structure_report(params, threshold=threshold)
-    g = gates(params)
+    wg = gated_weights(params.W, gates(params))[view]
     categories = {"shared": report.shared_units, "dead": report.dead_units}
     for k in range(params.num_views):
         categories[f"specific_view{k}"] = report.specific_units[k]
@@ -211,8 +211,7 @@ def export_filter_images(params: HarmoniumParams, view: int, out_dir: str,
         if not units:
             logger.info("view %d: no %s units, skipping image", view, name)
             continue
-        tiles = [_rescale_to_gray((g[view, j] * params.W[view][:, j]).reshape(side, side))
-                 for j in units]
+        tiles = [_rescale_to_gray(wg[:, j].reshape(side, side)) for j in units]
         path = os.path.join(out_dir, f"filters_view{view}_{name}.pgm")
         write_pgm(path, _tile_grid(tiles, grid_cols))
         written.append(path)

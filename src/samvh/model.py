@@ -246,11 +246,11 @@ def make_tiny_model(rng: np.random.Generator, kind: StructureKind = StructureKin
 
 def make_binary_data(params: HarmoniumParams, rng: np.random.Generator,
                      n: int) -> list[np.ndarray]:
-    """n fair-coin rows per view, as (n, D_k) arrays. The rng is drawn row by
-    row, view by view."""
-    draws = [[rng.random(v.dim) < 0.5 for v in params.views] for _ in range(n)]
-    return [np.array([row[k] for row in draws], dtype=np.float64)
-            for k in range(params.num_views)]
+    """n fair-coin rows per view, as (n, D_k) arrays, from one (n, sum D_k)
+    draw of the rng: row by row, view by view."""
+    dims = [v.dim for v in params.views]
+    bits = rng.random((n, sum(dims))) < 0.5
+    return [b.astype(np.float64) for b in np.split(bits, np.cumsum(dims)[:-1], axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +303,21 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
     return out
 
 
-def gated_weights(params: HarmoniumParams, g: np.ndarray) -> list[np.ndarray]:
-    """sigma(s) W^k for every view, in view order, given the gates
-    g = gates(params)."""
-    return [w * gk for w, gk in zip(params.W, g)]
+# gated_weights, _hidden_shifted and _log_unnorm_marginal take one model's
+# parameters or a stack with leading run axes, bit for bit per run.
+
+def gated_weights(W: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
+    """sigma(s) W^k for every view, in view order, given the gates g, e.g.
+    gated_weights(params.W, gates(params))."""
+    return [w * g[..., k, None, :] for k, w in enumerate(W)]
 
 
-def _hidden_shifted(params: HarmoniumParams, wg: list[np.ndarray],
+def _hidden_shifted(lam: np.ndarray, wg: list[np.ndarray],
                     fv: list[np.ndarray]) -> np.ndarray:
-    """`hidden_shifted_batch` given the gated weights wg."""
-    out = params.lam + fv[0] @ wg[0]
-    for k in range(1, params.num_views):
+    """`hidden_shifted_batch` given the gated weights wg, (..., B, J)."""
+    out = fv[0] @ wg[0]
+    out += lam[..., None, :]
+    for k in range(1, len(fv)):
         out += fv[k] @ wg[k]
     return out
 
@@ -340,13 +344,13 @@ def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray
 def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
     """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
     for a batch: (B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
-    return _hidden_shifted(params, gated_weights(params, gates(params)), fv)
+    return _hidden_shifted(params.lam, gated_weights(params.W, gates(params)), fv)
 
 
 def visible_shifted_batch(params: HarmoniumParams, gh: np.ndarray, k: int) -> np.ndarray:
     """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
     of hidden statistics gh, shape (B, J)."""
-    return _visible_shifted(params, gated_weights(params, gates(params)), gh, k)
+    return _visible_shifted(params, gated_weights(params.W, gates(params)), gh, k)
 
 
 def posterior_hidden_mean_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
@@ -396,12 +400,9 @@ def enumerate_binary_states(n: int) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def _split_views(params: HarmoniumParams, flat: np.ndarray) -> list[np.ndarray]:
-    out, pos = [], 0
-    for cfg in params.views:
-        out.append(flat[:, pos:pos + cfg.dim])
-        pos += cfg.dim
-    return out
+def _visible_states(dims: list[int]) -> list[np.ndarray]:
+    """Every binary visible state, one (2^sum D_k, D_k) array per view."""
+    return np.split(enumerate_binary_states(sum(dims)), np.cumsum(dims)[:-1], axis=1)
 
 
 def log_unnorm_marginal_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
@@ -409,15 +410,15 @@ def log_unnorm_marginal_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> 
 
     The hidden sum factorizes: each unit contributes log(1 + exp(lam_hat_j)).
     """
-    return _log_unnorm_marginal(params, fv, hidden_shifted_batch(params, fv))
+    return _log_unnorm_marginal(params.xi, fv, hidden_shifted_batch(params, fv))
 
 
-def _log_unnorm_marginal(params: HarmoniumParams, fv: list[np.ndarray],
+def _log_unnorm_marginal(xi: list[np.ndarray], fv: list[np.ndarray],
                          lam_hat: np.ndarray) -> np.ndarray:
-    """`log_unnorm_marginal_batch` given lam_hat of the batch."""
-    total = np.sum(np.logaddexp(0.0, lam_hat), axis=1)
-    for k in range(params.num_views):
-        total += fv[k] @ params.xi[k]
+    """`log_unnorm_marginal_batch` given lam_hat, which it overwrites: (..., B)."""
+    total = np.sum(np.logaddexp(0.0, lam_hat, out=lam_hat), axis=-1)
+    for k in range(len(fv)):
+        total += (fv[k] @ xi[k][..., None])[..., 0]
     return total
 
 
@@ -456,41 +457,26 @@ def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
     one is given. The rows are taken in chunks whose (rows, states, J) and
     (rows, B, J) blocks hold at most _STACK_BLOCK values."""
     dims, J = [v.dim for v in params.views], params.hidden_dim
-    states = _split_views(params, enumerate_binary_states(sum(dims)))
+    states = _visible_states(dims)
     widest = max(states[0].shape[0], 0 if fv is None else fv[0].shape[0])
     chunk = max(1, _STACK_BLOCK // (widest * J))
     out = np.empty(thetas.shape[0])
     for start in range(0, out.size, chunk):
         rows = slice(start, start + chunk)
         W, xi, lam, s = split_param_vector(thetas[rows], dims, J)
-        g = _gates(params.structure, s)
-        wg = [W[k] * g[..., k, None, :] for k in range(len(dims))]
-        log_z = logsumexp(_stacked_log_unnorm_marginal(wg, xi, lam, states), axis=1)
-        if fv is None:
-            out[rows] = log_z
-        else:
-            out[rows] = np.mean(_stacked_log_unnorm_marginal(wg, xi, lam, fv), axis=1) - log_z
+        wg = gated_weights(W, _gates(params.structure, s))
+
+        def log_marginal(batch):
+            return _log_unnorm_marginal(xi, batch, _hidden_shifted(lam, wg, batch))
+
+        log_z = logsumexp(log_marginal(states), axis=1)
+        out[rows] = log_z if fv is None else np.mean(log_marginal(fv), axis=1) - log_z
     return out
-
-
-def _stacked_log_unnorm_marginal(wg: list[np.ndarray], xi: list[np.ndarray],
-                                 lam: np.ndarray, fv: list[np.ndarray]) -> np.ndarray:
-    """`log_unnorm_marginal_batch` under R stacked parameter sets, (R, B):
-    wg[k] is (R, D_k, J), xi[k] (R, D_k) and lam (R, J). Each row sums in
-    the order of `_hidden_shifted` and `_log_unnorm_marginal`."""
-    lam_hat = fv[0] @ wg[0]
-    lam_hat += lam[:, None, :]
-    for k in range(1, len(fv)):
-        lam_hat += fv[k] @ wg[k]
-    total = np.sum(np.logaddexp(0.0, lam_hat, out=lam_hat), axis=2)
-    for k in range(len(fv)):
-        total += (fv[k] @ xi[k][:, :, None])[:, :, 0]
-    return total
 
 
 def exact_visible_distribution(params: HarmoniumParams) -> tuple[np.ndarray, np.ndarray]:
     """All visible states and their exact probabilities p(v)."""
-    fv, _, probs = _visible_distribution(params, gated_weights(params, gates(params)))
+    fv, _, probs = _visible_distribution(params, gated_weights(params.W, gates(params)))
     return np.concatenate(fv, axis=1), probs
 
 
@@ -499,9 +485,9 @@ def _visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
     """Every visible state as per-view arrays, with its lam_hat and its exact
     probability p(v)."""
     _check_enum_bounds(params)
-    fv = _split_views(params, enumerate_binary_states(sum(v.dim for v in params.views)))
-    lam_hat = _hidden_shifted(params, wg, fv)
-    logp = _log_unnorm_marginal(params, fv, lam_hat)
+    fv = _visible_states([v.dim for v in params.views])
+    lam_hat = _hidden_shifted(params.lam, wg, fv)
+    logp = _log_unnorm_marginal(params.xi, fv, lam_hat.copy())
     logp -= logsumexp(logp)
     return fv, lam_hat, np.exp(logp)
 
@@ -509,8 +495,8 @@ def _visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
 def gibbs_step_batch(params: HarmoniumParams, fv: list[np.ndarray],
                      rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
     """One block Gibbs sweep for a batch: h ~ p(h|v), then v' ~ p(v|h)."""
-    wg = gated_weights(params, gates(params))
-    hmean = mean(params.hidden_family, _hidden_shifted(params, wg, fv))
+    wg = gated_weights(params.W, gates(params))
+    hmean = mean(params.hidden_family, _hidden_shifted(params.lam, wg, fv))
     return _gibbs_step(params, wg, hmean, rng)
 
 
@@ -638,7 +624,7 @@ def require_key(doc, path: list, source: str):
 def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in (1, CHECKPOINT_FORMAT_VERSION):
-        raise ValueError(f"unsupported checkpoint format version: {version}")
+        raise ValueError(f"unsupported format version ['format_version']: {version!r}")
 
     def get(*path):
         return require_key(doc, list(path), source)
@@ -646,8 +632,9 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     views = [ViewConfig(get("views", i, "name"), get("views", i, "dim"),
                         Family(get("views", i, "family")))
              for i in range(len(get("views")))]
-    structure = StructureMode(StructureKind(get("structure", "kind")),
-                              get("structure").get("mask"))
+    kind = StructureKind(get("structure", "kind"))
+    structure = StructureMode(kind, get("structure", "mask") if kind is StructureKind.MVH
+                              else get("structure").get("mask"))
     J = get("hidden", "dim")
     if version == 1:
         def array(name):

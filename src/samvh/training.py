@@ -14,7 +14,8 @@ data) in `cd_gradient` and computed exactly by visible-state enumeration in
 log-likelihood numerically and is the oracle that pins down every sign and
 the sum-over-i in the switch gradient. It stacks the 2n perturbed parameter
 vectors of a model and evaluates them in one `model.stacked_log_likelihood`
-call, which enumerates the visible states once for all of them.
+call, which enumerates the visible states once for all of them; one set of
+energy kernels in `model` serves one model and such a stack alike.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
 validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
@@ -199,13 +200,13 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     """
     fv = check_views(params, fv)
     g = gates(params)
-    wg = gated_weights(params, g)
+    wg = gated_weights(params.W, g)
     hf = params.hidden_family
-    h_data = hmean = mean(hf, _hidden_shifted(params, wg, fv))
+    h_data = hmean = mean(hf, _hidden_shifted(params.lam, wg, fv))
     chain = fv
     for _ in range(cd_steps):
         _, chain = _gibbs_step(params, wg, hmean, rng)
-        hmean = mean(hf, _hidden_shifted(params, wg, chain))
+        hmean = mean(hf, _hidden_shifted(params.lam, wg, chain))
     weights = np.full(len(hmean), 1.0 / len(hmean))
     return _contrast_stats(params, g, (fv, h_data, weights), (chain, hmean, weights))
 
@@ -215,9 +216,9 @@ def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet
     enumerated visible states (weights p(v))."""
     fv = check_views(params, fv)
     g = gates(params)
-    wg = gated_weights(params, g)
+    wg = gated_weights(params.W, g)
     hf = params.hidden_family
-    h_data = mean(hf, _hidden_shifted(params, wg, fv))
+    h_data = mean(hf, _hidden_shifted(params.lam, wg, fv))
     fv_all, lam_all, probs = _visible_distribution(params, wg)
     return _contrast_stats(params, g, (fv, h_data, np.full(len(h_data), 1.0 / len(h_data))),
                            (fv_all, mean(hf, lam_all, out=lam_all), probs))
@@ -249,8 +250,8 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     """Per-view mean squared error of the one-step mean-field reconstruction
     of the batch fv."""
     fv = check_views(params, fv)
-    wg = gated_weights(params, gates(params))
-    hmean = mean(params.hidden_family, _hidden_shifted(params, wg, fv))
+    wg = gated_weights(params.W, gates(params))
+    hmean = mean(params.hidden_family, _hidden_shifted(params.lam, wg, fv))
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
         # The mean and (fv - recon)^2 in the natural parameter's buffer,

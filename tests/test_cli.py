@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,33 @@ class TestTrain:
                          "--data", ",".join(paths), "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: view 'a': {message}\n"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    @pytest.mark.parametrize("with_other_view", [False, True])
+    def test_view_csv_without_rows_is_named(self, tmp_path, capsys, text,
+                                            with_other_view):
+        empty, other = write_binary_csvs(tmp_path)
+        with open(empty, "w") as fh:
+            fh.write(text)
+        data = f"{empty},{other}" if with_other_view else empty
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["--seed", "1", "train", "--data", data,
+                             "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {empty}: has no rows\n"
+        assert caught == []
+
+    def test_emptied_view_of_dataset_dir_is_named(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        arabic = os.path.join(data_dir, "arabic.csv")
+        open(arabic, "w").close()
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {arabic}: has no rows\n"
 
     def test_manifest_without_view_files_is_config_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -19,11 +19,15 @@ from samvh.model import (
     StructureKind,
     StructureMode,
     ViewConfig,
+    _gates,
+    _hidden_shifted,
+    _log_unnorm_marginal,
     check_views,
     enumerate_binary_states,
     exact_log_likelihood,
     exact_log_partition,
     exact_visible_distribution,
+    gated_weights,
     gates,
     gibbs_step_batch,
     hidden_shifted_batch,
@@ -35,6 +39,7 @@ from samvh.model import (
     param_vector,
     posterior_hidden_mean_batch,
     save_checkpoint,
+    split_param_vector,
     stacked_log_likelihood,
     structure_report,
     unnormalized_log_joint,
@@ -300,6 +305,49 @@ class TestShiftedParams:
                     [np.zeros((0, 3)), np.zeros((0, 3))], [np.zeros(3), np.zeros(3)]):
             with pytest.raises(ShapeMismatchError):
                 unnormalized_log_joint(p, bad, h)
+
+
+class TestStackedKernels:
+    """The energy kernels take an (R, ...) stack of parameters and give each
+    run the bits of a single-model call."""
+
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_stack_equals_single_models(self, rng, kind):
+        dims, J, R = (2, 3, 1), 5, 4
+        models = [make_tiny_model(rng, kind, dims=dims, J=J)]
+        models += [make_tiny_model(rng, kind, dims=dims, J=J, mask=models[0].structure.mask)
+                   for _ in range(R - 1)]
+        fv = make_binary_data(models[0], rng, 7)
+        W, xi, lam, s = split_param_vector(
+            np.stack([param_vector(q) for q in models]), list(dims), J)
+        wg = gated_weights(W, _gates(models[0].structure, s))
+        lam_hat = _hidden_shifted(lam, wg, fv)
+        log_p = _log_unnorm_marginal(xi, fv, lam_hat.copy())
+        assert lam_hat.shape == (R, 7, J) and log_p.shape == (R, 7)
+        for r, q in enumerate(models):
+            wg_q = gated_weights(q.W, gates(q))
+            for a, b in zip(wg, wg_q):
+                assert np.array_equal(a[r], b)
+            lam_hat_q = _hidden_shifted(q.lam, wg_q, fv)
+            assert np.array_equal(lam_hat[r], lam_hat_q)
+            assert np.array_equal(log_p[r], _log_unnorm_marginal(q.xi, fv, lam_hat_q))
+            assert np.array_equal(log_p[r], log_unnorm_marginal_batch(q, fv))
+
+    def test_mvh_gates_are_one_mask_for_any_leading_axes(self, rng):
+        p = make_tiny_model(rng, StructureKind.MVH, dims=(2, 3), J=4)
+        for lead in ((), (3,), (2, 3)):
+            g = _gates(p.structure, rng.standard_normal((*lead, 2, 4)))
+            assert np.array_equal(g, p.structure.mask)
+
+    def test_binary_data_draws_row_by_row_view_by_view(self, rng):
+        p = make_tiny_model(rng, dims=(1, 3, 2))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        got = make_binary_data(p, a, 6)
+        draws = [[b.random(v.dim) < 0.5 for v in p.views] for _ in range(6)]
+        for k, arr in enumerate(got):
+            assert arr.flags.c_contiguous and arr.dtype == np.float64
+            assert np.array_equal(arr, [row[k] for row in draws])
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestCheckViews:

@@ -275,7 +275,7 @@ class TestContrastStats:
         rng = np.random.default_rng(46)
         p = make_tiny_model(rng, kind)
         fv = make_binary_data(p, rng, 6)
-        fv_all, lam_all, probs = _visible_distribution(p, gated_weights(p, gates(p)))
+        fv_all, lam_all, probs = _visible_distribution(p, gated_weights(p.W, gates(p)))
         want = (textbook_stats(p, fv, posterior_hidden_mean_batch(p, fv), np.full(6, 1 / 6))
                 - textbook_stats(p, fv_all, mean(p.hidden_family, lam_all), probs))
         assert_matches_textbook(flatten(exact_gradient(p, fv)), want)
