@@ -343,7 +343,7 @@ def cmd_eval_knn(args) -> int:
     dataset = _load_data_arg(args, config)
     params = model_mod.load_checkpoint(args.checkpoint)
     if dataset.labels is None:
-        raise ConfigError("eval-knn requires a labeled dataset")
+        raise ConfigError(f"eval-knn requires a labeled dataset, but {args.data} has no labels")
     ecfg = config["eval"]
     selection = _parse_selection(ecfg["selection"], dataset)
     if not ecfg["ks"]:

@@ -744,22 +744,24 @@ def save_manifest(data: MultiViewDataset, path: str, seed: int | None = None,
 
 
 def load_dataset_dir(directory: str) -> MultiViewDataset:
-    """Load a dataset written by the CLI: manifest.json + per-view CSVs."""
+    """Load a dataset written by the CLI: manifest.json + per-view CSVs.
+    A null or missing label_file leaves it unlabeled; labels_present and
+    seed are informational."""
     manifest = os.path.join(directory, "manifest.json")
     doc = read_json(manifest)
     try:
-        views = require_key(doc, ["views"], manifest)
+        views = require_key(doc, ["views"], manifest, list)
         families = [Family(require_key(doc, ["views", i, "family"], manifest))
                     for i in range(len(views))]
         names = [require_key(doc, ["views", i, "name"], manifest) for i in range(len(views))]
         if not all(isinstance(name, str) for name in names):
             raise TypeError(f"view names must be strings, got {names!r}")
-        dims = [require_key(doc, ["views", i, "dim"], manifest) for i in range(len(views))]
+        dims = [require_key(doc, ["views", i, "dim"], manifest, int) for i in range(len(views))]
         num_samples = require_key(doc, ["num_samples"], manifest)
-        paths = [os.path.join(directory, f)
-                 for f in require_key(doc, ["view_files"], manifest)]
-        label_path = (os.path.join(directory, doc["label_file"])
-                      if doc.get("label_file") else None)
+        paths = [os.path.join(directory, require_key(doc, ["view_files", i], manifest, str))
+                 for i in range(len(require_key(doc, ["view_files"], manifest, list)))]
+        label_path = (None if doc.get("label_file") is None else os.path.join(
+            directory, require_key(doc, ["label_file"], manifest, str)))
     except MissingKeyError:
         raise
     except (TypeError, ValueError) as exc:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .expfam import DomainError, Family, mean, sample_from_mean, sigmoid, suff_stat
 
@@ -422,6 +421,27 @@ def _log_unnorm_marginal(xi: list[np.ndarray], fv: list[np.ndarray],
     return total
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log(sum(exp(a))) over axis (every axis if None; a float64 scalar
+    then). The maxima are taken out of the sum and counted (m),
+    s = sum(exp(a - max)) / m over the rest, and the result is
+    log1p(s) + log(m) + max; where that is not finite (an all -inf row gives
+    NaN), log(sum(exp(a))) is taken instead. These are the steps of the
+    reference logsumexp that `tests/test_model.py` pins this to, bit for
+    bit, so log Z and the goldens that depend on it do not move."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return np.squeeze(out, axis=axis)[()]
+
+
 def exact_log_partition(params: HarmoniumParams) -> float:
     """log Z by enumerating every visible state (tiny Bernoulli models only)."""
     _check_enum_bounds(params)
@@ -469,7 +489,7 @@ def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
         def log_marginal(batch):
             return _log_unnorm_marginal(xi, batch, _hidden_shifted(lam, wg, batch))
 
-        log_z = logsumexp(log_marginal(states), axis=1)
+        log_z = _logsumexp(log_marginal(states), axis=1)
         out[rows] = log_z if fv is None else np.mean(log_marginal(fv), axis=1) - log_z
     return out
 
@@ -488,7 +508,7 @@ def _visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
     fv = _visible_states([v.dim for v in params.views])
     lam_hat = _hidden_shifted(params.lam, wg, fv)
     logp = _log_unnorm_marginal(params.xi, fv, lam_hat.copy())
-    logp -= logsumexp(logp)
+    logp -= _logsumexp(logp)
     return fv, lam_hat, np.exp(logp)
 
 
@@ -608,16 +628,30 @@ def write_json(doc, path: str) -> None:
         raise
 
 
-def require_key(doc, path: list, source: str):
+# What require_key's `kind` asks of a value: its name and its test.
+_KINDS = {
+    list: ("a list", lambda v: isinstance(v, list)),
+    int: ("a positive integer", lambda v: type(v) is int and v >= 1),  # no bool
+    str: ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+}
+
+
+def _key_path(path: list) -> str:
+    return "".join(f"[{k!r}]" for k in path)
+
+
+def require_key(doc, path: list, source: str, kind: type | None = None):
     """doc[path[0]][path[1]]..., or a MissingKeyError that names the source
-    file and the key path."""
+    file and the key path. Given a kind (list, int or str, as in _KINDS), a
+    value not of that kind is a TypeError that names the key path."""
     node = doc
     for i, key in enumerate(path):
         try:
             node = node[key]
         except (KeyError, IndexError, TypeError):
-            where = "".join(f"[{k!r}]" for k in path[:i + 1])
-            raise MissingKeyError(f"{source}: missing key {where}") from None
+            raise MissingKeyError(f"{source}: missing key {_key_path(path[:i + 1])}") from None
+    if kind is not None and not _KINDS[kind][1](node):
+        raise TypeError(f"{_key_path(path)} must be {_KINDS[kind][0]}, got {node!r:.40}")
     return node
 
 
@@ -626,16 +660,16 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     if version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise ValueError(f"unsupported format version ['format_version']: {version!r}")
 
-    def get(*path):
-        return require_key(doc, list(path), source)
+    def get(*path, kind=None):
+        return require_key(doc, list(path), source, kind)
 
-    views = [ViewConfig(get("views", i, "name"), get("views", i, "dim"),
+    views = [ViewConfig(get("views", i, "name"), get("views", i, "dim", kind=int),
                         Family(get("views", i, "family")))
-             for i in range(len(get("views")))]
+             for i in range(len(get("views", kind=list)))]
     kind = StructureKind(get("structure", "kind"))
     structure = StructureMode(kind, get("structure", "mask") if kind is StructureKind.MVH
                               else get("structure").get("mask"))
-    J = get("hidden", "dim")
+    J = get("hidden", "dim", kind=int)
     if version == 1:
         def array(name):
             return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(

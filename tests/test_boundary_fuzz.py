@@ -6,8 +6,9 @@ range, removed, or joined by an extra key. Each view CSV is emptied or
 truncated. Each case runs through `cli.main` in process: `extract` for a
 checkpoint, `train` for a manifest, and both for a view CSV. A rejected
 input must exit 2 (bad input) or 3 (I/O), name the file on stderr (and a
-removed key by its full path), and raise nothing. An accepted one must exit 0, and an extra key must leave
-the output bytes as they were.
+removed key, or a wrong-typed value of a TYPED field, by its full key
+path), and raise nothing. An accepted one must exit 0, and an extra key
+must leave the output bytes as they were.
 """
 import copy
 import json
@@ -55,6 +56,12 @@ OUT_OF_RANGE = {
 }
 
 REMOVED = object()  # the mutation that deletes the key or list item
+
+# Fields whose wrong-typed values stderr must name by their key path.
+TYPED = {
+    "checkpoint": {"views", "views.*.dim", "hidden.dim"},
+    "manifest": {"views", "views.*.dim", "view_files", "view_files.*", "label_file"},
+}
 
 
 def accepted(doc_name, pattern, value):
@@ -140,10 +147,13 @@ def fixture_dir(tmp_path_factory):
     return root, cfg, data_dir, os.path.join(run_dir, "checkpoint.json")
 
 
-def removed_key(path, value):
+def named_key(doc_name, doc, pattern, path, value):
     """The key path that stderr must name, as in "['views'][0]['dim']", if
-    the mutation removed a key (not a list item)."""
-    if value is REMOVED and isinstance(path[-1], str):
+    the mutation removed a key (not a list item) or gave a TYPED field a
+    value of another JSON type."""
+    wrong_type = (value is not REMOVED and pattern in TYPED[doc_name]
+                  and json_type(value) != json_type(node_at(doc, path)))
+    if wrong_type or (value is REMOVED and isinstance(path[-1], str)):
         return "".join(f"[{key!r}]" for key in path)
     return None
 
@@ -180,7 +190,8 @@ def sweep_fields(doc_name, doc, target, argv, output, named, capsys):
         write_json_doc(mutated, target)
         code, err = run(argv, capsys)
         if not accepted(doc_name, pattern, value):
-            check_case(findings, case, code, err, named, removed_key(path, value))
+            check_case(findings, case, code, err, named,
+                       named_key(doc_name, doc, pattern, path, value))
         elif code != cli.EXIT_OK:
             findings.append(f"{case}: exit {code}: {err.strip()!r}")
     for path, mutated in with_extra_keys(doc):

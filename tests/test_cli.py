@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -605,6 +606,45 @@ class TestEvalPipeline:
         assert lines[0] == "k,accuracy"
         assert lines[1].startswith("10,")
         assert "accuracy" in capsys.readouterr().out
+
+    @staticmethod
+    def relabeled(tmp_path, data_dir, label_file):
+        """A copy of the dataset whose manifest has label_file set, or
+        removed if it is ...; the copy's directory and manifest path."""
+        work = str(tmp_path / "relabeled")
+        shutil.copytree(data_dir, work)
+        manifest = os.path.join(work, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        if label_file is ...:
+            del doc["label_file"]
+        else:
+            doc["label_file"] = label_file
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        return work, manifest
+
+    @pytest.mark.parametrize("label_file", ["", 0, False, [], {}, 7])
+    def test_label_file_that_names_no_file_is_an_error(self, tmp_path, trained, capsys,
+                                                       label_file):
+        cfg, data_dir, ckpt = trained
+        work, manifest = self.relabeled(tmp_path, data_dir, label_file)
+        assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                         "--data", work, "--out", str(tmp_path / "knn")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: malformed manifest: ['label_file'] must be a "
+            f"non-empty string, got {label_file!r}\n")
+
+    @pytest.mark.parametrize("label_file", [None, ...])
+    def test_null_or_missing_label_file_is_unlabeled(self, tmp_path, trained, capsys,
+                                                     label_file):
+        cfg, data_dir, ckpt = trained
+        work, _ = self.relabeled(tmp_path, data_dir, label_file)
+        assert load_dataset_dir(work).labels is None
+        assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                         "--data", work, "--out", str(tmp_path / "knn")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: eval-knn requires a labeled dataset, but {work} has no labels\n")
 
     # sha256 of the features.csv that `extract` writes, pinned so that a
     # change to the real-valued CSV writer shows: for the trained checkpoint,

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from samvh.model import (
     _gates,
     _hidden_shifted,
     _log_unnorm_marginal,
+    _logsumexp,
     check_views,
     enumerate_binary_states,
     exact_log_likelihood,
@@ -348,6 +350,49 @@ class TestStackedKernels:
             assert arr.flags.c_contiguous and arr.dtype == np.float64
             assert np.array_equal(arr, [row[k] for row in draws])
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def assert_same_bits(got, want):
+    """got and want are of one type and shape and hold the same bytes."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLogSumExp:
+    """`_logsumexp` is scipy.special.logsumexp's algorithm for real input,
+    bit for bit and without a warning, so that log Z, the gradient oracles
+    and every golden that depends on them stay as they were."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_random_stacks_and_vectors(self, rng):
+        for _ in range(300):
+            a = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 200)))
+            a *= rng.choice([0.1, 1.0, 30.0, 700.0])
+            if rng.random() < 0.5:
+                a = np.round(a)  # ties at the max
+            assert_same_bits(_logsumexp(a, axis=1), logsumexp(a, axis=1))
+            for row in a:
+                assert_same_bits(_logsumexp(row), logsumexp(row))
+
+    @pytest.mark.parametrize("row", [
+        [2.0, 2.0, 1.0], [-3.5, -3.5, -3.5], [np.inf, 1.0, 2.0], [np.inf, np.inf, 0.0],
+        [np.inf, -np.inf, 0.0], [np.nan, 1.0, 2.0], [np.inf, np.nan, 0.0],
+        [-np.inf, -np.inf, -np.inf], [-np.inf, -np.inf, 3.0]])
+    def test_ties_and_non_finite_rows(self, row):
+        a = np.array(row)
+        stack = np.stack([a, [0.0, 1.0, 2.0], a[::-1]])
+        assert_same_bits(_logsumexp(stack, axis=1), logsumexp(stack, axis=1))
+        assert_same_bits(_logsumexp(a), logsumexp(a))
+
+    def test_vector_gives_a_float64_scalar(self):
+        out = _logsumexp(np.array([0.0, math.log(3.0)]))
+        assert type(out) is np.float64 and out == logsumexp([0.0, math.log(3.0)])
 
 
 class TestCheckViews:
