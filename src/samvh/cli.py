@@ -20,7 +20,6 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from . import model as model_mod
 from . import training as train_mod
-from .expfam import Family
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,28 +155,21 @@ def _settings(cls, config: dict, key: str, flag_seed):
         raise ConfigError(f"{key}.{exc}") from None
 
 
-def _choice(key: str, kind, value):
-    """kind(value) for an enum kind, or a ConfigError naming the key and kind's values."""
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be one of {[k.value for k in kind]}, "
-                          f"got {value!r}") from None
-
-
-def _structure_from_config(cfg: dict, num_views: int,
-                           hidden_dim: int) -> model_mod.StructureMode:
-    kind = _choice("model.structure", model_mod.StructureKind, cfg["structure"])
+def _structure_from_config(path: str | None, config: dict,
+                           num_views: int) -> model_mod.StructureMode:
+    """The model section's structure; a fault names the config file."""
+    cfg = config["model"]
+    kind = model_mod.require_key(config, ["model", "structure"], path, model_mod.StructureKind)
     if kind is not model_mod.StructureKind.MVH:
         return model_mod.StructureMode(kind)
     try:
         structure = model_mod.StructureMode(kind, cfg["mvh_mask"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.mvh_mask: {exc}") from None
-    if structure.mask.shape != (num_views, hidden_dim):
+        raise ConfigError(f"{path}: model.mvh_mask: {exc}") from None
+    if structure.mask.shape != (num_views, cfg["hidden_dim"]):
         raise ConfigError(
-            f"model.mvh_mask shape {structure.mask.shape} does not match "
-            f"(views={num_views}, hidden_dim={hidden_dim})")
+            f"{path}: model.mvh_mask shape {structure.mask.shape} does not match "
+            f"(views={num_views}, hidden_dim={cfg['hidden_dim']})")
     return structure
 
 
@@ -211,22 +203,17 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     paths, entries = args.data.split(","), config["views"]
     if entries is None:
         return data_mod.load_multiview_csv(paths, args.labels)
-    source = f"{args.config}: views"
     if len(entries) != len(paths):
-        raise ConfigError(f"{source} has {len(entries)} entries for the "
-                          f"{len(paths)} files {args.data}")
-    names = [model_mod.require_key(entries, [i, "name"], source) for i in range(len(paths))]
-    for i, name in enumerate(names):
-        if not isinstance(name, str):
-            raise ConfigError(f"{source}[{i}].name must be a string, got {name!r}")
-    families = [_choice(f"{source}[{i}].family", Family,
-                        model_mod.require_key(entries, [i, "family"], source))
-                for i in range(len(paths))]
+        raise ConfigError(f"{args.config}: ['views'] has {len(entries)} entries for "
+                          f"the {len(paths)} files {args.data}")
+    names, families = model_mod.require_views(config, args.config)
+    dims = [model_mod.require_key(config, ["views", i, "dim"], args.config, int)
+            if "dim" in entry else None for i, entry in enumerate(entries)]
     dataset = data_mod.load_multiview_csv(paths, args.labels, families=families, names=names)
-    for i, (entry, view) in enumerate(zip(entries, dataset.views)):
-        if entry.get("dim", view.dim) != view.dim:
-            raise ConfigError(f"{source}[{i}].dim is {entry['dim']!r}, but {paths[i]} "
-                              f"has {view.dim} columns")
+    for i, (dim, view) in enumerate(zip(dims, dataset.views)):
+        if dim not in (None, view.dim):
+            raise ConfigError(f"{args.config}: ['views'][{i}]['dim'] is {dim}, but "
+                              f"{paths[i]} has {view.dim} columns")
     return dataset
 
 
@@ -240,11 +227,12 @@ def cmd_train(args) -> int:
     mcfg = config["model"]
     if mcfg["hidden_dim"] < 1:
         raise ConfigError(f"model.hidden_dim must be >= 1, got {mcfg['hidden_dim']}")
-    structure = _structure_from_config(mcfg, dataset.num_views, mcfg["hidden_dim"])
+    structure = _structure_from_config(args.config, config, dataset.num_views)
     params = model_mod.init_params(
         views=dataset.views,
         hidden_dim=mcfg["hidden_dim"],
-        hidden_family=_choice("model.hidden_family", Family, mcfg["hidden_family"]),
+        hidden_family=model_mod.require_key(config, ["model", "hidden_family"], args.config,
+                                            model_mod.Family),
         structure=structure,
         rng=streams["init"],
     )
@@ -271,7 +259,8 @@ def cmd_grad_check(args) -> int:
     lo, hi = train_mod.FD_STEP_MIN, train_mod.FD_STEP_MAX
     if not lo <= gc["step"] <= hi:
         raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}")
-    kind = _choice("grad_check.structure", model_mod.StructureKind, gc["structure"])
+    kind = model_mod.require_key(config, ["grad_check", "structure"], args.config,
+                                 model_mod.StructureKind)
     rng = np.random.default_rng(_seed("grad_check.seed", gc["seed"]))
     worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
     worst_at = {}  # group -> (model, theta offset)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import Family
-from .model import (MalformedDocumentError, MissingKeyError, MultiViewSample, ViewConfig,
-                    read_json, require_key, write_json)
+from .model import (MalformedDocumentError, MultiViewSample, ViewConfig, read_json,
+                    require_key, require_views, write_json)
 
 
 class CsvFormatError(ValueError):
@@ -749,25 +749,15 @@ def load_dataset_dir(directory: str) -> MultiViewDataset:
     seed are informational."""
     manifest = os.path.join(directory, "manifest.json")
     doc = read_json(manifest)
-    try:
-        views = require_key(doc, ["views"], manifest, list)
-        families = [Family(require_key(doc, ["views", i, "family"], manifest))
-                    for i in range(len(views))]
-        names = [require_key(doc, ["views", i, "name"], manifest) for i in range(len(views))]
-        if not all(isinstance(name, str) for name in names):
-            raise TypeError(f"view names must be strings, got {names!r}")
-        dims = [require_key(doc, ["views", i, "dim"], manifest, int) for i in range(len(views))]
-        num_samples = require_key(doc, ["num_samples"], manifest)
-        paths = [os.path.join(directory, require_key(doc, ["view_files", i], manifest, str))
-                 for i in range(len(require_key(doc, ["view_files"], manifest, list)))]
-        label_path = (None if doc.get("label_file") is None else os.path.join(
-            directory, require_key(doc, ["label_file"], manifest, str)))
-    except MissingKeyError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocumentError(f"{manifest}: malformed manifest: {exc}") from None
-    if len(views) != len(paths):
-        raise MalformedDocumentError(f"{manifest}: {len(views)} views for "
+    names, families = require_views(doc, manifest)
+    dims = [require_key(doc, ["views", i, "dim"], manifest, int) for i in range(len(names))]
+    num_samples = require_key(doc, ["num_samples"], manifest, int)
+    paths = [os.path.join(directory, require_key(doc, ["view_files", i], manifest, str))
+             for i in range(len(require_key(doc, ["view_files"], manifest, list)))]
+    label_path = (None if doc.get("label_file") is None else os.path.join(
+        directory, require_key(doc, ["label_file"], manifest, str)))
+    if len(names) != len(paths):
+        raise MalformedDocumentError(f"{manifest}: {len(names)} views for "
                                      f"{len(paths)} view_files")
     data = load_multiview_csv(paths, label_path, families=families, names=names)
     for path, cfg, dim in zip(paths, data.views, dims):

@@ -590,13 +590,13 @@ def _params_to_dict(params: HarmoniumParams) -> dict:
     return doc
 
 
-class MissingKeyError(ValueError):
-    """A JSON document (checkpoint, dataset manifest or config) lacks a key."""
-
-
 class MalformedDocumentError(ValueError):
     """A JSON document (checkpoint, dataset manifest or config) is not valid
-    JSON or holds a value of the wrong type."""
+    JSON, lacks a key (a MissingKeyError) or holds a value of the wrong kind."""
+
+
+class MissingKeyError(MalformedDocumentError):
+    """A JSON document (checkpoint, dataset manifest or config) lacks a key."""
 
 
 def read_json(path: str):
@@ -630,7 +630,7 @@ def write_json(doc, path: str) -> None:
 
 # What require_key's `kind` asks of a value: its name and its test.
 _KINDS = {
-    list: ("a list", lambda v: isinstance(v, list)),
+    list: ("a non-empty list", lambda v: isinstance(v, list) and v != []),
     int: ("a positive integer", lambda v: type(v) is int and v >= 1),  # no bool
     str: ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }
@@ -642,31 +642,51 @@ def _key_path(path: list) -> str:
 
 def require_key(doc, path: list, source: str, kind: type | None = None):
     """doc[path[0]][path[1]]..., or a MissingKeyError that names the source
-    file and the key path. Given a kind (list, int or str, as in _KINDS), a
-    value not of that kind is a TypeError that names the key path."""
+    file and the key path. Given a kind (list, int or str, as in _KINDS, or
+    an Enum class, whose member is returned), a value not of that kind is a
+    MalformedDocumentError that names the file, the key path and the value."""
     node = doc
     for i, key in enumerate(path):
         try:
             node = node[key]
         except (KeyError, IndexError, TypeError):
             raise MissingKeyError(f"{source}: missing key {_key_path(path[:i + 1])}") from None
-    if kind is not None and not _KINDS[kind][1](node):
-        raise TypeError(f"{_key_path(path)} must be {_KINDS[kind][0]}, got {node!r:.40}")
-    return node
+    if kind is None:
+        return node
+    if issubclass(kind, Enum):
+        values = [member.value for member in kind]
+        if isinstance(node, str) and node in values:
+            return kind(node)
+        wanted = f"one of {values}"
+    elif _KINDS[kind][1](node):
+        return node
+    else:
+        wanted = _KINDS[kind][0]
+    raise MalformedDocumentError(f"{source}: {_key_path(path)} must be {wanted}, "
+                                 f"got {node!r:.40}")
+
+
+def require_views(doc, source: str) -> tuple[list[str], list[Family]]:
+    """The names (non-empty strings) and families of doc['views'], the list of
+    {name, dim, family} objects that a checkpoint, a dataset manifest and a
+    config share. Each reader checks the dims itself."""
+    n = len(require_key(doc, ["views"], source, list))
+    return ([require_key(doc, ["views", i, "name"], source, str) for i in range(n)],
+            [require_key(doc, ["views", i, "family"], source, Family) for i in range(n)])
 
 
 def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_FORMAT_VERSION):
+    if version not in (1, CHECKPOINT_FORMAT_VERSION) or type(version) is not int:
         raise ValueError(f"unsupported format version ['format_version']: {version!r}")
 
     def get(*path, kind=None):
         return require_key(doc, list(path), source, kind)
 
-    views = [ViewConfig(get("views", i, "name"), get("views", i, "dim", kind=int),
-                        Family(get("views", i, "family")))
-             for i in range(len(get("views", kind=list)))]
-    kind = StructureKind(get("structure", "kind"))
+    names, families = require_views(doc, source)
+    views = [ViewConfig(name, get("views", i, "dim", kind=int), family)
+             for i, (name, family) in enumerate(zip(names, families))]
+    kind = get("structure", "kind", kind=StructureKind)
     structure = StructureMode(kind, get("structure", "mask") if kind is StructureKind.MVH
                               else get("structure").get("mask"))
     J = get("hidden", "dim", kind=int)
@@ -682,7 +702,7 @@ def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
         dims = [v.dim for v in views]
         W, xi, lam, s = split_param_vector(_decode_theta(get("theta"), dims, J), dims, J)
     return HarmoniumParams(views=views, hidden_dim=J,
-                           hidden_family=Family(get("hidden", "family")),
+                           hidden_family=get("hidden", "family", kind=Family),
                            W=W, xi=xi, lam=lam, s=s, structure=structure)
 
 
@@ -714,12 +734,12 @@ def save_checkpoint(params: HarmoniumParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> HarmoniumParams:
     """A checkpoint of format 2, or of format 1 (one JSON list per array).
-    Any fault names the file: a MissingKeyError for a missing key, else a
-    MalformedDocumentError."""
+    Any fault is a MalformedDocumentError (a MissingKeyError for a missing
+    key) that names the file."""
     doc = read_json(path)
     try:
         return _params_from_dict(doc, path)
-    except MissingKeyError:
+    except MalformedDocumentError:
         raise
     except (TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"{path}: malformed checkpoint: {exc}") from None

@@ -1,14 +1,18 @@
 """Boundary fuzz of the CLI's file inputs.
 
-Every field of a small format-2 checkpoint and of a dataset manifest is
-mutated one at a time: set to a value of another JSON type, set out of
-range, removed, or joined by an extra key. Each view CSV is emptied or
-truncated. Each case runs through `cli.main` in process: `extract` for a
-checkpoint, `train` for a manifest, and both for a view CSV. A rejected
-input must exit 2 (bad input) or 3 (I/O), name the file on stderr (and a
-removed key, or a wrong-typed value of a TYPED field, by its full key
-path), and raise nothing. An accepted one must exit 0, and an extra key
-must leave the output bytes as they were.
+Every field of a small format-2 checkpoint, of a format-1 checkpoint, of a
+dataset manifest and of a config is mutated one at a time: set to a value
+of another JSON type, set out of range, removed, or joined by an extra
+key. Each view CSV is emptied or truncated. Each case runs through
+`cli.main` in process: `extract`, `eval-knn` and `render-filters` for a
+checkpoint (`extract` for format 1), `train` for a manifest, `train` and
+`extract` for a view CSV, and for a config every command that reads the
+mutated section. A rejected input must exit 2 (bad input) or 3 (I/O),
+name the file on stderr (and a removed key, or a wrong-typed value of a
+TYPED field, by its key path), and raise nothing. An accepted one must
+exit 0, and an extra key in a checkpoint or a manifest must leave the
+output bytes as they were; in a config, an extra key is an error outside
+the `views` records.
 """
 import copy
 import json
@@ -19,6 +23,8 @@ import numpy as np
 import pytest
 
 from samvh import cli
+
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_v1_sa.json")
 
 CONFIG = {
     "synth": {"num_classes": 4, "samples_per_class": 10, "image_side": 10},
@@ -38,6 +44,7 @@ OUT_OF_RANGE = {
         "structure.mask.*": [[1, 0]],
         "structure.mask.*.*": [2, -1],
         "views": [[]],
+        "views.*.name": [""],
         "views.*.dim": [0, -1, 10 ** 6],
         "views.*.family": ["", "poisson"],
         "hidden.dim": [0, -1, 10 ** 6],
@@ -46,6 +53,7 @@ OUT_OF_RANGE = {
     },
     "manifest": {
         "views": [[]],
+        "views.*.name": [""],
         "views.*.dim": [0, -1, 10 ** 6],
         "views.*.family": ["", "poisson"],
         "num_samples": [0, -1, 10 ** 6],
@@ -53,25 +61,55 @@ OUT_OF_RANGE = {
         "view_files.*": ["nope.csv"],
         "label_file": ["nope.csv"],
     },
+    "config": {
+        "model.structure": ["", "gated"],
+        "model.hidden_family": ["poisson"],
+        "model.mvh_mask": [[], [[1, 0, 1]]],
+        "views.*.name": [""],
+        "views.*.dim": [0, -1, 3.0, 10 ** 6],
+        "views.*.family": ["", "poisson"],
+        "grad_check.structure": ["gated"],
+    },
 }
+# A format-1 checkpoint also gets shapes that do not fit its arrays' data.
+OUT_OF_RANGE["checkpoint_v1"] = dict(OUT_OF_RANGE["checkpoint"], **{
+    f"arrays.{name}.shape": [[1, 2, 3], [10 ** 6], -1, 10 ** 9]
+    for name in ("W0", "xi0", "W1", "xi1", "lam", "s")})
 
 REMOVED = object()  # the mutation that deletes the key or list item
 
 # Fields whose wrong-typed values stderr must name by their key path.
 TYPED = {
-    "checkpoint": {"views", "views.*.dim", "hidden.dim"},
-    "manifest": {"views", "views.*.dim", "view_files", "view_files.*", "label_file"},
+    "checkpoint": {"views", "views.*.name", "views.*.dim", "views.*.family",
+                   "structure.kind", "hidden.dim", "hidden.family"},
+    "manifest": {"views", "views.*.name", "views.*.dim", "views.*.family",
+                 "num_samples", "view_files", "view_files.*", "label_file"},
+    "config": {"model.structure", "model.hidden_family", "grad_check.structure",
+               "views.*", "views.*.name", "views.*.dim", "views.*.family"},
 }
+TYPED["checkpoint_v1"] = TYPED["checkpoint"]
 
 
 def accepted(doc_name, pattern, value):
-    """Whether a mutation leaves a valid document: mask items may be true or
-    false, a manifest's seed and labels_present are only informational, and
-    a dataset without a label file is unlabeled."""
-    if doc_name == "checkpoint":
-        return pattern == "structure.mask.*.*" and value is True
-    return pattern in ("seed", "labels_present") or (
-        pattern == "label_file" and (value is None or value is REMOVED))
+    """Whether a mutation leaves a valid document (True), an invalid one
+    (False), or either (None). Mask items may be true or false; a manifest's
+    seed and labels_present are only informational, and a dataset without a
+    label file is unlabeled. A format-1 checkpoint's arrays may be read as
+    float64 or not. A config key that is removed, or a nullable one set to
+    null, takes its default (a seed then comes from --seed), which may or
+    may not suit the other keys; any other change of a config is invalid,
+    except leaving out a `views` record's dim."""
+    if pattern.endswith("mask.*.*") and value is True:
+        return True
+    if doc_name.startswith("checkpoint"):
+        return None if pattern.startswith("arrays.") else False
+    if doc_name == "manifest":
+        return pattern in ("seed", "labels_present") or (
+            pattern == "label_file" and (value is None or value is REMOVED))
+    if pattern.startswith("views."):
+        return pattern == "views.*.dim" and value is REMOVED
+    nullable = pattern.split(".")[-1] in ("seed", "mvh_mask", "views")
+    return None if value is REMOVED or (value is None and nullable) else False
 
 
 def json_type(value):
@@ -147,14 +185,31 @@ def fixture_dir(tmp_path_factory):
     return root, cfg, data_dir, os.path.join(run_dir, "checkpoint.json")
 
 
-def named_key(doc_name, doc, pattern, path, value):
-    """The key path that stderr must name, as in "['views'][0]['dim']", if
-    the mutation removed a key (not a list item) or gave a TYPED field a
-    value of another JSON type."""
-    wrong_type = (value is not REMOVED and pattern in TYPED[doc_name]
-                  and json_type(value) != json_type(node_at(doc, path)))
-    if wrong_type or (value is REMOVED and isinstance(path[-1], str)):
-        return "".join(f"[{key!r}]" for key in path)
+def stderr_names(doc_name, pattern, value, named):
+    """The names of which stderr must give one. Without a views section the
+    config's raw CSVs are read as Gaussian features, which the fixture's
+    Bernoulli checkpoint rejects, naming the view."""
+    if doc_name == "config" and pattern == "views" and value in (None, REMOVED):
+        return [*named, "view 'arabic'"]
+    return named
+
+
+def key_text(doc_name, path):
+    """A key path as errors give it: "['views'][0]['dim']", or for a config
+    key outside its views records, "model.structure"."""
+    if doc_name == "config" and (path[0] != "views" or len(path) == 1):
+        return ".".join(map(str, path))
+    return "".join(f"[{key!r}]" for key in path)
+
+
+def named_key(doc_name, pattern, path, value, wrong_type):
+    """The key path that stderr must name, if the mutation removed a key
+    (not a list item; in a config, one of a views record) or gave a TYPED
+    field a value of another JSON type."""
+    removed_key = value is REMOVED and isinstance(path[-1], str) and (
+        doc_name != "config" or path[:1] == ("views",) and len(path) > 1)
+    if removed_key or (wrong_type and pattern in TYPED[doc_name]):
+        return key_text(doc_name, path)
     return None
 
 
@@ -178,41 +233,98 @@ def write_json_doc(doc, path):
         json.dump(doc, fh)
 
 
-def sweep_fields(doc_name, doc, target, argv, output, named, capsys):
-    """Findings of running argv with target holding each mutation of doc;
-    output is the file whose bytes an extra key must leave unchanged."""
+def command(argv):
+    """The subcommand of a CLI argv."""
+    return next(arg for arg in argv if arg in (
+        "gen-data", "train", "grad-check", "extract", "eval-knn", "render-filters"))
+
+
+def run_fresh(argv, out, capsys):
+    """run(argv) into an emptied out directory; the exit code, stderr and
+    the bytes of each file written there."""
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run(argv, capsys)
+    files = {} if not os.path.isdir(out) else {
+        name: read_bytes(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+    return code, err, files
+
+
+def sweep_fields(doc_name, doc, target, runs, named, capsys):
+    """Findings of running, with target holding each mutation of doc, each
+    (argv, out directory) of runs(path), path being the mutated key path.
+    An extra key must leave what a run writes as it was, or, in a config
+    outside its views records, be rejected."""
     write_json_doc(doc, target)
-    assert run(argv, capsys)[0] == cli.EXIT_OK
-    want = read_bytes(output)
+    want = {}
+    for argv, out in runs(()):
+        code, err, want[out] = run_fresh(argv, out, capsys)
+        assert code == cli.EXIT_OK, (argv, err)
     findings, cases = [], 0
     for case, pattern, path, value, mutated in mutations(doc_name, doc):
         cases += 1
+        wrong_type = value is not REMOVED and json_type(value) != json_type(node_at(doc, path))
+        ok = accepted(doc_name, pattern, value)
+        key = named_key(doc_name, pattern, path, value, wrong_type)
         write_json_doc(mutated, target)
-        code, err = run(argv, capsys)
-        if not accepted(doc_name, pattern, value):
-            check_case(findings, case, code, err, named,
-                       named_key(doc_name, doc, pattern, path, value))
-        elif code != cli.EXIT_OK:
-            findings.append(f"{case}: exit {code}: {err.strip()!r}")
+        for argv, out in runs(path):
+            code, err, _ = run_fresh(argv, out, capsys)
+            if ok or (ok is None and code == cli.EXIT_OK):
+                if code != cli.EXIT_OK:
+                    findings.append(f"{case}, {command(argv)}: exit {code}: {err.strip()!r}")
+            else:
+                check_case(findings, f"{case}, {command(argv)}", code, err,
+                           stderr_names(doc_name, pattern, value, named), key)
     for path, mutated in with_extra_keys(doc):
         write_json_doc(mutated, target)
-        code, err = run(argv, capsys)
-        if code != cli.EXIT_OK or read_bytes(output) != want:
-            findings.append(f"extra key under {path}: exit {code}: {err.strip()!r}")
+        for argv, out in runs(path):
+            code, err, files = run_fresh(argv, out, capsys)
+            case = f"extra key under {path}, {command(argv)}"
+            if doc_name == "config" and path[:1] != ("views",):
+                check_case(findings, case, code, err, named)
+            elif code != cli.EXIT_OK or files != want[out]:
+                findings.append(f"{case}: exit {code}: {err.strip()!r}")
     assert cases > 100
     return findings
 
 
+def checkpoint_runs(root, cfg, data_dir, ckpt):
+    """The (argv, out) of extract, eval-knn and render-filters on ckpt."""
+    runs = [(["--config", cfg, name, "--checkpoint", ckpt, "--data", data_dir,
+              "--out", str(root / name)], str(root / name))
+            for name in ("extract", "eval-knn")]
+    out = str(root / "filters")
+    return [*runs, (["--config", cfg, "render-filters", "--checkpoint", ckpt,
+                     "--out", out], out)]
+
+
 def test_checkpoint_fields(fixture_dir, capsys):
     root, cfg, data_dir, ckpt = fixture_dir
-    broken, out = str(root / "broken.json"), str(root / "feat")
+    broken = str(root / "broken.json")
     with open(ckpt) as fh:
         doc = json.load(fh)
-    findings = sweep_fields(
-        "checkpoint", doc, broken,
-        ["--config", cfg, "extract", "--checkpoint", broken, "--data", data_dir,
-         "--out", out],
-        os.path.join(out, "features.csv"), [broken], capsys)
+    runs = checkpoint_runs(root, cfg, data_dir, broken)
+    findings = sweep_fields("checkpoint", doc, broken, lambda path: runs, [broken], capsys)
+    assert not findings, "\n".join(findings)
+
+
+def test_format_1_checkpoint_fields(tmp_path, capsys):
+    """The format-1 fixture, an SA model with views v0 and v1 of 3 pixels,
+    through extract on two binary CSVs that a config's views describe."""
+    csvs = []
+    for name in ("v0", "v1"):
+        csvs.append(str(tmp_path / f"{name}.csv"))
+        with open(csvs[-1], "w") as fh:
+            fh.write("1,0,1\n0,1,1\n0,0,0\n")
+    cfg = str(tmp_path / "config.json")
+    write_json_doc({"views": [{"name": name, "family": "bernoulli"} for name in ("v0", "v1")]},
+                   cfg)
+    broken, out = str(tmp_path / "broken.json"), str(tmp_path / "feat")
+    with open(V1_CHECKPOINT) as fh:
+        doc = json.load(fh)
+    argv = ["--config", cfg, "extract", "--checkpoint", broken, "--data", ",".join(csvs),
+            "--out", out]
+    findings = sweep_fields("checkpoint_v1", doc, broken, lambda path: [(argv, out)],
+                            [broken], capsys)
     assert not findings, "\n".join(findings)
 
 
@@ -223,11 +335,53 @@ def test_manifest_fields(fixture_dir, capsys):
     manifest = os.path.join(work, "manifest.json")
     with open(manifest) as fh:
         doc = json.load(fh)
-    findings = sweep_fields(
-        "manifest", doc, manifest,
-        ["--config", cfg, "--seed", "1", "train", "--data", work, "--out", out],
-        os.path.join(out, "checkpoint.json"),
-        [manifest, os.path.join(work, "nope.csv")], capsys)
+    argv = ["--config", cfg, "--seed", "1", "train", "--data", work, "--out", out]
+    findings = sweep_fields("manifest", doc, manifest, lambda path: [(argv, out)],
+                            [manifest, os.path.join(work, "nope.csv")], capsys)
+    assert not findings, "\n".join(findings)
+
+
+def test_config_fields(fixture_dir, capsys):
+    """A config with every key of every section, a mask and views records
+    for the fixture dataset's CSVs, each section read by its commands."""
+    root, _, data_dir, ckpt = fixture_dir
+    with open(os.path.join(data_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    doc = {
+        "synth": dict(CONFIG["synth"], noise_lines_per_image=2, jitter=1, seed=1),
+        "model": dict(CONFIG["model"], hidden_family="bernoulli"),
+        "views": manifest["views"],
+        "train": dict(CONFIG["train"], learning_rate=0.1, momentum=0.9, cd_steps=1,
+                      seed=1, switch_lr_scale=2.0, weight_decay=0.0),
+        "eval": {"ks": [3, 5], "test_fraction": 0.5, "selection": "all",
+                 "knn_seed": 0, "grid_cols": 2, "view": 0},
+        "grad_check": {"num_models": 2, "step": 1e-5, "tolerance": 1e-5, "seed": 0,
+                       "structure": "sa"},
+    }
+    cfg = str(root / "full_config.json")
+    data = ["--data", ",".join(os.path.join(data_dir, name)
+                               for name in manifest["view_files"]),
+            "--labels", os.path.join(data_dir, manifest["label_file"])]
+    argvs = {
+        "gen-data": ["--seed", "1", "gen-data"],
+        "train": ["--seed", "1", "train", *data],
+        "grad-check": ["grad-check"],
+        "extract": ["extract", "--checkpoint", ckpt, *data],
+        "eval-knn": ["eval-knn", "--checkpoint", ckpt, *data],
+        "render-filters": ["render-filters", "--checkpoint", ckpt],
+    }
+    readers = {"synth": ["gen-data"], "model": ["train"],
+               "views": ["train", "extract", "eval-knn"], "train": ["train"],
+               "eval": ["extract", "eval-knn", "render-filters"],
+               "grad_check": ["grad-check"]}
+
+    def runs(path):
+        commands = readers[path[0]] if path else list(argvs)
+        return [(["--config", cfg, *argvs[c], *(["--out", str(root / c)]
+                                                 if c != "grad-check" else [])],
+                 str(root / c)) for c in commands]
+
+    findings = sweep_fields("config", doc, cfg, runs, [cfg], capsys)
     assert not findings, "\n".join(findings)
 
 

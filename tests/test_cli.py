@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestConfig:
 
     def test_invalid_json(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
-        open(path, "w").write("{not json")
+        Path(path).write_text("{not json")
         code = cli.main(["--config", path, "--seed", "0", "gen-data",
                          "--out", str(tmp_path / "d")])
         assert code == cli.EXIT_CONFIG
@@ -158,7 +159,8 @@ class TestConfig:
                    "hidden_family": ["bernoulli", "gaussian_unit_variance"]}[key]
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: {section}.{key} must be one of {choices}, got {value!r}\n")
+            f"error: {cfg}: [{section!r}][{key!r}] must be one of {choices}, "
+            f"got {value!r}\n")
         assert not os.path.exists(str(tmp_path / "r"))
 
     @pytest.mark.parametrize("section,key,value,message", [
@@ -311,7 +313,7 @@ class TestTrain:
         for name in ("checkpoint.json", "trainlog.csv"):
             assert read_bytes(os.path.join(runs[0], name)) == \
                 read_bytes(os.path.join(runs[1], name))
-        log = open(os.path.join(runs[0], "trainlog.csv")).read().splitlines()
+        log = Path(os.path.join(runs[0], "trainlog.csv")).read_text().splitlines()
         assert log[0].startswith("epoch,recon_err_")
         assert len(log) == 1 + 3
 
@@ -418,7 +420,7 @@ class TestTrain:
                          "--data", data_dir, "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert "manifest.json: malformed manifest" in err
+        assert "manifest.json: ['view_files'] must be a non-empty list, got 5" in err
 
     def test_manifest_shape_must_match_view_files(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -451,19 +453,22 @@ class TestTrain:
     @pytest.mark.parametrize("views,message", [
         ([{"name": "a", "family": "bernoulli", "dim": 5},
           {"name": "b", "family": "bernoulli", "dim": 7}],
-         "views[0].dim is 5, but {a} has 3 columns"),
+         "['views'][0]['dim'] is 5, but {a} has 3 columns"),
         ([{"name": "a", "family": "bernoulli", "dim": 3},
           {"name": "b", "family": "bernoulli", "dim": 3}],
-         "views[1].dim is 3, but {b} has 2 columns"),
+         "['views'][1]['dim'] is 3, but {b} has 2 columns"),
         ([{"name": "a", "family": "bernoulli"}] * 3 + [{"name": "c", "family": 5}],
-         "views has 4 entries for the 2 files {a},{b}"),
+         "['views'] has 4 entries for the 2 files {a},{b}"),
         ([{"name": "a", "family": "bernoulli"}],
-         "views has 1 entries for the 2 files {a},{b}"),
+         "['views'] has 1 entries for the 2 files {a},{b}"),
         ([{"name": "a", "family": "bernoulli"}, {"name": "b", "family": 5}],
-         "views[1].family must be one of ['bernoulli', 'gaussian_unit_variance'], "
-         "got 5"),
+         "['views'][1]['family'] must be one of ['bernoulli', "
+         "'gaussian_unit_variance'], got 5"),
         ([{"name": 5, "family": "bernoulli"}, {"name": "b", "family": "bernoulli"}],
-         "views[0].name must be a string, got 5")])
+         "['views'][0]['name'] must be a non-empty string, got 5"),
+        ([{"name": "a", "family": "bernoulli", "dim": 3.0},
+          {"name": "b", "family": "bernoulli"}],
+         "['views'][0]['dim'] must be a positive integer, got 3.0")])
     def test_views_entries_must_match_files(self, tmp_path, capsys, views, message):
         a, b = write_binary_csvs(tmp_path)
 
@@ -543,7 +548,8 @@ class TestGradCheck:
         cfg = write_config(tmp_path, {"grad_check": {key: value}})
         assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert f"grad_check.{key}" in captured.err
+        named = f"['grad_check'][{key!r}]" if key == "structure" else f"grad_check.{key}"
+        assert named in captured.err
         assert captured.out == ""
 
     def test_passes(self, tmp_path, capsys):
@@ -602,7 +608,7 @@ class TestEvalPipeline:
         knn_dir = str(tmp_path / "knn")
         assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
                          "--data", data_dir, "--out", knn_dir]) == cli.EXIT_OK
-        lines = open(os.path.join(knn_dir, "knn_accuracy.csv")).read().splitlines()
+        lines = Path(os.path.join(knn_dir, "knn_accuracy.csv")).read_text().splitlines()
         assert lines[0] == "k,accuracy"
         assert lines[1].startswith("10,")
         assert "accuracy" in capsys.readouterr().out
@@ -632,8 +638,8 @@ class TestEvalPipeline:
         assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
                          "--data", work, "--out", str(tmp_path / "knn")]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: {manifest}: malformed manifest: ['label_file'] must be a "
-            f"non-empty string, got {label_file!r}\n")
+            f"error: {manifest}: ['label_file'] must be a non-empty string, "
+            f"got {label_file!r}\n")
 
     @pytest.mark.parametrize("label_file", [None, ...])
     def test_null_or_missing_label_file_is_unlabeled(self, tmp_path, trained, capsys,
@@ -774,12 +780,14 @@ class TestEvalPipeline:
         code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
-        assert "broken.json: malformed checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "broken.json: ['views'] must be a non-empty list, got 5" in err
 
     @pytest.mark.parametrize("edit,message", [
         (lambda text: text[:12], "broken.json: invalid JSON: "),
         (lambda text: text.replace('"bernoulli"', '"poisson"', 1),
-         "broken.json: malformed checkpoint: 'poisson' is not a valid Family"),
+         "broken.json: ['views'][0]['family'] must be one of ['bernoulli', "
+         "'gaussian_unit_variance'], got 'poisson'"),
         # The trained model: 2 views of 100 pixels, 8 hidden units, 1824 values.
         (lambda text: edit_doc(text, lambda doc: doc.update(theta="@@@@")),
          "broken.json: malformed checkpoint: theta is not valid base64"),
@@ -797,7 +805,7 @@ class TestEvalPipeline:
                                                edit, message):
         cfg, data_dir, ckpt = trained
         broken = tmp_path / "broken.json"
-        broken.write_text(edit(open(ckpt).read()))
+        broken.write_text(edit(Path(ckpt).read_text()))
         for command in ("extract", "eval-knn"):
             code = cli.main(["--config", cfg, command, "--checkpoint", str(broken),
                              "--data", data_dir, "--out", str(tmp_path / "f")])
@@ -820,8 +828,8 @@ class TestEvalPipeline:
                              "--data", data_dir, "--out", str(tmp_path / "o")])
             assert code == cli.EXIT_CONFIG, command
             assert capsys.readouterr().err == (
-                f"error: {manifest}: malformed manifest: view names must be "
-                f"strings, got {[name, 'roman']!r}\n")
+                f"error: {manifest}: ['views'][0]['name'] must be a non-empty string, "
+                f"got {name!r}\n")
         assert not os.path.exists(str(tmp_path / "o"))
 
     def test_corrupt_manifest_names_the_file(self, tmp_path, capsys):

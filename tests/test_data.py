@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,8 +158,8 @@ def reference_generate(config: SynthConfig):
 class TestCsv:
     def test_shape_passthrough(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        open(p1, "w").write("1,2,3\n4,5,6\n7,8,9\n0,1,0\n2,2,2\n")
-        open(p2, "w").write("1,0\n0,1\n1,1\n0,0\n0.5,0.5\n")
+        Path(p1).write_text("1,2,3\n4,5,6\n7,8,9\n0,1,0\n2,2,2\n")
+        Path(p2).write_text("1,0\n0,1\n1,1\n0,0\n0.5,0.5\n")
         ds = load_multiview_csv([p1, p2])
         assert ds.num_views == 2
         assert [v.dim for v in ds.views] == [3, 2]
@@ -166,7 +168,7 @@ class TestCsv:
 
     def test_standardized_by_default(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
-        open(p1, "w").write("1,5\n3,5\n5,5\n")
+        Path(p1).write_text("1,5\n3,5\n5,5\n")
         ds = load_multiview_csv([p1])
         np.testing.assert_allclose(ds.view_arrays[0][:, 0].mean(), 0, atol=1e-12)
         np.testing.assert_allclose(ds.view_arrays[0][:, 0].std(), 1, atol=1e-12)
@@ -177,7 +179,7 @@ class TestCsv:
         # Line numbers count the blank lines the reader skips.
         p1 = str(tmp_path / "a.csv")
         for text, lineno in (("1,2\n3\n", 2), ("1,2\n\n3,4\n  \n5\n", 5)):
-            open(p1, "w").write(text)
+            Path(p1).write_text(text)
             with pytest.raises(CsvFormatError) as info:
                 load_multiview_csv([p1])
             assert str(info.value) == f"{p1}:{lineno}: expected 2 columns, got 1"
@@ -187,7 +189,7 @@ class TestCsv:
         for text, where in (("1,2\n3,oops\n", "2: column 2: non-numeric cell 'oops'"),
                             ("1,2\n\n3, \n", "3: column 2: non-numeric cell ''"),
                             ("#1,2\n", "1: column 1: non-numeric cell '#1'")):
-            open(p1, "w").write(text)
+            Path(p1).write_text(text)
             with pytest.raises(CsvFormatError) as info:
                 load_multiview_csv([p1])
             assert str(info.value) == f"{p1}:{where}"
@@ -196,36 +198,36 @@ class TestCsv:
         # Digit-group underscores parse with float() but not in numpy's
         # reader; the error still names the file and the cell.
         p1 = str(tmp_path / "a.csv")
-        open(p1, "w").write("1,2\n1_0,3\n")
+        Path(p1).write_text("1,2\n1_0,3\n")
         with pytest.raises(CsvFormatError, match=rf"^{p1}: .*'1_0'"):
             load_multiview_csv([p1])
 
     def test_blank_lines_and_padded_cells(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
-        open(p1, "w").write("\n 1 ,\t2.5\n   \n\t\n-3e2 , 4 \n\n")
+        Path(p1).write_text("\n 1 ,\t2.5\n   \n\t\n-3e2 , 4 \n\n")
         ds = load_multiview_csv([p1], families=[Family.GAUSSIAN_UNIT_VARIANCE],
                                 standardize=False)
         assert np.array_equal(ds.view_arrays[0], [[1.0, 2.5], [-300.0, 4.0]])
 
     def test_single_row_and_single_column_stay_2d(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        open(p1, "w").write("1,2,3\n")
-        open(p2, "w").write("4\n")
+        Path(p1).write_text("1,2,3\n")
+        Path(p2).write_text("4\n")
         ds = load_multiview_csv([p1, p2], standardize=False)
         assert [a.shape for a in ds.view_arrays] == [(1, 3), (1, 1)]
 
     def test_empty_file_is_0x0_without_warning(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
         for text in ("", "\n  \n\n"):
-            open(p1, "w").write(text)
+            Path(p1).write_text(text)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert _parse_matrix(p1).shape == (0, 0)
 
     def test_row_count_mismatch(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        open(p1, "w").write("1\n2\n")
-        open(p2, "w").write("1\n")
+        Path(p1).write_text("1\n2\n")
+        Path(p2).write_text("1\n")
         with pytest.raises(CsvFormatError, match="rows"):
             load_multiview_csv([p1, p2])
 
@@ -279,7 +281,7 @@ class TestCsv:
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")]
         save_multiview_csv(ds, paths)
         for path, v in zip(paths, ds.views):
-            for line in open(path):
+            for line in Path(path).read_text().splitlines():
                 assert len(line.strip().split(",")) == v.dim
 
     def test_save_matrix_bytes_equal_per_cell_format(self, tmp_path, rng):
@@ -370,7 +372,7 @@ class TestCsv:
     ])
     def test_faulty_digit_files_keep_their_errors(self, tmp_path, text, where):
         path = str(tmp_path / "m.csv")
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         assert _digit_matrix(read_bytes(path)) is None
         for parse in (_parse_matrix, _parse_text_matrix):
             with pytest.raises(CsvFormatError) as info:
@@ -403,7 +405,7 @@ class TestCsv:
         ds = MultiViewDataset(views, [np.zeros((0, 2))])
         path = str(tmp_path / "x.csv")
         save_multiview_csv(ds, [path])
-        assert open(path).read() == ""
+        assert Path(path).read_text() == ""
 
 
 def edge_values() -> np.ndarray:
@@ -525,11 +527,14 @@ class TestManifest:
         ('{"views": [\n', "manifest.json: invalid JSON: "),
         ('{"views": [{"name": "a", "dim": 1, "family": "poisson"}], "num_samples": 1, '
          '"view_files": ["a.csv"]}',
-         "manifest.json: malformed manifest: 'poisson' is not a valid Family")])
+         "manifest.json: ['views'][0]['family'] must be one of "
+         "['bernoulli', 'gaussian_unit_variance'], got 'poisson'"),
+        ('{"views": [], "num_samples": 1, "view_files": []}',
+         "manifest.json: ['views'] must be a non-empty list, got []")])
     def test_corrupt_manifest_names_the_file(self, tmp_path, text, match):
         (tmp_path / "a.csv").write_text("1\n")
         (tmp_path / "manifest.json").write_text(text)
-        with pytest.raises(MalformedDocumentError, match=match):
+        with pytest.raises(MalformedDocumentError, match=re.escape(match)):
             load_dataset_dir(str(tmp_path))
 
     def test_save_manifest_bytes(self, tmp_path):
