@@ -29,7 +29,9 @@ EXIT_CHECK_FAILED = 5
 
 
 class ConfigError(ValueError):
-    pass
+    def __init__(self, message: str, path: str | None = None):
+        """message, after the path of the config file if one is given."""
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _settings_defaults(cls) -> dict:
@@ -94,7 +96,7 @@ def _check_type(path: str, where: str, key: str, value, default) -> None:
         ok = _is_json_type(value, type(default))
         expected = _JSON_NAMES[type(default)]
     if not ok:
-        raise ConfigError(f"{path}: {where}: expected {expected}, got {value!r}")
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}", path)
 
 
 def load_config(path: str | None) -> dict:
@@ -106,20 +108,24 @@ def load_config(path: str | None) -> dict:
         return merged
     user = model_mod.read_json(path)
     if not isinstance(user, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise ConfigError("top level must be an object", path)
     for section, values in user.items():
         if section not in merged:
-            raise ConfigError(f"{path}: unknown config section {section!r}")
+            raise ConfigError(f"unknown config section {section!r}", path)
         if section == "views":
             _check_type(path, "views", "views", values, None)
+            for i, record in enumerate(values or []):
+                for key in record if isinstance(record, dict) else ():
+                    if key not in ("name", "dim", "family"):
+                        raise ConfigError(f"unknown key {key!r} in ['views'][{i}]", path)
             merged["views"] = values
             continue
         if not isinstance(values, dict):
-            raise ConfigError(f"{path}: section {section!r} must be an object")
+            raise ConfigError(f"section {section!r} must be an object", path)
         for key, val in values.items():
             if key not in merged[section]:
                 raise ConfigError(
-                    f"{path}: unknown key {key!r} in section {section!r}")
+                    f"unknown key {key!r} in section {section!r}", path)
             _check_type(path, f"{section}.{key}", key, val, _DEFAULTS[section][key])
             merged[section][key] = val
     return merged
@@ -131,28 +137,28 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
             for name, ss in zip(("data", "init", "cd"), children)}
 
 
-def _seed(source: str, seed: int) -> int:
+def _seed(path: str | None, source: str, seed: int) -> int:
     """seed, or a ConfigError naming its source (numpy takes no negative seed)."""
     if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}")
+        raise ConfigError(f"{source} must be >= 0, got {seed}", path)
     return seed
 
 
-def _settings(cls, config: dict, key: str, flag_seed):
+def _settings(cls, path: str | None, config: dict, key: str, flag_seed):
     """A settings dataclass from the config section key. The seed comes from
     --seed, else from the config, and one is required. A range error names
-    its key, e.g. `train.cd_steps must be >= 1, got 0`."""
+    the config file and the key, e.g. `train.cd_steps must be >= 1, got 0`."""
     section = config[key]
     if flag_seed is not None:
-        seed = _seed("--seed", flag_seed)
+        seed = _seed(None, "--seed", flag_seed)
     elif section["seed"] is None:
-        raise ConfigError("a seed is required (config seed or --seed)")
+        raise ConfigError("a seed is required (config seed or --seed)", path)
     else:
-        seed = _seed(f"{key}.seed", section["seed"])
+        seed = _seed(path, f"{key}.seed", section["seed"])
     try:
         return cls(**{**section, "seed": seed})
     except ValueError as exc:
-        raise ConfigError(f"{key}.{exc}") from None
+        raise ConfigError(f"{key}.{exc}", path) from None
 
 
 def _structure_from_config(path: str | None, config: dict,
@@ -165,11 +171,11 @@ def _structure_from_config(path: str | None, config: dict,
     try:
         structure = model_mod.StructureMode(kind, cfg["mvh_mask"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: model.mvh_mask: {exc}") from None
+        raise ConfigError(f"model.mvh_mask: {exc}", path) from None
     if structure.mask.shape != (num_views, cfg["hidden_dim"]):
         raise ConfigError(
-            f"{path}: model.mvh_mask shape {structure.mask.shape} does not match "
-            f"(views={num_views}, hidden_dim={cfg['hidden_dim']})")
+            f"model.mvh_mask shape {structure.mask.shape} does not match "
+            f"(views={num_views}, hidden_dim={cfg['hidden_dim']})", path)
     return structure
 
 
@@ -179,7 +185,7 @@ def _structure_from_config(path: str | None, config: dict,
 
 def cmd_gen_data(args) -> int:
     config = load_config(args.config)
-    synth_cfg = _settings(data_mod.SynthConfig, config, "synth", args.seed)
+    synth_cfg = _settings(data_mod.SynthConfig, args.config, config, "synth", args.seed)
     dataset = data_mod.generate_synthetic_paired(synth_cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -204,16 +210,16 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     if entries is None:
         return data_mod.load_multiview_csv(paths, args.labels)
     if len(entries) != len(paths):
-        raise ConfigError(f"{args.config}: ['views'] has {len(entries)} entries for "
-                          f"the {len(paths)} files {args.data}")
+        raise ConfigError(f"['views'] has {len(entries)} entries for "
+                          f"the {len(paths)} files {args.data}", args.config)
     names, families = model_mod.require_views(config, args.config)
     dims = [model_mod.require_key(config, ["views", i, "dim"], args.config, int)
             if "dim" in entry else None for i, entry in enumerate(entries)]
     dataset = data_mod.load_multiview_csv(paths, args.labels, families=families, names=names)
     for i, (dim, view) in enumerate(zip(dims, dataset.views)):
         if dim not in (None, view.dim):
-            raise ConfigError(f"{args.config}: ['views'][{i}]['dim'] is {dim}, but "
-                              f"{paths[i]} has {view.dim} columns")
+            raise ConfigError(f"['views'][{i}]['dim'] is {dim}, but "
+                              f"{paths[i]} has {view.dim} columns", args.config)
     return dataset
 
 
@@ -221,12 +227,13 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = _load_data_arg(args, config)
 
-    train_cfg = _settings(train_mod.TrainConfig, config, "train", args.seed)
+    train_cfg = _settings(train_mod.TrainConfig, args.config, config, "train", args.seed)
     streams = _substreams(train_cfg.seed)
 
     mcfg = config["model"]
     if mcfg["hidden_dim"] < 1:
-        raise ConfigError(f"model.hidden_dim must be >= 1, got {mcfg['hidden_dim']}")
+        raise ConfigError(f"model.hidden_dim must be >= 1, got {mcfg['hidden_dim']}",
+                          args.config)
     structure = _structure_from_config(args.config, config, dataset.num_views)
     params = model_mod.init_params(
         views=dataset.views,
@@ -253,15 +260,18 @@ def cmd_grad_check(args) -> int:
     config = load_config(args.config)
     gc = config["grad_check"]
     if gc["num_models"] < 1:
-        raise ConfigError(f"grad_check.num_models must be >= 1, got {gc['num_models']}")
+        raise ConfigError(f"grad_check.num_models must be >= 1, got {gc['num_models']}",
+                          args.config)
     if not gc["tolerance"] > 0:
-        raise ConfigError(f"grad_check.tolerance must be > 0, got {gc['tolerance']}")
+        raise ConfigError(f"grad_check.tolerance must be > 0, got {gc['tolerance']}",
+                          args.config)
     lo, hi = train_mod.FD_STEP_MIN, train_mod.FD_STEP_MAX
     if not lo <= gc["step"] <= hi:
-        raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}")
+        raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}",
+                          args.config)
     kind = model_mod.require_key(config, ["grad_check", "structure"], args.config,
                                  model_mod.StructureKind)
-    rng = np.random.default_rng(_seed("grad_check.seed", gc["seed"]))
+    rng = np.random.default_rng(_seed(args.config, "grad_check.seed", gc["seed"]))
     worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
     worst_at = {}  # group -> (model, theta offset)
 
@@ -292,32 +302,32 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK
 
 
-def _view_index(key: str, token, views) -> int:
+def _view_index(path: str | None, key: str, token, views) -> int:
     """The index of a view given by name or by index, or a ConfigError that
-    names the config key and lists the views."""
+    names the config file and key and lists the views."""
     names = [v.name for v in views]
     if token in names:
         return names.index(token)
     if str(token).isdecimal() and int(token) < len(names):
         return int(token)
     listed = ", ".join(f"{i} {n!r}" for i, n in enumerate(names))
-    raise ConfigError(f"{key}: no view {token!r}; the views are {listed}")
+    raise ConfigError(f"{key}: no view {token!r}; the views are {listed}", path)
 
 
-def _parse_selection(selection, dataset):
+def _parse_selection(path: str | None, selection, dataset):
     if selection in ("all", "shared"):
         return selection
     if selection.startswith("specific:"):
-        return ("specific", _view_index("eval.selection", selection.split(":", 1)[1],
+        return ("specific", _view_index(path, "eval.selection", selection.split(":", 1)[1],
                                         dataset.views))
-    raise ConfigError(f"unknown selection {selection!r}")
+    raise ConfigError(f"eval.selection: unknown selection {selection!r}", path)
 
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
     dataset = _load_data_arg(args, config)
     params = model_mod.load_checkpoint(args.checkpoint)
-    selection = _parse_selection(config["eval"]["selection"], dataset)
+    selection = _parse_selection(args.config, config["eval"]["selection"], dataset)
     features = eval_mod.extract_features(params, dataset, selection)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "features.csv")
@@ -334,22 +344,22 @@ def cmd_eval_knn(args) -> int:
     if dataset.labels is None:
         raise ConfigError(f"eval-knn requires a labeled dataset, but {args.data} has no labels")
     ecfg = config["eval"]
-    selection = _parse_selection(ecfg["selection"], dataset)
+    selection = _parse_selection(args.config, ecfg["selection"], dataset)
     if not ecfg["ks"]:
-        raise ConfigError("eval.ks is empty")
+        raise ConfigError("eval.ks is empty", args.config)
     if min(ecfg["ks"]) < 1:
-        raise ConfigError(f"eval.ks values must be >= 1, got {min(ecfg['ks'])}")
-    seed = _seed("eval.knn_seed", ecfg["knn_seed"])
+        raise ConfigError(f"eval.ks values must be >= 1, got {min(ecfg['ks'])}", args.config)
+    seed = _seed(args.config, "eval.knn_seed", ecfg["knn_seed"])
     try:
         train_set, test_set = data_mod.train_test_split(dataset, ecfg["test_fraction"], seed)
     except data_mod.SplitFractionError as exc:  # names test_fraction and its value
-        raise ConfigError(f"eval.{exc}") from None
+        raise ConfigError(f"eval.{exc}", args.config) from None
     tr_feat = eval_mod.extract_features(params, train_set, selection)
     te_feat = eval_mod.extract_features(params, test_set, selection)
     ks = [k for k in ecfg["ks"] if k <= tr_feat.values.shape[0]]
     if not ks:
         raise ConfigError(f"eval.ks: every k exceeds the training-set size "
-                          f"{tr_feat.values.shape[0]}")
+                          f"{tr_feat.values.shape[0]}", args.config)
     rows = eval_mod.knn_sweep(tr_feat, train_set.labels, te_feat,
                               test_set.labels, ks)
     print(eval_mod.format_sweep_table(rows))
@@ -363,9 +373,9 @@ def cmd_render_filters(args) -> int:
     config = load_config(args.config)
     params = model_mod.load_checkpoint(args.checkpoint)
     ecfg = config["eval"]
-    view = _view_index("eval.view", ecfg["view"], params.views)
+    view = _view_index(args.config, "eval.view", ecfg["view"], params.views)
     if ecfg["grid_cols"] < 1:
-        raise ConfigError(f"eval.grid_cols must be >= 1, got {ecfg['grid_cols']}")
+        raise ConfigError(f"eval.grid_cols must be >= 1, got {ecfg['grid_cols']}", args.config)
     written = eval_mod.export_filter_images(
         params, view, args.out, grid_cols=ecfg["grid_cols"])
     for path in written:

@@ -290,15 +290,14 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
     n_total = config.num_classes * config.samples_per_class
     labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
 
-    # Two draws per sample and view, made one call at a time: each call
-    # drops its leftover 32-bit half, so fewer, larger calls would change
-    # the stream and every dataset.
-    shifts = np.empty((n_total, 2, 2), dtype=np.int64)
-    lines = np.empty((n_total, 2, config.noise_lines_per_image), dtype=np.int64)
-    for n in range(n_total):
-        for view in range(2):
-            shifts[n, view] = rng.integers(-config.jitter, config.jitter + 1, size=2)
-            lines[n, view] = rng.integers(0, side, size=config.noise_lines_per_image)
+    # One call with per-draw bounds, in the order of a loop over samples and
+    # views that draws 2 shifts and then the noise lines: numpy takes each
+    # bounded draw from the same 32-bit stream whatever the call's size.
+    k = config.noise_lines_per_image
+    low = np.repeat([-config.jitter, 0], [2, k])
+    high = np.repeat([config.jitter + 1, side], [2, k])
+    draws = rng.integers(low, high, size=(n_total, 2, 2 + k))
+    shifts, lines = draws[..., :2], draws[..., 2:]
 
     samples = np.arange(n_total)
     offsets = np.arange(_GLYPH_SIDE)

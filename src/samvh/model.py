@@ -22,7 +22,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import secrets
 from dataclasses import dataclass
 from enum import Enum
 
@@ -615,7 +614,7 @@ def write_json(doc, path: str) -> None:
     open(path, "w") gives a new file (tempfile.mkstemp would make it 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:

@@ -11,8 +11,7 @@ mutated section. A rejected input must exit 2 (bad input) or 3 (I/O),
 name the file on stderr (and a removed key, or a wrong-typed value of a
 TYPED field, by its key path), and raise nothing. An accepted one must
 exit 0, and an extra key in a checkpoint or a manifest must leave the
-output bytes as they were; in a config, an extra key is an error outside
-the `views` records.
+output bytes as they were; in a config, an extra key is an error.
 """
 import copy
 import json
@@ -69,6 +68,29 @@ OUT_OF_RANGE = {
         "views.*.dim": [0, -1, 3.0, 10 ** 6],
         "views.*.family": ["", "poisson"],
         "grad_check.structure": ["gated"],
+        "grad_check.num_models": [0],
+        "grad_check.step": [0, 1.0],
+        "grad_check.tolerance": [0, -1e-5],
+        "grad_check.seed": [-1],
+        "synth.num_classes": [1, 11],
+        "synth.samples_per_class": [0],
+        "synth.image_side": [9],
+        "synth.noise_lines_per_image": [-1],
+        "synth.jitter": [-1],
+        "model.hidden_dim": [0, -1],
+        "train.epochs": [-1],
+        "train.batch_size": [0],
+        "train.learning_rate": [0],
+        "train.momentum": [1.0, -0.5],
+        "train.cd_steps": [0],
+        "train.switch_lr_scale": [0],
+        "train.weight_decay": [-0.5],
+        "eval.ks": [[], [0]],
+        "eval.test_fraction": [0, 1.5],
+        "eval.selection": ["", "specific:9"],
+        "eval.knn_seed": [-1],
+        "eval.grid_cols": [0],
+        "eval.view": [9, -1],
     },
 }
 # A format-1 checkpoint also gets shapes that do not fit its arrays' data.
@@ -251,12 +273,13 @@ def run_fresh(argv, out, capsys):
 
 def sweep_fields(doc_name, doc, target, runs, named, capsys):
     """Findings of running, with target holding each mutation of doc, each
-    (argv, out directory) of runs(path), path being the mutated key path.
-    An extra key must leave what a run writes as it was, or, in a config
-    outside its views records, be rejected."""
+    (argv, out directory) of runs(path, out_of_range), path being the
+    mutated key path and out_of_range whether the mutation is one of
+    OUT_OF_RANGE's values. An extra key must leave what a run writes as it
+    was, or, in a config, be rejected."""
     write_json_doc(doc, target)
     want = {}
-    for argv, out in runs(()):
+    for argv, out in runs((), False):
         code, err, want[out] = run_fresh(argv, out, capsys)
         assert code == cli.EXIT_OK, (argv, err)
     findings, cases = [], 0
@@ -266,7 +289,8 @@ def sweep_fields(doc_name, doc, target, runs, named, capsys):
         ok = accepted(doc_name, pattern, value)
         key = named_key(doc_name, pattern, path, value, wrong_type)
         write_json_doc(mutated, target)
-        for argv, out in runs(path):
+        out_of_range = value is not REMOVED and not wrong_type
+        for argv, out in runs(path, out_of_range):
             code, err, _ = run_fresh(argv, out, capsys)
             if ok or (ok is None and code == cli.EXIT_OK):
                 if code != cli.EXIT_OK:
@@ -276,10 +300,10 @@ def sweep_fields(doc_name, doc, target, runs, named, capsys):
                            stderr_names(doc_name, pattern, value, named), key)
     for path, mutated in with_extra_keys(doc):
         write_json_doc(mutated, target)
-        for argv, out in runs(path):
+        for argv, out in runs(path, False):
             code, err, files = run_fresh(argv, out, capsys)
             case = f"extra key under {path}, {command(argv)}"
-            if doc_name == "config" and path[:1] != ("views",):
+            if doc_name == "config":
                 check_case(findings, case, code, err, named)
             elif code != cli.EXIT_OK or files != want[out]:
                 findings.append(f"{case}: exit {code}: {err.strip()!r}")
@@ -303,7 +327,7 @@ def test_checkpoint_fields(fixture_dir, capsys):
     with open(ckpt) as fh:
         doc = json.load(fh)
     runs = checkpoint_runs(root, cfg, data_dir, broken)
-    findings = sweep_fields("checkpoint", doc, broken, lambda path: runs, [broken], capsys)
+    findings = sweep_fields("checkpoint", doc, broken, lambda *_: runs, [broken], capsys)
     assert not findings, "\n".join(findings)
 
 
@@ -323,7 +347,7 @@ def test_format_1_checkpoint_fields(tmp_path, capsys):
         doc = json.load(fh)
     argv = ["--config", cfg, "extract", "--checkpoint", broken, "--data", ",".join(csvs),
             "--out", out]
-    findings = sweep_fields("checkpoint_v1", doc, broken, lambda path: [(argv, out)],
+    findings = sweep_fields("checkpoint_v1", doc, broken, lambda *_: [(argv, out)],
                             [broken], capsys)
     assert not findings, "\n".join(findings)
 
@@ -336,7 +360,7 @@ def test_manifest_fields(fixture_dir, capsys):
     with open(manifest) as fh:
         doc = json.load(fh)
     argv = ["--config", cfg, "--seed", "1", "train", "--data", work, "--out", out]
-    findings = sweep_fields("manifest", doc, manifest, lambda path: [(argv, out)],
+    findings = sweep_fields("manifest", doc, manifest, lambda *_: [(argv, out)],
                             [manifest, os.path.join(work, "nope.csv")], capsys)
     assert not findings, "\n".join(findings)
 
@@ -374,9 +398,19 @@ def test_config_fields(fixture_dir, capsys):
                "views": ["train", "extract", "eval-knn"], "train": ["train"],
                "eval": ["extract", "eval-knn", "render-filters"],
                "grad_check": ["grad-check"]}
+    # Every command that reads a section checks the type of each of its keys,
+    # but an eval value out of range only in the commands that use that key.
+    range_readers = {"eval.selection": ["extract", "eval-knn"], "eval.ks": ["eval-knn"],
+                     "eval.test_fraction": ["eval-knn"], "eval.knn_seed": ["eval-knn"],
+                     "eval.grid_cols": ["render-filters"], "eval.view": ["render-filters"]}
 
-    def runs(path):
-        commands = readers[path[0]] if path else list(argvs)
+    def runs(path, out_of_range):
+        if not path:
+            commands = list(argvs)
+        elif out_of_range:
+            commands = range_readers.get(".".join(map(str, path[:2])), readers[path[0]])
+        else:
+            commands = readers[path[0]]
         return [(["--config", cfg, *argvs[c], *(["--out", str(root / c)]
                                                  if c != "grad-check" else [])],
                  str(root / c)) for c in commands]

@@ -180,13 +180,18 @@ class TestConfig:
                 ["train", "--data", ",".join(paths), "--out", str(tmp_path / "r")])
         code = cli.main(["--config", cfg, "--seed", "1", *argv])
         assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not os.path.exists(str(tmp_path / "r"))
 
     def test_seed_required(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--out", str(tmp_path / "d")])
         assert code == cli.EXIT_CONFIG
-        assert "seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a seed is required (config seed or --seed)\n"
+        cfg = write_config(tmp_path, {"synth": {"seed": None}})
+        code = cli.main(["--config", cfg, "gen-data", "--out", str(tmp_path / "d")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: a seed is required (config seed or --seed)\n")
 
     @pytest.mark.parametrize("command,flag_seed,doc,message", [
         ("gen-data", "-1", {}, "--seed must be >= 0, got -1"),
@@ -214,7 +219,8 @@ class TestConfig:
                          command, *argv])
         assert code == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
+        # A negative --seed is not the config's fault.
+        assert captured.err == f"error: {'' if flag_seed else cfg + ': '}{message}\n"
         assert captured.out == ""
         assert not os.path.exists(out)
 
@@ -468,7 +474,11 @@ class TestTrain:
          "['views'][0]['name'] must be a non-empty string, got 5"),
         ([{"name": "a", "family": "bernoulli", "dim": 3.0},
           {"name": "b", "family": "bernoulli"}],
-         "['views'][0]['dim'] must be a positive integer, got 3.0")])
+         "['views'][0]['dim'] must be a positive integer, got 3.0"),
+        # A typo'd dim is not left out: a record takes name, dim and family only.
+        ([{"name": "a", "family": "bernoulli"},
+          {"name": "b", "family": "bernoulli", "dmi": 3}],
+         "unknown key 'dmi' in ['views'][1]")])
     def test_views_entries_must_match_files(self, tmp_path, capsys, views, message):
         a, b = write_binary_csvs(tmp_path)
 
@@ -549,7 +559,7 @@ class TestGradCheck:
         assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         named = f"['grad_check'][{key!r}]" if key == "structure" else f"grad_check.{key}"
-        assert named in captured.err
+        assert captured.err.startswith(f"error: {cfg}: ") and named in captured.err
         assert captured.out == ""
 
     def test_passes(self, tmp_path, capsys):
@@ -693,8 +703,28 @@ class TestEvalPipeline:
         out = str(tmp_path / "knn")
         assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
                          "--data", data_dir, "--out", out]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not os.path.exists(out)
+
+    def test_default_ks_range_error(self, tmp_path, trained, capsys):
+        # 4 classes of 4 samples leave 8 training rows, fewer than the default
+        # ks' smallest, 10. A given config is named even though it left ks
+        # at its default; without one, the path is left out.
+        _, _, ckpt = trained
+        small_dir = str(tmp_path / "small")
+        synth_cfg = write_config(tmp_path, {"synth": dict(SMALL_SYNTH, samples_per_class=4)},
+                                 name="small.json")
+        assert cli.main(["--config", synth_cfg, "--seed", "2", "gen-data",
+                         "--out", small_dir]) == cli.EXIT_OK
+        capsys.readouterr()
+        cfg = write_config(tmp_path, {"train": {"seed": 3}}, name="seed_only.json")
+        message = "eval.ks: every k exceeds the training-set size 8"
+        for config, prefix in (["--config", cfg], f"{cfg}: "), ([], ""):
+            out = str(tmp_path / "knn")
+            assert cli.main([*config, "eval-knn", "--checkpoint", ckpt, "--data", small_dir,
+                             "--out", out]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+            assert not os.path.exists(out)
 
     @pytest.mark.parametrize("grid_cols", [0, -2])
     def test_grid_cols_range_error_names_the_key(self, tmp_path, trained, capsys,
@@ -704,7 +734,7 @@ class TestEvalPipeline:
         assert cli.main(["--config", cfg, "render-filters", "--checkpoint", trained[2],
                          "--out", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: eval.grid_cols must be >= 1, got {grid_cols}\n")
+            f"error: {cfg}: eval.grid_cols must be >= 1, got {grid_cols}\n")
         assert not os.path.exists(out)
 
     def test_dataset_views_must_match_checkpoint(self, tmp_path, trained, capsys):
@@ -871,7 +901,7 @@ class TestEvalPipeline:
                              "--data", data_dir, "--out", str(tmp_path / "f")])
             err = capsys.readouterr().err
             assert code == cli.EXIT_CONFIG, command
-            assert err.startswith("error: eval.selection: no view ")
+            assert err.startswith(f"error: {sel_cfg}: eval.selection: no view ")
             assert "0 'arabic', 1 'roman'" in err
 
     @pytest.mark.parametrize("view", [7, 2, -1])
@@ -883,7 +913,7 @@ class TestEvalPipeline:
                          "--out", str(tmp_path / "imgs")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err.startswith(f"error: eval.view: no view {view}")
+        assert err.startswith(f"error: {cfg}: eval.view: no view {view}")
         assert "0 'arabic', 1 'roman'" in err
         assert not os.path.exists(str(tmp_path / "imgs"))
 
@@ -894,6 +924,8 @@ class TestEvalPipeline:
         code = cli.main(["--config", sel_cfg, "extract", "--checkpoint", ckpt,
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {sel_cfg}: eval.selection: unknown selection 'best'\n")
 
     def test_render_non_square_view(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

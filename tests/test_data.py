@@ -115,7 +115,10 @@ class TestGenerate:
         SynthConfig(seed=9, samples_per_class=5, image_side=8, jitter=0),
         SynthConfig(seed=10, num_classes=2, samples_per_class=9),
         SynthConfig(seed=11, num_classes=3, samples_per_class=3, image_side=24,
-                    noise_lines_per_image=5, jitter=2)])
+                    noise_lines_per_image=5, jitter=2),
+        # The benchmark's datasets: 10 classes x 200 samples at sides 12 and 24.
+        SynthConfig(seed=12),
+        SynthConfig(seed=13, image_side=24)])
     def test_equals_per_sample_reference(self, cfg):
         ds, masks = generate_synthetic_paired(cfg, record_noise=True)
         want_images, want_masks, want_labels = reference_generate(cfg)
@@ -123,6 +126,20 @@ class TestGenerate:
         for got, want in zip(ds.view_arrays + masks, want_images + want_masks):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_bounded_draws_share_one_stream(self):
+        # The generator makes one call where the reference makes one per
+        # sample and view. That is byte-identical only because numpy takes
+        # bounded draws one 32-bit half at a time from the bit generator's
+        # own buffer, whatever the call's size or bounds; if a numpy release
+        # changes that, this test names the cause.
+        rngs = [np.random.default_rng(17) for _ in range(3)]
+        calls = np.concatenate([rngs[0].integers(0, 12, size=3) for _ in range(4)])
+        one_call = rngs[1].integers(0, 12, size=12)
+        bounds = rngs[2].integers(np.zeros(12, dtype=np.int64), np.full(12, 12))
+        assert calls.tolist() == one_call.tolist() == bounds.tolist()
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]
 
 
 def reference_generate(config: SynthConfig):
