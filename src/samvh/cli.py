@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -44,8 +45,8 @@ _DEFAULTS = {
     "synth": _settings_defaults(data_mod.SynthConfig),
     "model": {
         "hidden_dim": 60,
-        "hidden_family": "bernoulli",
-        "structure": "sa",
+        "hidden_family": model_mod.Family.BERNOULLI,
+        "structure": model_mod.StructureKind.SA,
         "mvh_mask": None,
     },
     "views": None,  # optional list of {name, family[, dim]}, one per raw CSV file
@@ -63,14 +64,31 @@ _DEFAULTS = {
         "step": 1e-5,
         "tolerance": 1e-5,
         "seed": 0,
-        "structure": "sa",
+        "structure": model_mod.StructureKind.SA,
     },
 }
 
+# By key name, the range rule (as errors state it) and its test of each value
+# that neither SynthConfig nor TrainConfig checks; a seed is >= 0 when set.
+_RANGES = {
+    "seed": (">= 0", lambda v: v >= 0),
+    "hidden_dim": (">= 1", lambda v: v >= 1),
+    "ks": ("a non-empty list of integers >= 1", lambda v: v != [] and min(v) >= 1),
+    "test_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
+    "selection": ("'all', 'shared' or 'specific:<view>'",
+                  lambda v: v in ("all", "shared") or v.startswith("specific:")),
+    "knn_seed": (">= 0", lambda v: v >= 0),
+    "grid_cols": (">= 1", lambda v: v >= 1),
+    "num_models": (">= 1", lambda v: v >= 1),
+    "step": (f"in [{train_mod.FD_STEP_MIN:g}, {train_mod.FD_STEP_MAX:g}]",
+             lambda v: train_mod.FD_STEP_MIN <= v <= train_mod.FD_STEP_MAX),
+    "tolerance": ("> 0", lambda v: v > 0),
+}
 
 # Keys whose default is null, and the JSON type a non-null value must have.
 _NULLABLE = {"seed": int, "mvh_mask": list, "views": list}
-_JSON_NAMES = {int: "integer", float: "number", str: "string", list: "list"}
+_JSON_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), list: ("a list", "lists")}
 
 
 def _is_json_type(value, want: type) -> bool:
@@ -81,53 +99,85 @@ def _is_json_type(value, want: type) -> bool:
     return isinstance(value, (int, float) if want is float else want)
 
 
-def _check_type(path: str, where: str, key: str, value, default) -> None:
+def _check_value(path: str, keys: list, value, default) -> None:
     """Raise a ConfigError unless value has the JSON type of its default
-    (for a list, the type of each of the default's items)."""
+    (for a list, the type of each of the default's items) and, unless null,
+    keeps the range rule of its key."""
     if default is None:
-        want = _NULLABLE[key]
+        want = _NULLABLE[keys[-1]]
         ok = value is None or _is_json_type(value, want)
-        expected = f"{_JSON_NAMES[want]} or null"
+        expected = f"{_JSON_NAMES[want][0]} or null"
     elif isinstance(default, list):
         item = type(default[0])
         ok = isinstance(value, list) and all(_is_json_type(v, item) for v in value)
-        expected = f"list of {_JSON_NAMES[item]}s"
+        expected = f"a list of {_JSON_NAMES[item][1]}"
     else:
         ok = _is_json_type(value, type(default))
-        expected = _JSON_NAMES[type(default)]
+        expected = _JSON_NAMES[type(default)][0]
     if not ok:
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}", path)
+        raise ConfigError(f"{model_mod.key_path(keys)} must be {expected}, got {value!r}", path)
+    rule, test = _RANGES.get(keys[-1], ("", None))
+    if value is not None and test and not test(value):
+        raise ConfigError(f"{model_mod.key_path(keys)} must be {rule}, got {value!r}", path)
 
 
 def load_config(path: str | None) -> dict:
-    """Merge a JSON config over the defaults; unknown keys and values whose
-    type differs from the default's are an error."""
+    """The defaults merged with a JSON config, after checking every rule that
+    needs no data or checkpoint; a fault is a ConfigError naming the file and
+    the key path. Enum names become members, and an MVH mask a bool array."""
     merged = {sec: (dict(v) if isinstance(v, dict) else v)
               for sec, v in _DEFAULTS.items()}
-    if path is None:
-        return merged
-    user = model_mod.read_json(path)
+    user = {} if path is None else model_mod.read_json(path)
     if not isinstance(user, dict):
         raise ConfigError("top level must be an object", path)
     for section, values in user.items():
         if section not in merged:
             raise ConfigError(f"unknown config section {section!r}", path)
         if section == "views":
-            _check_type(path, "views", "views", values, None)
-            for i, record in enumerate(values or []):
-                for key in record if isinstance(record, dict) else ():
-                    if key not in ("name", "dim", "family"):
-                        raise ConfigError(f"unknown key {key!r} in ['views'][{i}]", path)
+            _check_value(path, ["views"], values, None)
             merged["views"] = values
             continue
         if not isinstance(values, dict):
-            raise ConfigError(f"section {section!r} must be an object", path)
+            raise ConfigError(f"{model_mod.key_path([section])} must be an object, "
+                              f"got {values!r}", path)
         for key, val in values.items():
             if key not in merged[section]:
                 raise ConfigError(
-                    f"unknown key {key!r} in section {section!r}", path)
-            _check_type(path, f"{section}.{key}", key, val, _DEFAULTS[section][key])
+                    f"unknown key {key!r} in {model_mod.key_path([section])}", path)
+            default = _DEFAULTS[section][key]
+            if isinstance(default, Enum):  # the name of a member, which replaces it
+                val = model_mod.require_key(user, [section, key], path, type(default))
+            else:
+                _check_value(path, [section, key], val, default)
             merged[section][key] = val
+
+    for section, cls in (("synth", data_mod.SynthConfig), ("train", train_mod.TrainConfig)):
+        try:
+            cls(**merged[section])
+        except ValueError as exc:  # whose message starts with the field's name
+            field, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{model_mod.key_path([section, field])} {rest}", path) from None
+
+    model = merged["model"]
+    if model["structure"] is model_mod.StructureKind.MVH:
+        try:
+            mask = model_mod.StructureMode(model["structure"], model["mvh_mask"]).mask
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"['model']['mvh_mask']: {exc}", path) from None
+        if mask.shape[1] != model["hidden_dim"]:
+            raise ConfigError(f"['model']['mvh_mask'] has {mask.shape[1]} columns, but "
+                              f"['model']['hidden_dim'] is {model['hidden_dim']}", path)
+        model["mvh_mask"] = mask
+
+    if merged["views"] is not None:
+        _, families = model_mod.require_views(merged, path)
+        for i, record in enumerate(merged["views"]):
+            unknown = sorted(record.keys() - {"name", "dim", "family"})
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in ['views'][{i}]", path)
+            if "dim" in record:
+                model_mod.require_key(merged, ["views", i, "dim"], path, int)
+            record["family"] = families[i]
     return merged
 
 
@@ -137,46 +187,15 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
             for name, ss in zip(("data", "init", "cd"), children)}
 
 
-def _seed(path: str | None, source: str, seed: int) -> int:
-    """seed, or a ConfigError naming its source (numpy takes no negative seed)."""
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}", path)
-    return seed
-
-
 def _settings(cls, path: str | None, config: dict, key: str, flag_seed):
     """A settings dataclass from the config section key. The seed comes from
-    --seed, else from the config, and one is required. A range error names
-    the config file and the key, e.g. `train.cd_steps must be >= 1, got 0`."""
-    section = config[key]
-    if flag_seed is not None:
-        seed = _seed(None, "--seed", flag_seed)
-    elif section["seed"] is None:
+    --seed, else from the config, and one is required."""
+    seed = config[key]["seed"] if flag_seed is None else flag_seed
+    if seed is None:
         raise ConfigError("a seed is required (config seed or --seed)", path)
-    else:
-        seed = _seed(path, f"{key}.seed", section["seed"])
-    try:
-        return cls(**{**section, "seed": seed})
-    except ValueError as exc:
-        raise ConfigError(f"{key}.{exc}", path) from None
-
-
-def _structure_from_config(path: str | None, config: dict,
-                           num_views: int) -> model_mod.StructureMode:
-    """The model section's structure; a fault names the config file."""
-    cfg = config["model"]
-    kind = model_mod.require_key(config, ["model", "structure"], path, model_mod.StructureKind)
-    if kind is not model_mod.StructureKind.MVH:
-        return model_mod.StructureMode(kind)
-    try:
-        structure = model_mod.StructureMode(kind, cfg["mvh_mask"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.mvh_mask: {exc}", path) from None
-    if structure.mask.shape != (num_views, cfg["hidden_dim"]):
-        raise ConfigError(
-            f"model.mvh_mask shape {structure.mask.shape} does not match "
-            f"(views={num_views}, hidden_dim={cfg['hidden_dim']})", path)
-    return structure
+    if seed < 0:  # only --seed, as load_config checked the config's
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return cls(**{**config[key], "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +231,12 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     if len(entries) != len(paths):
         raise ConfigError(f"['views'] has {len(entries)} entries for "
                           f"the {len(paths)} files {args.data}", args.config)
-    names, families = model_mod.require_views(config, args.config)
-    dims = [model_mod.require_key(config, ["views", i, "dim"], args.config, int)
-            if "dim" in entry else None for i, entry in enumerate(entries)]
-    dataset = data_mod.load_multiview_csv(paths, args.labels, families=families, names=names)
-    for i, (dim, view) in enumerate(zip(dims, dataset.views)):
-        if dim not in (None, view.dim):
-            raise ConfigError(f"['views'][{i}]['dim'] is {dim}, but "
+    dataset = data_mod.load_multiview_csv(paths, args.labels,
+                                          families=[e["family"] for e in entries],
+                                          names=[e["name"] for e in entries])
+    for i, (entry, view) in enumerate(zip(entries, dataset.views)):
+        if entry.get("dim", view.dim) != view.dim:
+            raise ConfigError(f"['views'][{i}]['dim'] is {entry['dim']}, but "
                               f"{paths[i]} has {view.dim} columns", args.config)
     return dataset
 
@@ -231,16 +249,15 @@ def cmd_train(args) -> int:
     streams = _substreams(train_cfg.seed)
 
     mcfg = config["model"]
-    if mcfg["hidden_dim"] < 1:
-        raise ConfigError(f"model.hidden_dim must be >= 1, got {mcfg['hidden_dim']}",
-                          args.config)
-    structure = _structure_from_config(args.config, config, dataset.num_views)
+    mask = mcfg["mvh_mask"] if mcfg["structure"] is model_mod.StructureKind.MVH else None
+    if mask is not None and len(mask) != dataset.num_views:
+        raise ConfigError(f"['model']['mvh_mask'] has {len(mask)} rows for the "
+                          f"{dataset.num_views} views of the data", args.config)
     params = model_mod.init_params(
         views=dataset.views,
         hidden_dim=mcfg["hidden_dim"],
-        hidden_family=model_mod.require_key(config, ["model", "hidden_family"], args.config,
-                                            model_mod.Family),
-        structure=structure,
+        hidden_family=mcfg["hidden_family"],
+        structure=model_mod.StructureMode(mcfg["structure"], mask),
         rng=streams["init"],
     )
 
@@ -259,19 +276,8 @@ def cmd_train(args) -> int:
 def cmd_grad_check(args) -> int:
     config = load_config(args.config)
     gc = config["grad_check"]
-    if gc["num_models"] < 1:
-        raise ConfigError(f"grad_check.num_models must be >= 1, got {gc['num_models']}",
-                          args.config)
-    if not gc["tolerance"] > 0:
-        raise ConfigError(f"grad_check.tolerance must be > 0, got {gc['tolerance']}",
-                          args.config)
-    lo, hi = train_mod.FD_STEP_MIN, train_mod.FD_STEP_MAX
-    if not lo <= gc["step"] <= hi:
-        raise ConfigError(f"grad_check.step must be in [{lo:g}, {hi:g}], got {gc['step']}",
-                          args.config)
-    kind = model_mod.require_key(config, ["grad_check", "structure"], args.config,
-                                 model_mod.StructureKind)
-    rng = np.random.default_rng(_seed(args.config, "grad_check.seed", gc["seed"]))
+    kind = gc["structure"]
+    rng = np.random.default_rng(gc["seed"])
     worst = dict.fromkeys(model_mod.PARAM_GROUPS, 0.0)
     worst_at = {}  # group -> (model, theta offset)
 
@@ -315,12 +321,10 @@ def _view_index(path: str | None, key: str, token, views) -> int:
 
 
 def _parse_selection(path: str | None, selection, dataset):
-    if selection in ("all", "shared"):
+    if not selection.startswith("specific:"):  # "all" or "shared" (see load_config)
         return selection
-    if selection.startswith("specific:"):
-        return ("specific", _view_index(path, "eval.selection", selection.split(":", 1)[1],
-                                        dataset.views))
-    raise ConfigError(f"eval.selection: unknown selection {selection!r}", path)
+    return ("specific", _view_index(path, "['eval']['selection']",
+                                    selection.split(":", 1)[1], dataset.views))
 
 
 def cmd_extract(args) -> int:
@@ -345,20 +349,17 @@ def cmd_eval_knn(args) -> int:
         raise ConfigError(f"eval-knn requires a labeled dataset, but {args.data} has no labels")
     ecfg = config["eval"]
     selection = _parse_selection(args.config, ecfg["selection"], dataset)
-    if not ecfg["ks"]:
-        raise ConfigError("eval.ks is empty", args.config)
-    if min(ecfg["ks"]) < 1:
-        raise ConfigError(f"eval.ks values must be >= 1, got {min(ecfg['ks'])}", args.config)
-    seed = _seed(args.config, "eval.knn_seed", ecfg["knn_seed"])
     try:
-        train_set, test_set = data_mod.train_test_split(dataset, ecfg["test_fraction"], seed)
-    except data_mod.SplitFractionError as exc:  # names test_fraction and its value
-        raise ConfigError(f"eval.{exc}", args.config) from None
+        train_set, test_set = data_mod.train_test_split(dataset, ecfg["test_fraction"],
+                                                        ecfg["knn_seed"])
+    except data_mod.SplitFractionError:  # in (0, 1) (see load_config), so a side is empty
+        raise ConfigError(f"['eval']['test_fraction'] {ecfg['test_fraction']} leaves "
+                          "one side of the split empty", args.config) from None
     tr_feat = eval_mod.extract_features(params, train_set, selection)
     te_feat = eval_mod.extract_features(params, test_set, selection)
     ks = [k for k in ecfg["ks"] if k <= tr_feat.values.shape[0]]
     if not ks:
-        raise ConfigError(f"eval.ks: every k exceeds the training-set size "
+        raise ConfigError(f"['eval']['ks']: every k exceeds the training-set size "
                           f"{tr_feat.values.shape[0]}", args.config)
     rows = eval_mod.knn_sweep(tr_feat, train_set.labels, te_feat,
                               test_set.labels, ks)
@@ -373,9 +374,7 @@ def cmd_render_filters(args) -> int:
     config = load_config(args.config)
     params = model_mod.load_checkpoint(args.checkpoint)
     ecfg = config["eval"]
-    view = _view_index(args.config, "eval.view", ecfg["view"], params.views)
-    if ecfg["grid_cols"] < 1:
-        raise ConfigError(f"eval.grid_cols must be >= 1, got {ecfg['grid_cols']}", args.config)
+    view = _view_index(args.config, "['eval']['view']", ecfg["view"], params.views)
     written = eval_mod.export_filter_images(
         params, view, args.out, grid_cols=ecfg["grid_cols"])
     for path in written:

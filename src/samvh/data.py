@@ -462,6 +462,8 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
                 except ValueError:
                     raise CsvFormatError(
                         f"{label_path}:{lineno}: non-integer label {line!r}") from None
+                if not -2 ** 63 <= raw[-1] < 2 ** 63:
+                    raise CsvFormatError(f"{label_path}:{lineno}: label {line} is outside int64")
         if len(raw) != n_rows:
             raise CsvFormatError(
                 f"{label_path}: has {len(raw)} labels, views have {n_rows} rows")

@@ -79,8 +79,6 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
         raise ValueError(f"k={k} must be in [1, {X.shape[0]}]")
     if len(train_labels) != X.shape[0] or len(test_labels) != Q.shape[0]:
         raise ValueError("need one label per feature row")
-    if train_labels.min() < 0:
-        raise ValueError("training labels must be non-negative")
 
     # Squared distances preserve the Euclidean ordering. Built in one buffer:
     # |q|^2 - 2 q.x + |x|^2, rounded as if written out in that order.
@@ -98,13 +96,14 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
     if ties.size:
         nearest[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, :k]
     del d2  # free the distances before the (Q, k) vote arrays exist
-    # Votes per (query, label) from one bincount over offset labels.
-    n_labels = int(train_labels.max()) + 1
-    cells = train_labels[nearest]
-    cells += np.arange(Q.shape[0])[:, None] * n_labels
+    # Votes per (query, distinct label) from one bincount over offset label
+    # indices. The labels are sorted, so argmax picks the smallest on ties.
+    classes, index = np.unique(train_labels, return_inverse=True)
+    cells = index[nearest]
+    cells += np.arange(Q.shape[0])[:, None] * len(classes)
     votes = np.bincount(cells.ravel(),
-                        minlength=Q.shape[0] * n_labels).reshape(-1, n_labels)
-    predicted = votes.argmax(axis=1)  # argmax picks the smallest label on ties
+                        minlength=Q.shape[0] * len(classes)).reshape(Q.shape[0], -1)
+    predicted = classes[votes.argmax(axis=1)]
     return int(np.count_nonzero(predicted == test_labels)) / len(test_labels)
 
 

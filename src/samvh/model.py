@@ -635,7 +635,7 @@ _KINDS = {
 }
 
 
-def _key_path(path: list) -> str:
+def key_path(path: list) -> str:
     return "".join(f"[{k!r}]" for k in path)
 
 
@@ -649,7 +649,7 @@ def require_key(doc, path: list, source: str, kind: type | None = None):
         try:
             node = node[key]
         except (KeyError, IndexError, TypeError):
-            raise MissingKeyError(f"{source}: missing key {_key_path(path[:i + 1])}") from None
+            raise MissingKeyError(f"{source}: missing key {key_path(path[:i + 1])}") from None
     if kind is None:
         return node
     if issubclass(kind, Enum):
@@ -661,7 +661,7 @@ def require_key(doc, path: list, source: str, kind: type | None = None):
         return node
     else:
         wanted = _KINDS[kind][0]
-    raise MalformedDocumentError(f"{source}: {_key_path(path)} must be {wanted}, "
+    raise MalformedDocumentError(f"{source}: {key_path(path)} must be {wanted}, "
                                  f"got {node!r:.40}")
 
 

@@ -6,17 +6,20 @@ of another JSON type, set out of range, removed, or joined by an extra
 key. Each view CSV is emptied or truncated. Each case runs through
 `cli.main` in process: `extract`, `eval-knn` and `render-filters` for a
 checkpoint (`extract` for format 1), `train` for a manifest, `train` and
-`extract` for a view CSV, and for a config every command that reads the
-mutated section. A rejected input must exit 2 (bad input) or 3 (I/O),
-name the file on stderr (and a removed key, or a wrong-typed value of a
-TYPED field, by its key path), and raise nothing. An accepted one must
-exit 0, and an extra key in a checkpoint or a manifest must leave the
-output bytes as they were; in a config, an extra key is an error.
+`extract` for a view CSV, and for a config every command, except that a
+value which only the data or a checkpoint can show to be wrong goes to
+the commands that read those (DATA_DEPENDENT). A rejected input must exit
+2 (bad input) or 3 (I/O), name the file on stderr (and a removed key, a
+wrong-typed value of a TYPED field or any config fault, by its key path),
+and raise nothing. An accepted one must exit 0, and an extra key in a
+checkpoint or a manifest must leave the output bytes as they were; in a
+config, an extra key is an error.
 """
 import copy
 import json
 import os
 import shutil
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -63,7 +66,8 @@ OUT_OF_RANGE = {
     "config": {
         "model.structure": ["", "gated"],
         "model.hidden_family": ["poisson"],
-        "model.mvh_mask": [[], [[1, 0, 1]]],
+        "model.mvh_mask": [[], [[1, 0, 1]], [[1, 0], [0, 1]]],
+        "views": [[]],
         "views.*.name": [""],
         "views.*.dim": [0, -1, 3.0, 10 ** 6],
         "views.*.family": ["", "poisson"],
@@ -72,12 +76,14 @@ OUT_OF_RANGE = {
         "grad_check.step": [0, 1.0],
         "grad_check.tolerance": [0, -1e-5],
         "grad_check.seed": [-1],
+        "synth.seed": [-1],
         "synth.num_classes": [1, 11],
         "synth.samples_per_class": [0],
         "synth.image_side": [9],
         "synth.noise_lines_per_image": [-1],
         "synth.jitter": [-1],
-        "model.hidden_dim": [0, -1],
+        "model.hidden_dim": [0, -1, 5],
+        "train.seed": [-1],
         "train.epochs": [-1],
         "train.batch_size": [0],
         "train.learning_rate": [0],
@@ -85,8 +91,8 @@ OUT_OF_RANGE = {
         "train.cd_steps": [0],
         "train.switch_lr_scale": [0],
         "train.weight_decay": [-0.5],
-        "eval.ks": [[], [0]],
-        "eval.test_fraction": [0, 1.5],
+        "eval.ks": [[], [0], [10 ** 6]],
+        "eval.test_fraction": [0, 1.5, 0.01],
         "eval.selection": ["", "specific:9"],
         "eval.knn_seed": [-1],
         "eval.grid_cols": [0],
@@ -106,8 +112,6 @@ TYPED = {
                    "structure.kind", "hidden.dim", "hidden.family"},
     "manifest": {"views", "views.*.name", "views.*.dim", "views.*.family",
                  "num_samples", "view_files", "view_files.*", "label_file"},
-    "config": {"model.structure", "model.hidden_family", "grad_check.structure",
-               "views.*", "views.*.name", "views.*.dim", "views.*.family"},
 }
 TYPED["checkpoint_v1"] = TYPED["checkpoint"]
 
@@ -130,8 +134,12 @@ def accepted(doc_name, pattern, value):
             pattern == "label_file" and (value is None or value is REMOVED))
     if pattern.startswith("views."):
         return pattern == "views.*.dim" and value is REMOVED
-    nullable = pattern.split(".")[-1] in ("seed", "mvh_mask", "views")
-    return None if value is REMOVED or (value is None and nullable) else False
+    return None if value is REMOVED or (value is None and nullable(pattern)) else False
+
+
+def nullable(pattern):
+    """Whether a config key takes null for its default."""
+    return pattern.split(".")[-1] in ("seed", "mvh_mask", "views")
 
 
 def json_type(value):
@@ -216,22 +224,23 @@ def stderr_names(doc_name, pattern, value, named):
     return named
 
 
-def key_text(doc_name, path):
-    """A key path as errors give it: "['views'][0]['dim']", or for a config
-    key outside its views records, "model.structure"."""
-    if doc_name == "config" and (path[0] != "views" or len(path) == 1):
-        return ".".join(map(str, path))
+def key_text(path):
+    """A key path as errors give it, e.g. "['views'][0]['dim']"."""
     return "".join(f"[{key!r}]" for key in path)
 
 
 def named_key(doc_name, pattern, path, value, wrong_type):
-    """The key path that stderr must name, if the mutation removed a key
-    (not a list item; in a config, one of a views record) or gave a TYPED
-    field a value of another JSON type."""
+    """The key path that stderr must name: that of a removed key (not a list
+    item; in a config, only a views record's keys are required) or of a
+    TYPED field given a value of another JSON type; in a config, that of
+    the changed key or views record field (a list value as a whole)."""
     removed_key = value is REMOVED and isinstance(path[-1], str) and (
-        doc_name != "config" or path[:1] == ("views",) and len(path) > 1)
-    if removed_key or (wrong_type and pattern in TYPED[doc_name]):
-        return key_text(doc_name, path)
+        doc_name != "config" or path[0] == "views" and len(path) > 1)
+    if removed_key or (wrong_type and pattern in TYPED.get(doc_name, ())):
+        return key_text(path)
+    if doc_name == "config" and value is not REMOVED and not (
+            value is None and nullable(pattern)):
+        return key_text(path if path[0] == "views" else path[:2])
     return None
 
 
@@ -273,13 +282,13 @@ def run_fresh(argv, out, capsys):
 
 def sweep_fields(doc_name, doc, target, runs, named, capsys):
     """Findings of running, with target holding each mutation of doc, each
-    (argv, out directory) of runs(path, out_of_range), path being the
-    mutated key path and out_of_range whether the mutation is one of
-    OUT_OF_RANGE's values. An extra key must leave what a run writes as it
-    was, or, in a config, be rejected."""
+    (argv, out directory) of runs(pattern, value), the mutated key pattern
+    and its new value (REMOVED, or None for the unmutated document or an
+    extra key, whose pattern is ""). An extra key must leave what a run
+    writes as it was, or, in a config, be rejected."""
     write_json_doc(doc, target)
     want = {}
-    for argv, out in runs((), False):
+    for argv, out in runs("", None):
         code, err, want[out] = run_fresh(argv, out, capsys)
         assert code == cli.EXIT_OK, (argv, err)
     findings, cases = [], 0
@@ -289,8 +298,7 @@ def sweep_fields(doc_name, doc, target, runs, named, capsys):
         ok = accepted(doc_name, pattern, value)
         key = named_key(doc_name, pattern, path, value, wrong_type)
         write_json_doc(mutated, target)
-        out_of_range = value is not REMOVED and not wrong_type
-        for argv, out in runs(path, out_of_range):
+        for argv, out in runs(pattern, value):
             code, err, _ = run_fresh(argv, out, capsys)
             if ok or (ok is None and code == cli.EXIT_OK):
                 if code != cli.EXIT_OK:
@@ -300,7 +308,7 @@ def sweep_fields(doc_name, doc, target, runs, named, capsys):
                            stderr_names(doc_name, pattern, value, named), key)
     for path, mutated in with_extra_keys(doc):
         write_json_doc(mutated, target)
-        for argv, out in runs(path, False):
+        for argv, out in runs("", None):
             code, err, files = run_fresh(argv, out, capsys)
             case = f"extra key under {path}, {command(argv)}"
             if doc_name == "config":
@@ -365,9 +373,28 @@ def test_manifest_fields(fixture_dir, capsys):
     assert not findings, "\n".join(findings)
 
 
+# The config mutations that only the data or a checkpoint shows to be wrong,
+# by key pattern, and the commands that read them: a mask row count that is
+# not the data's view count, a views list without an entry for each file or
+# a dim that is not its file's column count, a view that the data or the
+# checkpoint lacks, ks all above the training-set size, and a fraction that
+# leaves a side of the split empty. Every other mutation goes to every command.
+DATA_DEPENDENT = {
+    "model.mvh_mask": ([[[1, 0, 1]]], ["train"]),
+    "views.*": ([REMOVED], ["train", "extract", "eval-knn"]),
+    "views.*.dim": ([10 ** 6], ["train", "extract", "eval-knn"]),
+    "eval.selection": (["specific:9"], ["extract", "eval-knn"]),
+    "eval.ks": ([[10 ** 6]], ["eval-knn"]),
+    "eval.test_fraction": ([0.01], ["eval-knn"]),
+    "eval.view": ([9, -1], ["render-filters"]),
+}
+
+
 def test_config_fields(fixture_dir, capsys):
     """A config with every key of every section, a mask and views records
-    for the fixture dataset's CSVs, each section read by its commands."""
+    for the fixture dataset's CSVs. Every command checks the whole config
+    when it reads it, so each mutation goes through every command, except
+    the DATA_DEPENDENT ones."""
     root, _, data_dir, ckpt = fixture_dir
     with open(os.path.join(data_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -394,29 +421,58 @@ def test_config_fields(fixture_dir, capsys):
         "eval-knn": ["eval-knn", "--checkpoint", ckpt, *data],
         "render-filters": ["render-filters", "--checkpoint", ckpt],
     }
-    readers = {"synth": ["gen-data"], "model": ["train"],
-               "views": ["train", "extract", "eval-knn"], "train": ["train"],
-               "eval": ["extract", "eval-knn", "render-filters"],
-               "grad_check": ["grad-check"]}
-    # Every command that reads a section checks the type of each of its keys,
-    # but an eval value out of range only in the commands that use that key.
-    range_readers = {"eval.selection": ["extract", "eval-knn"], "eval.ks": ["eval-knn"],
-                     "eval.test_fraction": ["eval-knn"], "eval.knn_seed": ["eval-knn"],
-                     "eval.grid_cols": ["render-filters"], "eval.view": ["render-filters"]}
 
-    def runs(path, out_of_range):
-        if not path:
-            commands = list(argvs)
-        elif out_of_range:
-            commands = range_readers.get(".".join(map(str, path[:2])), readers[path[0]])
-        else:
-            commands = readers[path[0]]
+    def runs(pattern, value):
+        values, commands = DATA_DEPENDENT.get(pattern, ([], argvs))
         return [(["--config", cfg, *argvs[c], *(["--out", str(root / c)]
                                                  if c != "grad-check" else [])],
-                 str(root / c)) for c in commands]
+                 str(root / c)) for c in (commands if value in values else argvs)]
 
     findings = sweep_fields("config", doc, cfg, runs, [cfg], capsys)
     assert not findings, "\n".join(findings)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_malformed_views_record_exits_2(fixture_dir, capsys, command):
+    """A views section is checked at load, also by the commands that read
+    no raw CSVs; a dataset directory's manifest names its own views."""
+    root, _, data_dir, _ = fixture_dir
+    cfg, out = str(root / "bad_views.json"), str(root / "bad_views_out")
+    write_json_doc(dict(CONFIG, views=[5, {"name": 7}]), cfg)
+    argv = ["gen-data"] if command == "gen-data" else ["train", "--data", data_dir]
+    code, err = run(["--config", cfg, "--seed", "1", *argv, "--out", out], capsys)
+    assert (code, err) == (cli.EXIT_CONFIG, f"error: {cfg}: missing key ['views'][0]['name']\n")
+    assert not os.path.exists(out)
+
+
+# Values of each JSON type that a range rule is likely to reject.
+PROBES = {int: [-1, 0, 10 ** 9], float: [-1.0, 0.0, 1.0, 1e9], str: ["", "x"],
+          list: [[], [0], [2]]}
+
+
+def test_every_config_range_rule_is_fuzzed(tmp_path):
+    """Each config key whose value load_config rejects for a probe of the
+    right JSON type, by a rule of its own or of SynthConfig or TrainConfig,
+    has values in OUT_OF_RANGE["config"], so test_config_fields runs it."""
+    cases = [("views", {"views": probe}) for probe in PROBES[list]]
+    for key, kind in (("name", str), ("dim", int), ("family", str)):
+        cases += [(f"views.*.{key}", {"views": [{"name": "v", "family": "bernoulli",
+                                                  key: probe}]}) for probe in PROBES[kind]]
+    for section, values in cli.load_config(None).items():
+        for key, default in (values or {}).items():
+            kind = {"seed": int, "mvh_mask": list}.get(key) if default is None else (
+                str if isinstance(default, Enum) else type(default))
+            cases += [(f"{section}.{key}", {section: {key: probe}}) for probe in PROBES[kind]]
+    cfg, ruled = str(tmp_path / "probe.json"), set()
+    for pattern, doc in cases:
+        write_json_doc(doc, cfg)
+        try:
+            cli.load_config(cfg)
+        except ValueError:
+            ruled.add(pattern)
+    assert {"views.*.dim", "train.cd_steps", "eval.ks", "model.structure"} <= ruled
+    missing = sorted(ruled - set(OUT_OF_RANGE["config"]))
+    assert not missing, f"range rules without an OUT_OF_RANGE['config'] entry: {missing}"
 
 
 def test_view_csv_bytes(fixture_dir, capsys):

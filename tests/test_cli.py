@@ -102,20 +102,25 @@ class TestConfig:
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_value_of_wrong_type_named(self, tmp_path, capsys):
-        cases = [({"train": {"epochs": "ten"}}, "train.epochs"),
-                 ({"train": {"batch_size": True}}, "train.batch_size"),
-                 ({"train": {"epochs": 3.0}}, "train.epochs"),
-                 ({"synth": {"seed": "7"}}, "synth.seed"),
-                 ({"eval": {"ks": [10, "30"]}}, "eval.ks"),
-                 ({"eval": {"test_fraction": None}}, "eval.test_fraction"),
-                 ({"model": {"mvh_mask": "all"}}, "model.mvh_mask"),
-                 ({"views": {"name": "a"}}, "views")]
-        for doc, where in cases:
+        cases = [
+            ({"train": {"epochs": "ten"}}, "['train']['epochs'] must be an integer, got 'ten'"),
+            ({"train": {"batch_size": True}},
+             "['train']['batch_size'] must be an integer, got True"),
+            ({"train": {"epochs": 3.0}}, "['train']['epochs'] must be an integer, got 3.0"),
+            ({"synth": {"seed": "7"}}, "['synth']['seed'] must be an integer or null, got '7'"),
+            ({"eval": {"ks": [10, "30"]}},
+             "['eval']['ks'] must be a list of integers, got [10, '30']"),
+            ({"eval": {"test_fraction": None}},
+             "['eval']['test_fraction'] must be a number, got None"),
+            ({"model": {"mvh_mask": "all"}},
+             "['model']['mvh_mask'] must be a list or null, got 'all'"),
+            ({"views": {"name": "a"}}, "['views'] must be a list or null, got {'name': 'a'}")]
+        for doc, message in cases:
             cfg = write_config(tmp_path, doc)
             code = cli.main(["--config", cfg, "--seed", "0", "gen-data",
                              "--out", str(tmp_path / "d")])
             assert code == cli.EXIT_CONFIG, doc
-            assert f": {where}: expected " in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     def test_int_for_number_and_null_seed_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"synth": dict(SMALL_SYNTH, seed=None),
@@ -132,8 +137,8 @@ class TestConfig:
         assert cli.load_config(None) == {
             "synth": {"num_classes": 10, "image_side": 12, "samples_per_class": 200,
                       "noise_lines_per_image": 2, "jitter": 1, "seed": None},
-            "model": {"hidden_dim": 60, "hidden_family": "bernoulli",
-                      "structure": "sa", "mvh_mask": None},
+            "model": {"hidden_dim": 60, "hidden_family": Family.BERNOULLI,
+                      "structure": StructureKind.SA, "mvh_mask": None},
             "views": None,
             "train": {"learning_rate": 0.1, "momentum": 0.9, "cd_steps": 1,
                       "epochs": 150, "batch_size": 20, "seed": None,
@@ -141,7 +146,7 @@ class TestConfig:
             "eval": {"ks": [10, 30, 50, 70, 100], "test_fraction": 0.5,
                      "selection": "all", "knn_seed": 0, "grid_cols": 8, "view": 0},
             "grad_check": {"num_models": 20, "step": 1e-5, "tolerance": 1e-5,
-                           "seed": 0, "structure": "sa"},
+                           "seed": 0, "structure": StructureKind.SA},
         }
 
     @pytest.mark.parametrize("section,key,value,command", [
@@ -164,24 +169,26 @@ class TestConfig:
         assert not os.path.exists(str(tmp_path / "r"))
 
     @pytest.mark.parametrize("section,key,value,message", [
-        ("train", "cd_steps", 0, "train.cd_steps must be >= 1, got 0"),
-        ("train", "momentum", 1.0, "train.momentum must be in [0, 1), got 1.0"),
-        ("train", "weight_decay", -0.5, "train.weight_decay must be >= 0, got -0.5"),
-        ("model", "hidden_dim", 0, "model.hidden_dim must be >= 1, got 0"),
-        ("model", "hidden_dim", -3, "model.hidden_dim must be >= 1, got -3"),
-        ("synth", "jitter", -1, "synth.jitter must be >= 0, got -1"),
+        ("train", "cd_steps", 0, "['train']['cd_steps'] must be >= 1, got 0"),
+        ("train", "momentum", 1.0, "['train']['momentum'] must be in [0, 1), got 1.0"),
+        ("train", "weight_decay", -0.5, "['train']['weight_decay'] must be >= 0, got -0.5"),
+        ("model", "hidden_dim", 0, "['model']['hidden_dim'] must be >= 1, got 0"),
+        ("model", "hidden_dim", -3, "['model']['hidden_dim'] must be >= 1, got -3"),
+        ("synth", "jitter", -1, "['synth']['jitter'] must be >= 0, got -1"),
         ("synth", "image_side", 9,
-         "synth.image_side must be >= 10 to fit 8x8 glyphs with jitter 1, got 9")])
+         "['synth']['image_side'] must be >= 10 to fit 8x8 glyphs with jitter 1, got 9")])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, section, key,
                                               value, message):
+        # Every command checks every value at load, whichever section it reads.
         paths = write_binary_csvs(tmp_path)
         cfg = write_config(tmp_path, {section: {key: value}})
-        argv = (["gen-data", "--out", str(tmp_path / "r")] if section == "synth" else
-                ["train", "--data", ",".join(paths), "--out", str(tmp_path / "r")])
-        code = cli.main(["--config", cfg, "--seed", "1", *argv])
-        assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
-        assert not os.path.exists(str(tmp_path / "r"))
+        for argv in (["gen-data", "--out", str(tmp_path / "r")],
+                     ["train", "--data", ",".join(paths), "--out", str(tmp_path / "r")],
+                     ["grad-check"]):
+            code = cli.main(["--config", cfg, "--seed", "1", *argv])
+            assert code == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+            assert not os.path.exists(str(tmp_path / "r"))
 
     def test_seed_required(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--out", str(tmp_path / "d")])
@@ -196,11 +203,12 @@ class TestConfig:
     @pytest.mark.parametrize("command,flag_seed,doc,message", [
         ("gen-data", "-1", {}, "--seed must be >= 0, got -1"),
         ("train", "-1", {}, "--seed must be >= 0, got -1"),
-        ("gen-data", None, {"synth": {"seed": -2}}, "synth.seed must be >= 0, got -2"),
-        ("train", None, {"train": {"seed": -1}}, "train.seed must be >= 0, got -1"),
+        ("gen-data", None, {"synth": {"seed": -2}}, "['synth']['seed'] must be >= 0, got -2"),
+        ("train", None, {"train": {"seed": -1}}, "['train']['seed'] must be >= 0, got -1"),
         ("grad-check", None, {"grad_check": {"seed": -1}},
-         "grad_check.seed must be >= 0, got -1"),
-        ("eval-knn", None, {"eval": {"knn_seed": -2}}, "eval.knn_seed must be >= 0, got -2")])
+         "['grad_check']['seed'] must be >= 0, got -1"),
+        ("eval-knn", None, {"eval": {"knn_seed": -2}},
+         "['eval']['knn_seed'] must be >= 0, got -2")])
     def test_negative_seed_names_its_source(self, tmp_path, capsys, command, flag_seed,
                                             doc, message):
         data_dir, ckpt = str(tmp_path / "d"), str(tmp_path / "run" / "checkpoint.json")
@@ -463,8 +471,10 @@ class TestTrain:
         ([{"name": "a", "family": "bernoulli", "dim": 3},
           {"name": "b", "family": "bernoulli", "dim": 3}],
          "['views'][1]['dim'] is 3, but {b} has 2 columns"),
+        # A record's fault is found at load, before the files are counted.
         ([{"name": "a", "family": "bernoulli"}] * 3 + [{"name": "c", "family": 5}],
-         "['views'] has 4 entries for the 2 files {a},{b}"),
+         "['views'][3]['family'] must be one of ['bernoulli', "
+         "'gaussian_unit_variance'], got 5"),
         ([{"name": "a", "family": "bernoulli"}],
          "['views'] has 1 entries for the 2 files {a},{b}"),
         ([{"name": "a", "family": "bernoulli"}, {"name": "b", "family": 5}],
@@ -503,23 +513,31 @@ class TestTrain:
             model={"hidden_dim": 4, "structure": "mvh",
                    "mvh_mask": [["a", "", 1, 0], [2, None, 0, 1]]})
         data_dir = str(tmp_path / "d")
-        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
-        code = cli.main(["--config", cfg, "--seed", "1", "train",
-                         "--data", data_dir, "--out", str(tmp_path / "r")])
-        assert code == cli.EXIT_CONFIG
-        assert "model.mvh_mask" in capsys.readouterr().err
-        assert not os.path.exists(str(tmp_path / "r"))
+        for argv in (["gen-data", "--out", data_dir],
+                     ["train", "--data", data_dir, "--out", str(tmp_path / "r")]):
+            assert cli.main(["--config", cfg, "--seed", "1", *argv]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: ['model']['mvh_mask']: mask items must be 0, 1, true or "
+                f"false, got 'a'\n")
+        assert not os.path.exists(data_dir) and not os.path.exists(str(tmp_path / "r"))
 
-    def test_bad_mvh_mask_shape(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mask,message", [
+        # Columns against hidden_dim at load, so gen-data rejects it too.
+        ([[1, 0], [0, 1]], "['model']['mvh_mask'] has 2 columns, but "
+                           "['model']['hidden_dim'] is 8"),
+        # Rows against the views, once train has read the data.
+        ([[1] * 8], "['model']['mvh_mask'] has 1 rows for the 2 views of the data")])
+    def test_bad_mvh_mask_shape(self, tmp_path, capsys, mask, message):
         cfg = small_config(
-            tmp_path,
-            model={"hidden_dim": 8, "structure": "mvh", "mvh_mask": [[1, 0]]})
+            tmp_path, model={"hidden_dim": 8, "structure": "mvh", "mvh_mask": mask})
         data_dir = str(tmp_path / "d")
-        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        code = cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        assert code == (cli.EXIT_CONFIG if "columns" in message else cli.EXIT_OK)
+        capsys.readouterr()
         code = cli.main(["--config", cfg, "--seed", "1", "train",
                          "--data", data_dir, "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_CONFIG
-        assert "mvh_mask" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 # Default `grad-check` output per structure mode, recorded before the
@@ -558,8 +576,7 @@ class TestGradCheck:
         cfg = write_config(tmp_path, {"grad_check": {key: value}})
         assert cli.main(["--config", cfg, "grad-check"]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        named = f"['grad_check'][{key!r}]" if key == "structure" else f"grad_check.{key}"
-        assert captured.err.startswith(f"error: {cfg}: ") and named in captured.err
+        assert captured.err.startswith(f"error: {cfg}: ['grad_check'][{key!r}] must be ")
         assert captured.out == ""
 
     def test_passes(self, tmp_path, capsys):
@@ -687,15 +704,16 @@ class TestEvalPipeline:
         assert hashlib.sha256(text).hexdigest() == self.FEATURE_DIGESTS[scale]
 
     @pytest.mark.parametrize("settings,message", [
-        ({"ks": []}, "eval.ks is empty"),
-        ({"ks": [0]}, "eval.ks values must be >= 1, got 0"),
-        ({"ks": [10, -3]}, "eval.ks values must be >= 1, got -3"),
-        ({"ks": [21, 30]}, "eval.ks: every k exceeds the training-set size 20"),
-        ({"test_fraction": 0}, "eval.test_fraction must be in (0, 1), got 0"),
-        ({"test_fraction": 1.5}, "eval.test_fraction must be in (0, 1), got 1.5"),
+        ({"ks": []}, "['eval']['ks'] must be a non-empty list of integers >= 1, got []"),
+        ({"ks": [0]}, "['eval']['ks'] must be a non-empty list of integers >= 1, got [0]"),
+        ({"ks": [10, -3]},
+         "['eval']['ks'] must be a non-empty list of integers >= 1, got [10, -3]"),
+        ({"ks": [21, 30]}, "['eval']['ks']: every k exceeds the training-set size 20"),
+        ({"test_fraction": 0}, "['eval']['test_fraction'] must be in (0, 1), got 0"),
+        ({"test_fraction": 1.5}, "['eval']['test_fraction'] must be in (0, 1), got 1.5"),
         # Inside (0, 1), but rounds to no test sample in any class of 10.
         ({"test_fraction": 0.01},
-         "eval.test_fraction 0.01 leaves one side of the split empty")])
+         "['eval']['test_fraction'] 0.01 leaves one side of the split empty")])
     def test_knn_range_error_names_the_key(self, tmp_path, trained, capsys, settings,
                                            message):
         _, data_dir, ckpt = trained
@@ -718,7 +736,7 @@ class TestEvalPipeline:
                          "--out", small_dir]) == cli.EXIT_OK
         capsys.readouterr()
         cfg = write_config(tmp_path, {"train": {"seed": 3}}, name="seed_only.json")
-        message = "eval.ks: every k exceeds the training-set size 8"
+        message = "['eval']['ks']: every k exceeds the training-set size 8"
         for config, prefix in (["--config", cfg], f"{cfg}: "), ([], ""):
             out = str(tmp_path / "knn")
             assert cli.main([*config, "eval-knn", "--checkpoint", ckpt, "--data", small_dir,
@@ -734,7 +752,7 @@ class TestEvalPipeline:
         assert cli.main(["--config", cfg, "render-filters", "--checkpoint", trained[2],
                          "--out", out]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: {cfg}: eval.grid_cols must be >= 1, got {grid_cols}\n")
+            f"error: {cfg}: ['eval']['grid_cols'] must be >= 1, got {grid_cols}\n")
         assert not os.path.exists(out)
 
     def test_dataset_views_must_match_checkpoint(self, tmp_path, trained, capsys):
@@ -901,7 +919,7 @@ class TestEvalPipeline:
                              "--data", data_dir, "--out", str(tmp_path / "f")])
             err = capsys.readouterr().err
             assert code == cli.EXIT_CONFIG, command
-            assert err.startswith(f"error: {sel_cfg}: eval.selection: no view ")
+            assert err.startswith(f"error: {sel_cfg}: ['eval']['selection']: no view ")
             assert "0 'arabic', 1 'roman'" in err
 
     @pytest.mark.parametrize("view", [7, 2, -1])
@@ -913,7 +931,7 @@ class TestEvalPipeline:
                          "--out", str(tmp_path / "imgs")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err.startswith(f"error: {cfg}: eval.view: no view {view}")
+        assert err.startswith(f"error: {cfg}: ['eval']['view']: no view {view}")
         assert "0 'arabic', 1 'roman'" in err
         assert not os.path.exists(str(tmp_path / "imgs"))
 
@@ -925,7 +943,8 @@ class TestEvalPipeline:
                          "--data", data_dir, "--out", str(tmp_path / "f")])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: {sel_cfg}: eval.selection: unknown selection 'best'\n")
+            f"error: {sel_cfg}: ['eval']['selection'] must be 'all', 'shared' or "
+            f"'specific:<view>', got 'best'\n")
 
     def test_render_non_square_view(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -936,3 +955,33 @@ class TestEvalPipeline:
                          "--out", str(tmp_path / "imgs")])
         assert code == cli.EXIT_CONFIG
         assert "perfect square" in capsys.readouterr().err
+
+
+class TestExperiment:
+    def test_recipe_runs(self, tmp_path, capsys):
+        # README "Experiment": one gen-data, then train, eval-knn and
+        # render-filters under an SA config and an all-shared DWH config; here
+        # at 1 epoch and 8 hidden units, with ks 1 and 3, and each view's
+        # filters rendered by setting eval.view.
+        data_dir = str(tmp_path / "data")
+        assert cli.main(["--seed", "5", "gen-data", "--out", data_dir]) == cli.EXIT_OK
+        for name in ("sa", "dwh"):
+            run_dir = tmp_path / "results" / name
+            ckpt = str(run_dir / "checkpoint.json")
+            doc = {"model": {"structure": name, "hidden_dim": 8}, "train": {"epochs": 1},
+                   "eval": {"ks": [1, 3]}}
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            assert cli.main(["--config", cfg, "--seed", "5", "train", "--data", data_dir,
+                             "--out", str(run_dir)]) == cli.EXIT_OK
+            assert cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                             "--data", data_dir, "--out", str(run_dir)]) == cli.EXIT_OK
+            for view in (0, 1):
+                cfg = write_config(tmp_path, dict(doc, eval={"view": view}), f"{name}.json")
+                assert cli.main(["--config", cfg, "render-filters", "--checkpoint", ckpt,
+                                 "--out", str(run_dir)]) == cli.EXIT_OK
+                assert list(run_dir.glob(f"filters_view{view}_*.pgm")), (name, view)
+            for artifact in ("checkpoint.json", "trainlog.csv", "knn_accuracy.csv"):
+                assert (run_dir / artifact).is_file(), (name, artifact)
+            lines = (run_dir / "knn_accuracy.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines] == ["k", "1", "3"]
+        assert "shared=" in capsys.readouterr().out

@@ -241,6 +241,18 @@ class TestCsv:
                 warnings.simplefilter("error")
                 assert _parse_matrix(p1).shape == (0, 0)
 
+    def test_label_beyond_int64_reported_with_location(self, tmp_path):
+        # Python reads any integer; the labels are held as int64.
+        p1, lab = str(tmp_path / "a.csv"), str(tmp_path / "lab.csv")
+        Path(p1).write_text("1\n2\n3\n")
+        for line in ("70000000000000000000000", str(2 ** 63), str(-2 ** 63 - 1)):
+            Path(lab).write_text(f"0\n\n{line}\n1\n")
+            with pytest.raises(CsvFormatError) as info:
+                load_multiview_csv([p1], lab)
+            assert str(info.value) == f"{lab}:3: label {line} is outside int64"
+        Path(lab).write_text(f"{2 ** 63 - 1}\n{-2 ** 63}\n0\n")
+        assert load_multiview_csv([p1], lab).labels.tolist() == [2 ** 63 - 1, -2 ** 63, 0]
+
     def test_row_count_mismatch(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         Path(p1).write_text("1\n2\n")

@@ -222,8 +222,17 @@ class TestKnn:
             knn_classify(X, y, X, y, k=0)
         with pytest.raises(ValueError, match="one label per feature row"):
             knn_classify(X, y, X, y[:3], k=1)
-        with pytest.raises(ValueError, match="non-negative"):
-            knn_classify(X, y - 1, X, y, k=1)
+
+    def test_votes_over_distinct_labels(self, rng):
+        # Relabelling {0, 1} as {-5, 10**9} keeps the order of the labels, so
+        # every accuracy, vote ties (even k) included, stays as it was; votes
+        # are counted per distinct label, not per value up to the largest.
+        Xtr, Xte = fm(rng.standard_normal((30, 2))), fm(rng.standard_normal((20, 2)))
+        ytr, yte = rng.integers(0, 2, size=30), rng.integers(0, 2, size=20)
+        relabel = np.array([-5, 10 ** 9])
+        for k in range(1, 31):
+            assert knn_classify(Xtr, relabel[ytr], Xte, relabel[yte], k) == \
+                knn_classify(Xtr, ytr, Xte, yte, k)
 
     def test_sweep_consistent_and_dedups(self, rng):
         X = fm(rng.standard_normal((9, 2)))
