@@ -422,19 +422,17 @@ def standardize_columns(matrix: np.ndarray) -> np.ndarray:
 
 def load_multiview_csv(paths: list[str], label_path: str | None = None,
                        families: list[Family] | None = None,
-                       standardize: bool | None = None,
                        names: list[str] | None = None) -> MultiViewDataset:
     """Load one CSV matrix per view (no header, one row per sample).
 
-    By default views are treated as real-valued Gaussian features and each
-    column is standardized; pass explicit families (e.g. Bernoulli for
-    binary data) to disable that. A file with no rows, or whose row count
-    differs from the first file's, is a CsvFormatError that names it.
+    By default views are treated as real-valued Gaussian features. When
+    every view is Gaussian, each column is standardized; pass explicit
+    families (e.g. Bernoulli for binary data) to keep the raw values. A file
+    with no rows, or whose row count differs from the first file's, is a
+    CsvFormatError that names it.
     """
     if families is None:
         families = [Family.GAUSSIAN_UNIT_VARIANCE] * len(paths)
-    if standardize is None:
-        standardize = all(f is Family.GAUSSIAN_UNIT_VARIANCE for f in families)
     if names is None:
         names = [f"view{k}" for k in range(len(paths))]
 
@@ -446,7 +444,7 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
         if m.shape[0] != n_rows:
             raise CsvFormatError(
                 f"{path}: has {m.shape[0]} rows, but {paths[0]} has {n_rows}")
-    if standardize:
+    if all(f is Family.GAUSSIAN_UNIT_VARIANCE for f in families):
         matrices = [standardize_columns(m) for m in matrices]
 
     labels = None

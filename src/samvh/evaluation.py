@@ -35,7 +35,7 @@ class FeatureMatrix:
 def _selected_units(params: HarmoniumParams, selection) -> tuple[list[int], str]:
     if selection == "all":
         return list(range(params.hidden_dim)), "all"
-    report = structure_report(params, threshold=0.5)
+    report = structure_report(params)
     if selection == "shared":
         return report.shared_units, "shared"
     if isinstance(selection, tuple) and len(selection) == 2 and selection[0] == "specific":
@@ -51,12 +51,13 @@ def extract_features(params: HarmoniumParams, data: MultiViewDataset,
     """Posterior hidden means per sample, restricted to a unit category.
 
     selection is "all", "shared", or ("specific", view_index); categories are
-    taken from the structure report at threshold 0.5.
+    taken from `model.structure_report`.
     """
     units, category = _selected_units(params, selection)
     if not units:
         raise EmptySelectionError(category)
-    hmean = posterior_hidden_mean_batch(params, check_views(params, data.view_arrays))
+    wg = gated_weights(params.W, gates(params))
+    hmean = posterior_hidden_mean_batch(params, wg, check_views(params, data.view_arrays))
     idx = np.asarray(units, dtype=np.int64)
     return FeatureMatrix(values=hmean[:, idx], column_indices=idx)
 
@@ -179,7 +180,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def export_filter_images(params: HarmoniumParams, view: int, out_dir: str,
-                         grid_cols: int = 8, threshold: float = 0.5) -> list[str]:
+                         grid_cols: int = 8) -> list[str]:
     """Write one PGM grid per unit category (shared / specific / dead).
 
     Each tile is a hidden unit's effective incoming weights for the view,
@@ -198,7 +199,7 @@ def export_filter_images(params: HarmoniumParams, view: int, out_dir: str,
             f"view {params.views[view].name!r} dimension {dim} is not a "
             "perfect square; cannot render filters as images")
 
-    report = structure_report(params, threshold=threshold)
+    report = structure_report(params)
     wg = gated_weights(params.W, gates(params))[view]
     categories = {"shared": report.shared_units, "dead": report.dead_units}
     for k in range(params.num_views):

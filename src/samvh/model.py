@@ -16,6 +16,14 @@ are the true gradients of the exact log-likelihood and under which the
 hidden conditional's natural parameter equals the shifted parameter
 lam_hat = lam + sum sigma(s) W f(v). A minus-bias variant would flip both,
 breaking the finite-difference check, so the plus form is used throughout.
+
+Each energy operation has one function: `hidden_shifted_batch` (lam_hat),
+`visible_shifted_batch`, `posterior_hidden_mean_batch` (B'(lam_hat)),
+`gibbs_step_batch`, `log_unnorm_marginal_batch` (log p_tilde(v), given
+lam_hat) and `exact_visible_distribution`. Those that need the weights take
+the gated weights wg = gated_weights(params.W, gates(params)), which the
+caller builds once. The training step, the exact gradient, the feature
+extractor and the enumeration all call these.
 """
 from __future__ import annotations
 
@@ -301,8 +309,8 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
     return out
 
 
-# gated_weights, _hidden_shifted and _log_unnorm_marginal take one model's
-# parameters or a stack with leading run axes, bit for bit per run.
+# gated_weights, hidden_shifted_batch and log_unnorm_marginal_batch take one
+# model's parameters or a stack with leading run axes, bit for bit per run.
 
 def gated_weights(W: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
     """sigma(s) W^k for every view, in view order, given the gates g, e.g.
@@ -310,9 +318,10 @@ def gated_weights(W: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
     return [w * g[..., k, None, :] for k, w in enumerate(W)]
 
 
-def _hidden_shifted(lam: np.ndarray, wg: list[np.ndarray],
-                    fv: list[np.ndarray]) -> np.ndarray:
-    """`hidden_shifted_batch` given the gated weights wg, (..., B, J)."""
+def hidden_shifted_batch(lam: np.ndarray, wg: list[np.ndarray],
+                         fv: list[np.ndarray]) -> np.ndarray:
+    """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
+    for a batch: (..., B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
     out = fv[0] @ wg[0]
     out += lam[..., None, :]
     for k in range(1, len(fv)):
@@ -320,40 +329,33 @@ def _hidden_shifted(lam: np.ndarray, wg: list[np.ndarray],
     return out
 
 
-def _visible_shifted(params: HarmoniumParams, wg: list[np.ndarray],
-                     gh: np.ndarray, k: int) -> np.ndarray:
-    """`visible_shifted_batch` given the gated weights wg, adding xi in place."""
+def visible_shifted_batch(params: HarmoniumParams, wg: list[np.ndarray],
+                          gh: np.ndarray, k: int) -> np.ndarray:
+    """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
+    of hidden statistics gh, shape (B, J), as a new array."""
     out = gh @ wg[k].T
     out += params.xi[k]
     return out
 
 
-def _gibbs_step(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One block Gibbs sweep from a chain state whose hidden mean
-    hmean = B'(lam_hat) is already known and checked: h is drawn from hmean
-    and is its own sufficient statistic, then each view from p(v^k | h)."""
+def posterior_hidden_mean_batch(params: HarmoniumParams, wg: list[np.ndarray],
+                                fv: list[np.ndarray]) -> np.ndarray:
+    """B'(lam_hat): the per-unit conditional mean, (B, J), used as the feature
+    vector and as a Gibbs chain state's hidden mean. lam_hat is checked for
+    finiteness."""
+    return mean(params.hidden_family, hidden_shifted_batch(params.lam, wg, fv))
+
+
+def gibbs_step_batch(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray,
+                     rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One block Gibbs sweep for a batch, from a chain state whose hidden mean
+    hmean = `posterior_hidden_mean_batch` is already known: h is drawn from
+    hmean and is its own sufficient statistic, then each view v'^k from
+    p(v^k | h). Returns (h, v')."""
     h = sample_from_mean(params.hidden_family, hmean, rng)
-    etas = [_visible_shifted(params, wg, h, k) for k in range(params.num_views)]
+    etas = [visible_shifted_batch(params, wg, h, k) for k in range(params.num_views)]
     return h, [sample_from_mean(cfg.family, mean(cfg.family, eta, out=eta), rng)
                for cfg, eta in zip(params.views, etas)]
-
-
-def hidden_shifted_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
-    """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
-    for a batch: (B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
-    return _hidden_shifted(params.lam, gated_weights(params.W, gates(params)), fv)
-
-
-def visible_shifted_batch(params: HarmoniumParams, gh: np.ndarray, k: int) -> np.ndarray:
-    """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
-    of hidden statistics gh, shape (B, J)."""
-    return _visible_shifted(params, gated_weights(params.W, gates(params)), gh, k)
-
-
-def posterior_hidden_mean_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
-    """B'(lam_hat): the per-unit conditional mean, (B, J), used as the feature vector."""
-    return mean(params.hidden_family, hidden_shifted_batch(params, fv))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,8 @@ def unnormalized_log_joint(params: HarmoniumParams, fv: list[np.ndarray],
     if h.shape != want:
         raise ShapeMismatchError(f"h has shape {h.shape}, want {want}")
     gh = suff_stat(params.hidden_family, h)
-    total = np.sum(hidden_shifted_batch(params, fv) * gh, axis=1)
+    lam_hat = hidden_shifted_batch(params.lam, gated_weights(params.W, gates(params)), fv)
+    total = np.sum(lam_hat * gh, axis=1)
     for k in range(params.num_views):
         total += fv[k] @ params.xi[k]
     return total
@@ -403,17 +406,13 @@ def _visible_states(dims: list[int]) -> list[np.ndarray]:
     return np.split(enumerate_binary_states(sum(dims)), np.cumsum(dims)[:-1], axis=1)
 
 
-def log_unnorm_marginal_batch(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
-    """log sum_h p_tilde(v, h) for Bernoulli hidden units, shape (B,).
+def log_unnorm_marginal_batch(xi: list[np.ndarray], fv: list[np.ndarray],
+                              lam_hat: np.ndarray) -> np.ndarray:
+    """log sum_h p_tilde(v, h) for Bernoulli hidden units, shape (..., B),
+    given lam_hat = `hidden_shifted_batch` of fv, which it overwrites.
 
     The hidden sum factorizes: each unit contributes log(1 + exp(lam_hat_j)).
     """
-    return _log_unnorm_marginal(params.xi, fv, hidden_shifted_batch(params, fv))
-
-
-def _log_unnorm_marginal(xi: list[np.ndarray], fv: list[np.ndarray],
-                         lam_hat: np.ndarray) -> np.ndarray:
-    """`log_unnorm_marginal_batch` given lam_hat, which it overwrites: (..., B)."""
     total = np.sum(np.logaddexp(0.0, lam_hat, out=lam_hat), axis=-1)
     for k in range(len(fv)):
         total += (fv[k] @ xi[k][..., None])[..., 0]
@@ -486,46 +485,36 @@ def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
         wg = gated_weights(W, _gates(params.structure, s))
 
         def log_marginal(batch):
-            return _log_unnorm_marginal(xi, batch, _hidden_shifted(lam, wg, batch))
+            return log_unnorm_marginal_batch(xi, batch, hidden_shifted_batch(lam, wg, batch))
 
         log_z = _logsumexp(log_marginal(states), axis=1)
         out[rows] = log_z if fv is None else np.mean(log_marginal(fv), axis=1) - log_z
     return out
 
 
-def exact_visible_distribution(params: HarmoniumParams) -> tuple[np.ndarray, np.ndarray]:
-    """All visible states and their exact probabilities p(v)."""
-    fv, _, probs = _visible_distribution(params, gated_weights(params.W, gates(params)))
-    return np.concatenate(fv, axis=1), probs
-
-
-def _visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
-                          ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def exact_visible_distribution(params: HarmoniumParams, wg: list[np.ndarray]
+                               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Every visible state as per-view arrays, with its lam_hat and its exact
-    probability p(v)."""
+    probability p(v) (tiny Bernoulli models only)."""
     _check_enum_bounds(params)
     fv = _visible_states([v.dim for v in params.views])
-    lam_hat = _hidden_shifted(params.lam, wg, fv)
-    logp = _log_unnorm_marginal(params.xi, fv, lam_hat.copy())
+    lam_hat = hidden_shifted_batch(params.lam, wg, fv)
+    logp = log_unnorm_marginal_batch(params.xi, fv, lam_hat.copy())
     logp -= _logsumexp(logp)
     return fv, lam_hat, np.exp(logp)
-
-
-def gibbs_step_batch(params: HarmoniumParams, fv: list[np.ndarray],
-                     rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One block Gibbs sweep for a batch: h ~ p(h|v), then v' ~ p(v|h)."""
-    wg = gated_weights(params.W, gates(params))
-    hmean = mean(params.hidden_family, _hidden_shifted(params.lam, wg, fv))
-    return _gibbs_step(params, wg, hmean, rng)
 
 
 # ---------------------------------------------------------------------------
 # Structure report
 # ---------------------------------------------------------------------------
 
+# A hidden unit is connected to a view when its gate is strictly above this,
+# so untrained switches (gate exactly 0.5) count as unconnected.
+GATE_THRESHOLD = 0.5
+
+
 @dataclass
 class SwitchReport:
-    threshold: float
     connected: np.ndarray  # K x J booleans
     shared_units: list[int]
     specific_units: list[list[int]]  # per view
@@ -550,22 +539,17 @@ class SwitchReport:
         return " ".join(parts)
 
 
-def structure_report(params: HarmoniumParams, threshold: float = 0.5) -> SwitchReport:
-    """Classify hidden units by gated connectivity.
-
-    A unit is connected to a view iff its gate is strictly greater than the
-    threshold, so untrained switches (gate exactly 0.5) count as unconnected.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    connected = gates(params) > threshold
+def structure_report(params: HarmoniumParams) -> SwitchReport:
+    """Classify hidden units by gated connectivity: a unit is connected to a
+    view when its gate is above GATE_THRESHOLD."""
+    connected = gates(params) > GATE_THRESHOLD
     counts = connected.sum(axis=0)
     shared = [j for j in range(params.hidden_dim) if counts[j] >= 2]
     dead = [j for j in range(params.hidden_dim) if counts[j] == 0]
     specific = [[j for j in range(params.hidden_dim)
                  if counts[j] == 1 and connected[k, j]]
                 for k in range(params.num_views)]
-    return SwitchReport(threshold=threshold, connected=connected,
+    return SwitchReport(connected=connected,
                         shared_units=shared, specific_units=specific,
                         dead_units=dead)
 
@@ -629,6 +613,7 @@ def write_json(doc, path: str) -> None:
 
 # What require_key's `kind` asks of a value: its name and its test.
 _KINDS = {
+    dict: ("an object", lambda v: isinstance(v, dict)),
     list: ("a non-empty list", lambda v: isinstance(v, list) and v != []),
     int: ("a positive integer", lambda v: type(v) is int and v >= 1),  # no bool
     str: ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
@@ -641,9 +626,10 @@ def key_path(path: list) -> str:
 
 def require_key(doc, path: list, source: str, kind: type | None = None):
     """doc[path[0]][path[1]]..., or a MissingKeyError that names the source
-    file and the key path. Given a kind (list, int or str, as in _KINDS, or
-    an Enum class, whose member is returned), a value not of that kind is a
-    MalformedDocumentError that names the file, the key path and the value."""
+    file and the key path. Given a kind (dict, list, int or str, as in
+    _KINDS, or an Enum class, whose member is returned), a value not of that
+    kind is a MalformedDocumentError that names the file, the key path and
+    the value."""
     node = doc
     for i, key in enumerate(path):
         try:
@@ -670,6 +656,8 @@ def require_views(doc, source: str) -> tuple[list[str], list[Family]]:
     {name, dim, family} objects that a checkpoint, a dataset manifest and a
     config share. Each reader checks the dims itself."""
     n = len(require_key(doc, ["views"], source, list))
+    for i in range(n):
+        require_key(doc, ["views", i], source, dict)
     return ([require_key(doc, ["views", i, "name"], source, str) for i in range(n)],
             [require_key(doc, ["views", i, "family"], source, Family) for i in range(n)])
 

@@ -23,7 +23,10 @@ checks its view arrays once before the first step, and slices minibatches
 out of them.
 
 A gradient step builds the gates and the gated weights sigma(s) W^k once
-(`model.gated_weights`). Each natural-parameter array is checked for
+(`model.gated_weights`) and passes them to the energy kernels of `model`:
+`posterior_hidden_mean_batch` (over `hidden_shifted_batch`),
+`gibbs_step_batch` and `visible_shifted_batch`, and for the exact gradient
+`exact_visible_distribution`. Each natural-parameter array is checked for
 finiteness once; Bernoulli means take `expfam.sigmoid`, the package's one
 sigmoid. The Gibbs step writes each view's mean into its natural
 parameter's buffer. The hidden means are new arrays: written in place, they
@@ -51,29 +54,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset
-# suff_stat, gibbs_step_batch and hidden_shifted_batch are not called here,
-# but the span tracer in bench/ rebinds them in this namespace and its tests
-# look them up.
+# suff_stat and hidden_shifted_batch are not called here, but the span
+# tracer in bench/ rebinds them in this namespace and its tests look them up.
 from .expfam import NonFiniteError, mean, suff_stat  # noqa: F401
-from .model import (  # noqa: F401
+from .model import hidden_shifted_batch  # noqa: F401
+from .model import (
     PARAM_GROUPS,
     HarmoniumParams,
     StructureKind,
     _check_enum_bounds,
-    _gibbs_step,
-    _hidden_shifted,
-    _visible_distribution,
-    _visible_shifted,
     check_views,
     exact_log_likelihood,
+    exact_visible_distribution,
     gated_weights,
     gates,
     gibbs_step_batch,
-    hidden_shifted_batch,
     param_group_ends,
     param_vector,
+    posterior_hidden_mean_batch,
     split_param_vector,
     stacked_log_likelihood,
+    visible_shifted_batch,
 )
 
 
@@ -201,12 +202,11 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     fv = check_views(params, fv)
     g = gates(params)
     wg = gated_weights(params.W, g)
-    hf = params.hidden_family
-    h_data = hmean = mean(hf, _hidden_shifted(params.lam, wg, fv))
+    h_data = hmean = posterior_hidden_mean_batch(params, wg, fv)
     chain = fv
     for _ in range(cd_steps):
-        _, chain = _gibbs_step(params, wg, hmean, rng)
-        hmean = mean(hf, _hidden_shifted(params.lam, wg, chain))
+        _, chain = gibbs_step_batch(params, wg, hmean, rng)
+        hmean = posterior_hidden_mean_batch(params, wg, chain)
     weights = np.full(len(hmean), 1.0 / len(hmean))
     return _contrast_stats(params, g, (fv, h_data, weights), (chain, hmean, weights))
 
@@ -217,11 +217,10 @@ def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet
     fv = check_views(params, fv)
     g = gates(params)
     wg = gated_weights(params.W, g)
-    hf = params.hidden_family
-    h_data = mean(hf, _hidden_shifted(params.lam, wg, fv))
-    fv_all, lam_all, probs = _visible_distribution(params, wg)
+    h_data = posterior_hidden_mean_batch(params, wg, fv)
+    fv_all, lam_all, probs = exact_visible_distribution(params, wg)
     return _contrast_stats(params, g, (fv, h_data, np.full(len(h_data), 1.0 / len(h_data))),
-                           (fv_all, mean(hf, lam_all, out=lam_all), probs))
+                           (fv_all, mean(params.hidden_family, lam_all, out=lam_all), probs))
 
 
 def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -251,13 +250,13 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     of the batch fv."""
     fv = check_views(params, fv)
     wg = gated_weights(params.W, gates(params))
-    hmean = mean(params.hidden_family, _hidden_shifted(params.lam, wg, fv))
+    hmean = posterior_hidden_mean_batch(params, wg, fv)
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
         # The mean and (fv - recon)^2 in the natural parameter's buffer,
         # freed before the next view's is built: over a whole dataset these
         # are the largest arrays of a training run.
-        diff = _visible_shifted(params, wg, hmean, k)
+        diff = visible_shifted_batch(params, wg, hmean, k)
         mean(cfg.family, diff, out=diff)
         np.subtract(fv[k], diff, out=diff)
         errs[k] = np.mean(np.square(diff, out=diff))

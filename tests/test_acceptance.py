@@ -28,11 +28,11 @@ from samvh.model import (
     init_params,
     make_binary_data,
     make_tiny_model,
-    posterior_hidden_mean_batch,
     structure_report,
     unnormalized_log_joint,
 )
 from samvh.training import TrainConfig, exact_gradient, finite_diff_gradient, train
+from test_model import hmean_of
 
 SEEDS = (1, 2, 3, 4, 5)
 HIDDEN = 60
@@ -112,7 +112,7 @@ def test_criterion_3_structure_separation(capsys, sa_runs):
     runs, train_time = sa_runs
     good, details = 0, []
     for seed, (_, params) in runs.items():
-        rep = structure_report(params, threshold=0.5)
+        rep = structure_report(params)
         n_sh = len(rep.shared_units)
         n_sp = [len(u) for u in rep.specific_units]
         passed = n_sh >= 5 and all(n >= 3 for n in n_sp)
@@ -129,7 +129,7 @@ def test_criterion_4_noise_localization(capsys, sa_runs):
     good, details = 0, []
     side, lines = 12, 2
     for seed, (_, params) in runs.items():
-        rep = structure_report(params, threshold=0.5)
+        rep = structure_report(params)
         g = gates(params)
         spec, shared = [], []
         for view, axis in ((0, "columns"), (1, "rows")):
@@ -186,8 +186,7 @@ def test_criterion_6_mode_reductions(capsys):
     rows = [[a[n:n + 1] for a in data] for n in range(len(data[0]))]
     worst = 0.0
     for row in rows:
-        worst = max(worst, float(np.abs(posterior_hidden_mean_batch(sa, row)
-                                        - posterior_hidden_mean_batch(dwh, row)).max()))
+        worst = max(worst, float(np.abs(hmean_of(sa, row) - hmean_of(dwh, row)).max()))
         h = (rng.random((1, 4)) < 0.5).astype(float)
         worst = max(worst, float(np.abs(unnormalized_log_joint(sa, row, h)
                                         - unnormalized_log_joint(dwh, row, h)).max()))
@@ -199,8 +198,7 @@ def test_criterion_6_mode_reductions(capsys):
 
     exact_match = True
     for row in rows:
-        exact_match &= np.array_equal(posterior_hidden_mean_batch(mvh, row),
-                                      posterior_hidden_mean_batch(dwh, row))
+        exact_match &= np.array_equal(hmean_of(mvh, row), hmean_of(dwh, row))
     g_mvh = exact_gradient(mvh, data)
     for a, b in (list(zip(g_mvh.dW, g_dwh.dW)) + list(zip(g_mvh.dxi, g_dwh.dxi))
                  + [(g_mvh.dlam, g_dwh.dlam)]):

@@ -5,7 +5,9 @@
 counts the calls `training.train` makes to `training.cd_gradient`. The
 benchmark's own tests run separately (`python3 -m pytest -q bench/tests`),
 so these checks keep a deletion in samvh from breaking `bench/run.py
---trace 1` unnoticed. Both files are only read here.
+--trace 1` unnoticed, and keep the traced energy kernels on the CD step's
+path, so that their per-layer figures measure it. Both files are only read
+here.
 """
 import ast
 import importlib
@@ -86,3 +88,29 @@ def test_train_calls_cd_gradient_once_per_minibatch(monkeypatch):
                             view_arrays=model.make_binary_data(params, rng, 13))
     training.train(params, data, training.TrainConfig(epochs=3, batch_size=5, seed=1))
     assert calls == [5, 5, 3] * 3
+
+
+def test_cd_step_records_the_traced_kernels():
+    """The energy kernels `bench/spans.py` traces are the ones the CD step
+    runs, so their per-layer figures cannot read 0 while training runs."""
+    spans = load_spans()
+    rng = np.random.default_rng(5)
+    params = model.make_tiny_model(rng)
+    data = MultiViewDataset(views=list(params.views),
+                            view_arrays=model.make_binary_data(params, rng, 10))
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        training.train(params, data, training.TrainConfig(epochs=1, batch_size=5, seed=1))
+
+    def name(i):
+        return tracer.names[tracer.name_id[i]]
+
+    def in_step(i):
+        while i >= 0 and name(i) != spans.STEP_SPAN:
+            i = tracer.parent[i]
+        return i >= 0
+
+    recorded = {name(i) for i in range(len(tracer)) if in_step(tracer.parent[i])}
+    for kernel in ("hidden_shifted_batch", "visible_shifted_batch",
+                   "posterior_hidden_mean_batch", "gibbs_step_batch"):
+        assert f"model.{kernel}" in recorded, kernel

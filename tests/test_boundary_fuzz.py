@@ -441,7 +441,8 @@ def test_malformed_views_record_exits_2(fixture_dir, capsys, command):
     write_json_doc(dict(CONFIG, views=[5, {"name": 7}]), cfg)
     argv = ["gen-data"] if command == "gen-data" else ["train", "--data", data_dir]
     code, err = run(["--config", cfg, "--seed", "1", *argv, "--out", out], capsys)
-    assert (code, err) == (cli.EXIT_CONFIG, f"error: {cfg}: missing key ['views'][0]['name']\n")
+    assert (code, err) == (cli.EXIT_CONFIG,
+                           f"error: {cfg}: ['views'][0] must be an object, got 5\n")
     assert not os.path.exists(out)
 
 

@@ -222,16 +222,13 @@ class TestCsv:
     def test_blank_lines_and_padded_cells(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
         Path(p1).write_text("\n 1 ,\t2.5\n   \n\t\n-3e2 , 4 \n\n")
-        ds = load_multiview_csv([p1], families=[Family.GAUSSIAN_UNIT_VARIANCE],
-                                standardize=False)
-        assert np.array_equal(ds.view_arrays[0], [[1.0, 2.5], [-300.0, 4.0]])
+        assert np.array_equal(_parse_matrix(p1), [[1.0, 2.5], [-300.0, 4.0]])
 
     def test_single_row_and_single_column_stay_2d(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         Path(p1).write_text("1,2,3\n")
         Path(p2).write_text("4\n")
-        ds = load_multiview_csv([p1, p2], standardize=False)
-        assert [a.shape for a in ds.view_arrays] == [(1, 3), (1, 1)]
+        assert [_parse_matrix(p).shape for p in (p1, p2)] == [(1, 3), (1, 1)]
 
     def test_empty_file_is_0x0_without_warning(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
@@ -280,7 +277,7 @@ class TestCsv:
         arr[0] = [5e-324, -0.0, np.pi, -1e-310]
         path = str(tmp_path / "m.csv")
         save_matrix_csv(path, arr)
-        back = load_multiview_csv([path], standardize=False).view_arrays[0]
+        back = _parse_matrix(path)
         assert np.array_equal(back, arr)
         assert back.tobytes() == arr.tobytes()  # keeps the sign of -0.0
 
@@ -559,7 +556,9 @@ class TestManifest:
          "manifest.json: ['views'][0]['family'] must be one of "
          "['bernoulli', 'gaussian_unit_variance'], got 'poisson'"),
         ('{"views": [], "num_samples": 1, "view_files": []}',
-         "manifest.json: ['views'] must be a non-empty list, got []")])
+         "manifest.json: ['views'] must be a non-empty list, got []"),
+        ('{"views": [5], "num_samples": 1, "view_files": ["a.csv"]}',
+         "manifest.json: ['views'][0] must be an object, got 5")])
     def test_corrupt_manifest_names_the_file(self, tmp_path, text, match):
         (tmp_path / "a.csv").write_text("1\n")
         (tmp_path / "manifest.json").write_text(text)

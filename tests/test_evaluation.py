@@ -328,10 +328,11 @@ class TestFilterImages:
         # Rescaling is per filter, so gate magnitude cancels and the image
         # depends only on the weight pattern; check via explicit values.
         params = make_tiny_model(rng, dims=(4,), J=1)
-        params.s = np.array([[0.0]])
+        params.s = np.array([[1.0]])  # gate 0.73: connected, and not 1
         params.W[0][:, 0] = np.array([0.0, 1.0, 2.0, 4.0])
         [path] = export_filter_images(params, view=0, out_dir=str(tmp_path),
-                                      grid_cols=1, threshold=0.4)
+                                      grid_cols=1)
+        assert path.endswith("filters_view0_specific_view0.pgm")
         img = read_pgm(path)
         assert np.array_equal(img.ravel(), np.array([0, 64, 128, 255]))
 

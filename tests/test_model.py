@@ -23,8 +23,6 @@ from samvh.model import (
     StructureMode,
     ViewConfig,
     _gates,
-    _hidden_shifted,
-    _log_unnorm_marginal,
     _logsumexp,
     check_views,
     enumerate_binary_states,
@@ -52,6 +50,23 @@ from samvh.model import (
 )
 
 SIGMOID_2 = 0.88079707797788244405972914130239679520638429862897
+
+
+def wg_of(params):
+    return gated_weights(params.W, gates(params))
+
+
+def lam_hat_of(params, fv):
+    return hidden_shifted_batch(params.lam, wg_of(params), fv)
+
+
+def hmean_of(params, fv):
+    return posterior_hidden_mean_batch(params, wg_of(params), fv)
+
+
+def gibbs_from(params, fv, rng):
+    """One Gibbs sweep from the visible batch fv: h ~ p(h | v), then v'."""
+    return gibbs_step_batch(params, wg_of(params), hmean_of(params, fv), rng)
 
 
 def one_unit_model(W=2.0, s=0.0, xi=0.2, lam=0.3, kind=StructureKind.SA):
@@ -160,11 +175,12 @@ def reference_log_partition(params):
     `log_unnorm_marginal_batch` of every visible state."""
     states = enumerate_binary_states(sum(v.dim for v in params.views))
     fv = np.split(states, np.cumsum([v.dim for v in params.views])[:-1], axis=1)
-    return float(logsumexp(log_unnorm_marginal_batch(params, fv)))
+    return float(logsumexp(log_unnorm_marginal_batch(params.xi, fv, lam_hat_of(params, fv))))
 
 
 def reference_log_likelihood(params, fv):
-    return float(np.mean(log_unnorm_marginal_batch(params, fv))) - reference_log_partition(params)
+    log_p = log_unnorm_marginal_batch(params.xi, fv, lam_hat_of(params, fv))
+    return float(np.mean(log_p)) - reference_log_partition(params)
 
 
 def random_tiny_model(rng):
@@ -270,22 +286,22 @@ class TestShiftedParams:
         for w in p.W:
             w[:] = 0.0
         fv = make_binary_data(p, rng, 1)
-        assert np.array_equal(hidden_shifted_batch(p, fv), p.lam[None, :])
+        assert np.array_equal(lam_hat_of(p, fv), p.lam[None, :])
 
     def test_zero_weights_visible(self, rng):
         p = make_tiny_model(rng)
         for w in p.W:
             w[:] = 0.0
-        assert np.array_equal(visible_shifted_batch(p, np.ones((1, 4)), 0),
+        assert np.array_equal(visible_shifted_batch(p, wg_of(p), np.ones((1, 4)), 0),
                               p.xi[0][None, :])
 
     def test_hand_computed_one_term(self):
         p = one_unit_model(W=2.0, s=0.0, lam=0.1)
-        assert hidden_shifted_batch(p, rows([1.0]))[0, 0] == pytest.approx(1.1)
+        assert lam_hat_of(p, rows([1.0]))[0, 0] == pytest.approx(1.1)
 
     def test_hand_computed_visible_mirror(self):
         p = one_unit_model(W=2.0, s=0.0, xi=0.2)
-        got = visible_shifted_batch(p, np.array([[1.0]]), 0)
+        got = visible_shifted_batch(p, wg_of(p), np.array([[1.0]]), 0)
         assert got[0, 0] == pytest.approx(0.2 + 0.5 * 2.0 * 1.0)
 
     def test_matches_naive_loop_oracle(self, rng):
@@ -293,12 +309,12 @@ class TestShiftedParams:
             p = make_tiny_model(rng)
             fv = make_binary_data(p, rng, 1)
             np.testing.assert_allclose(
-                hidden_shifted_batch(p, fv)[0],
+                lam_hat_of(p, fv)[0],
                 oracle_lam_hat(p, [a[0] for a in fv]), atol=1e-12)
             h = (rng.random(p.hidden_dim) < 0.5).astype(float)
             for k in range(p.num_views):
                 np.testing.assert_allclose(
-                    visible_shifted_batch(p, h[None, :], k)[0],
+                    visible_shifted_batch(p, wg_of(p), h[None, :], k)[0],
                     oracle_xi_hat(p, h, k), atol=1e-12)
 
     def test_shape_mismatch(self, rng):
@@ -325,17 +341,16 @@ class TestStackedKernels:
         W, xi, lam, s = split_param_vector(
             np.stack([param_vector(q) for q in models]), list(dims), J)
         wg = gated_weights(W, _gates(models[0].structure, s))
-        lam_hat = _hidden_shifted(lam, wg, fv)
-        log_p = _log_unnorm_marginal(xi, fv, lam_hat.copy())
+        lam_hat = hidden_shifted_batch(lam, wg, fv)
+        log_p = log_unnorm_marginal_batch(xi, fv, lam_hat.copy())
         assert lam_hat.shape == (R, 7, J) and log_p.shape == (R, 7)
         for r, q in enumerate(models):
-            wg_q = gated_weights(q.W, gates(q))
+            wg_q = wg_of(q)
             for a, b in zip(wg, wg_q):
                 assert np.array_equal(a[r], b)
-            lam_hat_q = _hidden_shifted(q.lam, wg_q, fv)
+            lam_hat_q = hidden_shifted_batch(q.lam, wg_q, fv)
             assert np.array_equal(lam_hat[r], lam_hat_q)
-            assert np.array_equal(log_p[r], _log_unnorm_marginal(q.xi, fv, lam_hat_q))
-            assert np.array_equal(log_p[r], log_unnorm_marginal_batch(q, fv))
+            assert np.array_equal(log_p[r], log_unnorm_marginal_batch(q.xi, fv, lam_hat_q))
 
     def test_mvh_gates_are_one_mask_for_any_leading_axes(self, rng):
         p = make_tiny_model(rng, StructureKind.MVH, dims=(2, 3), J=4)
@@ -443,7 +458,7 @@ class TestPosteriorHiddenMean:
             w[:] = 0.0
         p.lam[:] = 0.0
         fv = make_binary_data(p, rng, 1)
-        assert np.array_equal(posterior_hidden_mean_batch(p, fv), np.full((1, 4), 0.5))
+        assert np.array_equal(hmean_of(p, fv), np.full((1, 4), 0.5))
 
     def test_gaussian_identity(self, rng):
         p = make_tiny_model(rng)
@@ -453,13 +468,13 @@ class TestPosteriorHiddenMean:
             W=p.W, xi=p.xi, lam=p.lam, s=p.s, structure=p.structure)
         fv = make_binary_data(p, rng, 1)
         np.testing.assert_array_equal(
-            posterior_hidden_mean_batch(p, fv), hidden_shifted_batch(p, fv))
+            hmean_of(p, fv), lam_hat_of(p, fv))
 
     def test_matches_enumeration(self, rng):
         # Conditional expectation of each h_j from the exact joint table.
         p = make_tiny_model(rng, dims=(2, 2), J=3)
         fv = make_binary_data(p, rng, 1)
-        np.testing.assert_allclose(posterior_hidden_mean_batch(p, fv)[0],
+        np.testing.assert_allclose(hmean_of(p, fv)[0],
                                    oracle_posterior_mean(p, fv), atol=1e-10)
 
 
@@ -590,8 +605,8 @@ class TestGibbs:
         p.lam[:] = 3.0
         p.xi[0][:] = -3.0
         fv = make_binary_data(p, rng, 1)
-        hs = np.array([gibbs_step_batch(p, fv, rng)[0][0] for _ in range(2000)])
-        vs = np.array([gibbs_step_batch(p, fv, rng)[1][0][0] for _ in range(2000)])
+        hs = np.array([gibbs_from(p, fv, rng)[0][0] for _ in range(2000)])
+        vs = np.array([gibbs_from(p, fv, rng)[1][0][0] for _ in range(2000)])
         assert abs(hs.mean() - 1 / (1 + math.exp(-3))) < 0.03
         assert abs(vs.mean() - 1 / (1 + math.exp(3))) < 0.03
 
@@ -599,14 +614,14 @@ class TestGibbs:
         p = make_tiny_model(rng, scale=0.0)
         p.lam[:] = [1e9, -1e9, 1e9, -1e9]
         fv = make_binary_data(p, rng, 1)
-        h, _ = gibbs_step_batch(p, fv, rng)
+        h, _ = gibbs_from(p, fv, rng)
         assert np.array_equal(h, [[1.0, 0.0, 1.0, 0.0]])
 
     def test_deterministic_given_rng(self, rng):
         p = make_tiny_model(rng)
         fv = make_binary_data(p, rng, 1)
-        h1, v1 = gibbs_step_batch(p, fv, np.random.default_rng(9))
-        h2, v2 = gibbs_step_batch(p, fv, np.random.default_rng(9))
+        h1, v1 = gibbs_from(p, fv, np.random.default_rng(9))
+        h2, v2 = gibbs_from(p, fv, np.random.default_rng(9))
         assert np.array_equal(h1, h2)
         for a, b in zip(v1, v2):
             assert np.array_equal(a, b)
@@ -639,7 +654,7 @@ class TestGibbs:
         v_want = [draw(v.family, h_want @ wg[k].T + p.xi[k], ref)
                   for k, v in enumerate(views)]
         got_rng = np.random.default_rng(4)
-        h, v = gibbs_step_batch(p, fv, got_rng)
+        h, v = gibbs_from(p, fv, got_rng)
         assert np.array_equal(h, h_want)
         for a, b in zip(v, v_want):
             assert np.array_equal(a, b)
@@ -648,7 +663,7 @@ class TestGibbs:
     def test_long_run_marginals_match_enumeration(self, rng):
         # 200 parallel chains x 500 sweeps = 1e5 post-burn-in states.
         p = make_tiny_model(rng, dims=(2, 2), J=3)
-        _, probs = exact_visible_distribution(p)
+        _, _, probs = exact_visible_distribution(p, wg_of(p))
         from samvh.model import enumerate_binary_states
         states = enumerate_binary_states(4)
         exact_marginals = probs @ states
@@ -658,7 +673,7 @@ class TestGibbs:
         acc = np.zeros(4)
         count = 0
         for t in range(burn + keep):
-            _, fv = gibbs_step_batch(p, fv, rng)
+            _, fv = gibbs_from(p, fv, rng)
             if t >= burn:
                 acc += np.concatenate([fv[0].sum(0), fv[1].sum(0)])
                 count += n_chains
@@ -674,7 +689,7 @@ def test_conditional_consistency_50_draws():
     for _ in range(50):
         p = make_tiny_model(rng, dims=(2, 1), J=2)
         fv = make_binary_data(p, rng, 1)
-        np.testing.assert_allclose(posterior_hidden_mean_batch(p, fv)[0],
+        np.testing.assert_allclose(hmean_of(p, fv)[0],
                                    oracle_posterior_mean(p, fv), atol=1e-10)
 
 
@@ -686,8 +701,7 @@ def test_dwh_as_saturation_limit(rng):
     data = make_binary_data(p, rng, 5)
     first = [a[:1] for a in data]
     h = (rng.random((1, 4)) < 0.5).astype(float)
-    assert np.max(np.abs(posterior_hidden_mean_batch(p, first)
-                         - posterior_hidden_mean_batch(q, first))) < 1e-9
+    assert np.max(np.abs(hmean_of(p, first) - hmean_of(q, first))) < 1e-9
     assert abs(unnormalized_log_joint(p, first, h)[0]
                - unnormalized_log_joint(q, first, h)[0]) < 1e-9
     assert abs(exact_log_likelihood(p, data) - exact_log_likelihood(q, data)) < 1e-9
@@ -700,8 +714,8 @@ def test_dwh_as_saturation_limit(rng):
 class TestStructureReport:
     def test_untrained_switches_are_dead(self, rng):
         p = make_tiny_model(rng)
-        p.s[:] = 0.0  # gate exactly 0.5, not > threshold
-        rep = structure_report(p, threshold=0.5)
+        p.s[:] = 0.0  # gate exactly 0.5, not > GATE_THRESHOLD
+        rep = structure_report(p)
         assert rep.num_dead == p.hidden_dim
         assert rep.num_shared == 0
 
@@ -732,10 +746,6 @@ class TestStructureReport:
         assert rep.num_dead == 26
         assert rep.summary_line() == (
             "shared=95 specific_view0=47 specific_view1=32 dead=26")
-
-    def test_threshold_validation(self, rng):
-        with pytest.raises(ValueError):
-            structure_report(make_tiny_model(rng), threshold=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +873,9 @@ class TestCheckpoint:
          "ckpt.json: ['structure']['kind'] must be one of ['dwh', 'mvh', 'sa'], "
          "got 'gated'"),
         (lambda text: edit_doc(text, lambda doc: doc["views"][1].update(name=5)),
-         "ckpt.json: ['views'][1]['name'] must be a non-empty string, got 5")])
+         "ckpt.json: ['views'][1]['name'] must be a non-empty string, got 5"),
+        (lambda text: edit_doc(text, lambda doc: doc["views"].insert(0, 5)),
+         "ckpt.json: ['views'][0] must be an object, got 5")])
     def test_corrupt_checkpoint_names_the_file(self, rng, tmp_path, edit, match):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_tiny_model(rng), str(path))

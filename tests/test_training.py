@@ -14,12 +14,10 @@ from samvh.model import (
     StructureKind,
     StructureMode,
     ViewConfig,
-    _visible_distribution,
-    gated_weights,
+    exact_visible_distribution,
     gates,
     make_binary_data,
     make_tiny_model,
-    posterior_hidden_mean_batch,
     save_checkpoint,
 )
 from samvh.training import (
@@ -33,7 +31,7 @@ from samvh.training import (
     reconstruction_error,
     train,
 )
-from test_model import reference_log_likelihood
+from test_model import hmean_of, reference_log_likelihood, wg_of
 
 
 def flatten(g: GradientSet) -> np.ndarray:
@@ -191,7 +189,7 @@ def positive_stats(params, fv, hmean):
 
 def sample_stats(params, fv):
     """Positive-phase statistics of a batch, at its posterior hidden means."""
-    return positive_stats(params, fv, posterior_hidden_mean_batch(params, fv))
+    return positive_stats(params, fv, hmean_of(params, fv))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ class TestSufficientStats:
         for kind in (StructureKind.SA, StructureKind.DWH):
             p = make_tiny_model(rng, kind)
             fv = make_binary_data(p, rng, 1)
-            hmean = posterior_hidden_mean_batch(p, fv)
+            hmean = hmean_of(p, fv)
             got = positive_stats(p, fv, hmean)
             want = oracle_stats(p, [a[0] for a in fv], hmean[0])
             for a, b in zip(got.dW, want.dW):
@@ -275,8 +273,8 @@ class TestContrastStats:
         rng = np.random.default_rng(46)
         p = make_tiny_model(rng, kind)
         fv = make_binary_data(p, rng, 6)
-        fv_all, lam_all, probs = _visible_distribution(p, gated_weights(p.W, gates(p)))
-        want = (textbook_stats(p, fv, posterior_hidden_mean_batch(p, fv), np.full(6, 1 / 6))
+        fv_all, lam_all, probs = exact_visible_distribution(p, wg_of(p))
+        want = (textbook_stats(p, fv, hmean_of(p, fv), np.full(6, 1 / 6))
                 - textbook_stats(p, fv_all, mean(p.hidden_family, lam_all), probs))
         assert_matches_textbook(flatten(exact_gradient(p, fv)), want)
 
