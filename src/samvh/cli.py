@@ -4,8 +4,10 @@ Subcommands: gen-data, train, grad-check, extract, eval-knn, render-filters.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 training
 divergence, 5 gradient-check failure.
 
-All randomness flows from one seed through named substreams (data, init,
-cd), so every command is reproducible byte-for-byte.
+Every command is reproducible byte-for-byte and rejects a negative --seed.
+--seed overrides the config seed of gen-data (the generator's) and of train
+(which spawns its init and cd substreams from it); grad-check and eval-knn
+draw from their own config seeds, and extract and render-filters draw nothing.
 """
 from __future__ import annotations
 
@@ -182,9 +184,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _substreams(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(3)
-    return {name: np.random.default_rng(ss)
-            for name, ss in zip(("data", "init", "cd"), children)}
+    """train's init and cd generators: children 1 and 2 of three (0 is unused)."""
+    _, init, cd = np.random.SeedSequence(seed).spawn(3)
+    return {"init": np.random.default_rng(init), "cd": np.random.default_rng(cd)}
 
 
 def _settings(cls, path: str | None, config: dict, key: str, flag_seed):
@@ -193,8 +195,6 @@ def _settings(cls, path: str | None, config: dict, key: str, flag_seed):
     seed = config[key]["seed"] if flag_seed is None else flag_seed
     if seed is None:
         raise ConfigError("a seed is required (config seed or --seed)", path)
-    if seed < 0:  # only --seed, as load_config checked the config's
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
     return cls(**{**config[key], "seed": seed})
 
 
@@ -206,22 +206,16 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     synth_cfg = _settings(data_mod.SynthConfig, args.config, config, "synth", args.seed)
     dataset = data_mod.generate_synthetic_paired(synth_cfg)
-
-    os.makedirs(args.out, exist_ok=True)
-    view_files = [f"{v.name}.csv" for v in dataset.views]
-    paths = [os.path.join(args.out, f) for f in view_files]
-    label_file = "labels.csv"
-    data_mod.save_multiview_csv(dataset, paths,
-                                os.path.join(args.out, label_file))
-    data_mod.save_manifest(dataset, os.path.join(args.out, "manifest.json"),
-                           seed=synth_cfg.seed, view_files=view_files,
-                           label_file=label_file)
+    data_mod.save_dataset_dir(dataset, args.out, synth_cfg.seed)
     print(f"wrote {dataset.num_samples} samples to {args.out}")
     return EXIT_OK
 
 
 def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
     if os.path.isdir(args.data):
+        if args.labels is not None:
+            raise ConfigError(f"--labels {args.labels} cannot be given with the dataset "
+                              f"directory {args.data}, whose manifest names its labels")
         return data_mod.load_dataset_dir(args.data)
     # Comma-separated CSV paths, each described by one entry of the optional
     # views section: a name, a family and, if given, the column count.
@@ -428,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except train_mod.TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

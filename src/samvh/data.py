@@ -724,26 +724,29 @@ def save_multiview_csv(data: MultiViewDataset, paths: list[str],
                 fh.write(f"{int(lab)}\n")
 
 
-def save_manifest(data: MultiViewDataset, path: str, seed: int | None = None,
-                  view_files: list[str] | None = None,
-                  label_file: str | None = None) -> None:
-    doc = {
+def save_dataset_dir(data: MultiViewDataset, directory: str, seed: int | None) -> None:
+    """Write what `load_dataset_dir` reads: `<view name>.csv` per view,
+    `labels.csv` if labeled, and a `manifest.json` that names them."""
+    view_files = [f"{v.name}.csv" for v in data.views]
+    label_file = None if data.labels is None else "labels.csv"
+    if len({*view_files, label_file}) <= len(view_files):  # two views alike, or "labels"
+        raise ValueError(f"views {[v.name for v in data.views]} do not name one file each")
+    os.makedirs(directory, exist_ok=True)
+    save_multiview_csv(data, [os.path.join(directory, f) for f in view_files],
+                       None if label_file is None else os.path.join(directory, label_file))
+    write_json({
         "views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
                   for v in data.views],
         "num_samples": data.num_samples,
         "labels_present": data.labels is not None,
-    }
-    if seed is not None:
-        doc["seed"] = seed
-    if view_files is not None:
-        doc["view_files"] = view_files
-    if label_file is not None:
-        doc["label_file"] = label_file
-    write_json(doc, path)
+        "seed": seed,
+        "view_files": view_files,
+        "label_file": label_file,
+    }, os.path.join(directory, "manifest.json"))
 
 
 def load_dataset_dir(directory: str) -> MultiViewDataset:
-    """Load a dataset written by the CLI: manifest.json + per-view CSVs.
+    """Load a dataset directory, as `save_dataset_dir` writes it.
     A null or missing label_file leaves it unlabeled; labels_present and
     seed are informational."""
     manifest = os.path.join(directory, "manifest.json")

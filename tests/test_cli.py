@@ -203,6 +203,10 @@ class TestConfig:
     @pytest.mark.parametrize("command,flag_seed,doc,message", [
         ("gen-data", "-1", {}, "--seed must be >= 0, got -1"),
         ("train", "-1", {}, "--seed must be >= 0, got -1"),
+        ("grad-check", "-1", {}, "--seed must be >= 0, got -1"),
+        ("extract", "-1", {}, "--seed must be >= 0, got -1"),
+        ("eval-knn", "-1", {}, "--seed must be >= 0, got -1"),
+        ("render-filters", "-1", {}, "--seed must be >= 0, got -1"),
         ("gen-data", None, {"synth": {"seed": -2}}, "['synth']['seed'] must be >= 0, got -2"),
         ("train", None, {"train": {"seed": -1}}, "['train']['seed'] must be >= 0, got -1"),
         ("grad-check", None, {"grad_check": {"seed": -1}},
@@ -221,7 +225,9 @@ class TestConfig:
         out = str(tmp_path / "out")
         argv = {"gen-data": ["--out", out], "train": ["--data", data_dir, "--out", out],
                 "grad-check": [],
-                "eval-knn": ["--checkpoint", ckpt, "--data", data_dir, "--out", out]}[command]
+                "extract": ["--checkpoint", ckpt, "--data", data_dir, "--out", out],
+                "eval-knn": ["--checkpoint", ckpt, "--data", data_dir, "--out", out],
+                "render-filters": ["--checkpoint", ckpt, "--out", out]}[command]
         cfg = write_config(tmp_path, {"synth": SMALL_SYNTH, **doc}, name="seed.json")
         code = cli.main(["--config", cfg, *(["--seed", flag_seed] if flag_seed else []),
                          command, *argv])
@@ -678,6 +684,21 @@ class TestEvalPipeline:
                          "--data", work, "--out", str(tmp_path / "knn")]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"error: eval-knn requires a labeled dataset, but {work} has no labels\n")
+
+    @pytest.mark.parametrize("command", ["train", "extract", "eval-knn"])
+    def test_labels_flag_with_dataset_dir_is_an_error(self, tmp_path, trained, capsys,
+                                                      command):
+        # A dataset directory's labels are the ones its manifest names.
+        cfg, data_dir, ckpt = trained
+        out = str(tmp_path / "out")
+        labels = str(tmp_path / "nonexistent.csv")
+        argv = [] if command == "train" else ["--checkpoint", ckpt]
+        assert cli.main(["--config", cfg, "--seed", "2", command, *argv, "--data", data_dir,
+                         "--labels", labels, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --labels {labels} cannot be given with the dataset directory "
+            f"{data_dir}, whose manifest names its labels\n")
+        assert not os.path.exists(out)
 
     # sha256 of the features.csv that `extract` writes, pinned so that a
     # change to the real-valued CSV writer shows: for the trained checkpoint,

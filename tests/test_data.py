@@ -27,7 +27,7 @@ from samvh.data import (
     glyph_templates,
     load_dataset_dir,
     load_multiview_csv,
-    save_manifest,
+    save_dataset_dir,
     save_matrix_csv,
     save_multiview_csv,
     standardize_columns,
@@ -565,17 +565,55 @@ class TestManifest:
         with pytest.raises(MalformedDocumentError, match=re.escape(match)):
             load_dataset_dir(str(tmp_path))
 
-    def test_save_manifest_bytes(self, tmp_path):
+    def test_save_dataset_dir_bytes(self, tmp_path):
         views = [ViewConfig("x", 2, Family.BERNOULLI)]
         ds = MultiViewDataset(views, [np.zeros((3, 2))], labels=np.arange(3))
-        save_manifest(ds, str(tmp_path / "manifest.json"), seed=4,
-                      view_files=["x.csv"], label_file="labels.csv")
-        assert os.listdir(tmp_path) == ["manifest.json"]
-        assert (tmp_path / "manifest.json").read_text() == (
+        save_dataset_dir(ds, str(tmp_path / "d"), seed=4)
+        manifest = (tmp_path / "d" / "manifest.json").read_text()
+        assert manifest == (
             '{\n "views": [\n  {\n   "name": "x",\n   "dim": 2,\n'
             '   "family": "bernoulli"\n  }\n ],\n "num_samples": 3,\n'
             ' "labels_present": true,\n "seed": 4,\n "view_files": [\n  "x.csv"\n ],\n'
             ' "label_file": "labels.csv"\n}\n')
+        doc = json.loads(manifest)
+        assert sorted(os.listdir(tmp_path / "d")) == sorted(
+            [*doc["view_files"], doc["label_file"], "manifest.json"])
+
+    def test_unlabeled_dataset_dir_round_trip(self, tmp_path):
+        views = [ViewConfig("x", 2, Family.BERNOULLI)]
+        ds = MultiViewDataset(views, [np.eye(2)])
+        save_dataset_dir(ds, str(tmp_path), seed=None)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert (doc["seed"], doc["labels_present"], doc["label_file"]) == (None, False, None)
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "x.csv"]
+        back = load_dataset_dir(str(tmp_path))
+        assert back.labels is None
+        assert back.view_arrays[0].tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize("names", [["labels", "b"], ["a", "a"]])
+    def test_dataset_dir_views_need_a_file_each(self, tmp_path, names):
+        views = [ViewConfig(n, 1, Family.BERNOULLI) for n in names]
+        ds = MultiViewDataset(views, [np.ones((2, 1)), np.zeros((2, 1))], labels=np.arange(2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"views {names} do not name one file each")):
+            save_dataset_dir(ds, str(tmp_path / "d"), seed=0)
+        assert not os.path.exists(tmp_path / "d")
+
+    def test_mixed_family_dataset_dir_round_trip_is_bitwise(self, tmp_path, rng):
+        # With a Bernoulli view present nothing is standardized on load, so
+        # the Gaussian view's %.17g text must read back to the same bits.
+        gauss = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
+        gauss[0] = [5e-324, -0.0, -1e-310]
+        views = [ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE),
+                 ViewConfig("b", 4, Family.BERNOULLI)]
+        ds = MultiViewDataset(views, [gauss, rng.integers(0, 2, (7, 4)).astype(float)],
+                              labels=rng.integers(-5, 5, size=7))
+        save_dataset_dir(ds, str(tmp_path), seed=0)
+        back = load_dataset_dir(str(tmp_path))
+        assert back.views == ds.views
+        for a, b in zip(ds.view_arrays, back.view_arrays):
+            assert b.tobytes() == a.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
 
 
 def load_dataset_dir_with(directory, manifest: dict):
