@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import Family
-from .model import (MalformedDocumentError, MultiViewSample, ViewConfig, read_json,
-                    require_key, require_views, write_json)
+from .model import (MalformedDocumentError, MultiViewSample, ViewConfig, key_path,
+                    read_json, require_key, require_views, write_json)
 
 
 class CsvFormatError(ValueError):
@@ -350,8 +350,9 @@ def _parse_matrix(path: str) -> np.ndarray:
 
 
 def _parse_text_matrix(path: str) -> np.ndarray:
-    """`_parse_matrix` for a file of any layout."""
-    with open(path) as fh:
+    """`_parse_matrix` for a file of any layout. Here and in a label file a
+    byte that is not UTF-8 reads as a lone surrogate, which no number parses."""
+    with open(path, errors="surrogateescape") as fh:
         lines = (ln for ln in fh if ln.strip())
         first = next(lines, None)
         if first is None:
@@ -392,7 +393,7 @@ def _digit_matrix(text: bytes) -> np.ndarray | None:
 def _locate_csv_fault(path: str) -> None:
     """Raise a CsvFormatError at the first ragged row or non-numeric cell."""
     width = None
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -450,7 +451,7 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
     labels = None
     if label_path is not None:
         raw = []
-        with open(label_path) as fh:
+        with open(label_path, errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -724,6 +725,12 @@ def save_multiview_csv(data: MultiViewDataset, paths: list[str],
                 fh.write(f"{int(lab)}\n")
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether name is a plain file name, one that joined to a directory
+    stays inside it: not empty, . or .., and with no separator, drive or NUL."""
+    return name not in ("", ".", "..") and "\0" not in name and os.path.basename(name) == name
+
+
 def save_dataset_dir(data: MultiViewDataset, directory: str, seed: int | None) -> None:
     """Write what `load_dataset_dir` reads: `<view name>.csv` per view,
     `labels.csv` if labeled, and a `manifest.json` that names them."""
@@ -731,6 +738,8 @@ def save_dataset_dir(data: MultiViewDataset, directory: str, seed: int | None) -
     label_file = None if data.labels is None else "labels.csv"
     if len({*view_files, label_file}) <= len(view_files):  # two views alike, or "labels"
         raise ValueError(f"views {[v.name for v in data.views]} do not name one file each")
+    if not all(map(_is_file_name, view_files)):
+        raise ValueError(f"view files {view_files} are not all plain file names")
     os.makedirs(directory, exist_ok=True)
     save_multiview_csv(data, [os.path.join(directory, f) for f in view_files],
                        None if label_file is None else os.path.join(directory, label_file))
@@ -746,18 +755,26 @@ def save_dataset_dir(data: MultiViewDataset, directory: str, seed: int | None) -
 
 
 def load_dataset_dir(directory: str) -> MultiViewDataset:
-    """Load a dataset directory, as `save_dataset_dir` writes it.
-    A null or missing label_file leaves it unlabeled; labels_present and
-    seed are informational."""
+    """Load a dataset directory, as `save_dataset_dir` writes it. Each
+    view_files entry and the label_file is a plain file name in the
+    directory. A null or missing label_file leaves it unlabeled;
+    labels_present and seed are informational."""
     manifest = os.path.join(directory, "manifest.json")
     doc = read_json(manifest)
     names, families = require_views(doc, manifest)
     dims = [require_key(doc, ["views", i, "dim"], manifest, int) for i in range(len(names))]
     num_samples = require_key(doc, ["num_samples"], manifest, int)
-    paths = [os.path.join(directory, require_key(doc, ["view_files", i], manifest, str))
+
+    def file_path(keys):
+        name = require_key(doc, keys, manifest, str)
+        if not _is_file_name(name):
+            raise MalformedDocumentError(f"{manifest}: {key_path(keys)} must be a plain "
+                                         f"file name, got {name!r:.40}")
+        return os.path.join(directory, name)
+
+    paths = [file_path(["view_files", i])
              for i in range(len(require_key(doc, ["view_files"], manifest, list)))]
-    label_path = (None if doc.get("label_file") is None else os.path.join(
-        directory, require_key(doc, ["label_file"], manifest, str)))
+    label_path = None if doc.get("label_file") is None else file_path(["label_file"])
     if len(names) != len(paths):
         raise MalformedDocumentError(f"{manifest}: {len(names)} views for "
                                      f"{len(paths)} view_files")

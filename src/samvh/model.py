@@ -37,8 +37,7 @@ import numpy as np
 
 from .expfam import DomainError, Family, mean, sample_from_mean, sigmoid, suff_stat
 
-# Checkpoints are written in format 2 (theta as one base64 payload); format
-# 1 (one JSON list per array) is still read.
+# The one checkpoint format: a JSON header and theta as one base64 payload.
 CHECKPOINT_FORMAT_VERSION = 2
 
 # Exact enumeration is limited to models small enough to sum over all states.
@@ -558,21 +557,6 @@ def structure_report(params: HarmoniumParams) -> SwitchReport:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _params_to_dict(params: HarmoniumParams) -> dict:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "structure": {"kind": params.structure.kind.value},
-        "views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
-                  for v in params.views],
-        "hidden": {"dim": params.hidden_dim, "family": params.hidden_family.value},
-    }
-    if params.structure.mask is not None:
-        doc["structure"]["mask"] = params.structure.mask.astype(int).tolist()
-    doc["theta"] = base64.b64encode(
-        param_vector(params).astype("<f8").tobytes()).decode("ascii")
-    return doc
-
-
 class MalformedDocumentError(ValueError):
     """A JSON document (checkpoint, dataset manifest or config) is not valid
     JSON, lacks a key (a MissingKeyError) or holds a value of the wrong kind."""
@@ -583,11 +567,12 @@ class MissingKeyError(MalformedDocumentError):
 
 
 def read_json(path: str):
-    """The JSON document in a file, or a MalformedDocumentError naming it."""
-    with open(path) as fh:
+    """The JSON document in a file, or a MalformedDocumentError naming it
+    if the file is not JSON in UTF-8."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
             raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -662,37 +647,6 @@ def require_views(doc, source: str) -> tuple[list[str], list[Family]]:
             [require_key(doc, ["views", i, "family"], source, Family) for i in range(n)])
 
 
-def _params_from_dict(doc: dict, source: str) -> HarmoniumParams:
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_FORMAT_VERSION) or type(version) is not int:
-        raise ValueError(f"unsupported format version ['format_version']: {version!r}")
-
-    def get(*path, kind=None):
-        return require_key(doc, list(path), source, kind)
-
-    names, families = require_views(doc, source)
-    views = [ViewConfig(name, get("views", i, "dim", kind=int), family)
-             for i, (name, family) in enumerate(zip(names, families))]
-    kind = get("structure", "kind", kind=StructureKind)
-    structure = StructureMode(kind, get("structure", "mask") if kind is StructureKind.MVH
-                              else get("structure").get("mask"))
-    J = get("hidden", "dim", kind=int)
-    if version == 1:
-        def array(name):
-            return np.asarray(get("arrays", name, "data"), dtype=np.float64).reshape(
-                get("arrays", name, "shape"))
-
-        W = [array(f"W{k}") for k in range(len(views))]
-        xi = [array(f"xi{k}") for k in range(len(views))]
-        lam, s = array("lam"), array("s")
-    else:
-        dims = [v.dim for v in views]
-        W, xi, lam, s = split_param_vector(_decode_theta(get("theta"), dims, J), dims, J)
-    return HarmoniumParams(views=views, hidden_dim=J,
-                           hidden_family=get("hidden", "family", kind=Family),
-                           W=W, xi=xi, lam=lam, s=s, structure=structure)
-
-
 def _decode_theta(text, dims: list[int], hidden_dim: int) -> np.ndarray:
     """The flat parameter vector of a format-2 `theta` payload: base64 of
     little-endian float64 values, exactly as many as views of dims D_k and
@@ -716,16 +670,43 @@ def save_checkpoint(params: HarmoniumParams, path: str) -> None:
     header (format_version, structure, views, hidden) and `theta`, the
     base64 of `param_vector(params)` as little-endian float64, so every
     double survives save/load bit-exactly."""
-    write_json(_params_to_dict(params), path)
+    structure = {"kind": params.structure.kind.value}
+    if params.structure.mask is not None:
+        structure["mask"] = params.structure.mask.astype(int).tolist()
+    write_json({
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "structure": structure,
+        "views": [{"name": v.name, "dim": v.dim, "family": v.family.value}
+                  for v in params.views],
+        "hidden": {"dim": params.hidden_dim, "family": params.hidden_family.value},
+        "theta": base64.b64encode(param_vector(params).astype("<f8").tobytes()).decode("ascii"),
+    }, path)
 
 
 def load_checkpoint(path: str) -> HarmoniumParams:
-    """A checkpoint of format 2, or of format 1 (one JSON list per array).
-    Any fault is a MalformedDocumentError (a MissingKeyError for a missing
-    key) that names the file."""
+    """A checkpoint as `save_checkpoint` writes it. Any other format_version,
+    and any other fault, is a MalformedDocumentError (a MissingKeyError for
+    a missing key) that names the file."""
     doc = read_json(path)
+
+    def get(*keys, kind=None):
+        return require_key(doc, list(keys), path, kind)
+
     try:
-        return _params_from_dict(doc, path)
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_FORMAT_VERSION or type(version) is not int:
+            raise ValueError(f"unsupported format version ['format_version']: {version!r}")
+        names, families = require_views(doc, path)
+        views = [ViewConfig(name, get("views", i, "dim", kind=int), family)
+                 for i, (name, family) in enumerate(zip(names, families))]
+        kind = get("structure", "kind", kind=StructureKind)
+        structure = StructureMode(kind, get("structure", "mask") if kind is StructureKind.MVH
+                                  else get("structure").get("mask"))
+        dims, J = [v.dim for v in views], get("hidden", "dim", kind=int)
+        W, xi, lam, s = split_param_vector(_decode_theta(get("theta"), dims, J), dims, J)
+        return HarmoniumParams(views=views, hidden_dim=J,
+                               hidden_family=get("hidden", "family", kind=Family),
+                               W=W, xi=xi, lam=lam, s=s, structure=structure)
     except MalformedDocumentError:
         raise
     except (TypeError, ValueError) as exc:

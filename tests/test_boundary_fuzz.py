@@ -1,12 +1,11 @@
 """Boundary fuzz of the CLI's file inputs.
 
-Every field of a small format-2 checkpoint, of a format-1 checkpoint, of a
-dataset manifest and of a config is mutated one at a time: set to a value
-of another JSON type, set out of range, removed, or joined by an extra
-key. Each view CSV is emptied or truncated. Each case runs through
+Every field of a small checkpoint, of a dataset manifest and of a config
+is mutated one at a time: set to a value of another JSON type, set out of
+range, removed, or joined by an extra key. Each view CSV is emptied,
+truncated or given a byte that is not UTF-8. Each case runs through
 `cli.main` in process: `extract`, `eval-knn` and `render-filters` for a
-checkpoint (`extract` for format 1), `train` for a manifest, `train` and
-`extract` for a view CSV, and for a config every command, except that a
+checkpoint, `train` for a manifest, `train` and `extract` for a view CSV, and for a config every command, except that a
 value which only the data or a checkpoint can show to be wrong goes to
 the commands that read those (DATA_DEPENDENT). A rejected input must exit
 2 (bad input) or 3 (I/O), name the file on stderr (and a removed key, a
@@ -26,8 +25,6 @@ import pytest
 
 from samvh import cli
 
-V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_v1_sa.json")
-
 CONFIG = {
     "synth": {"num_classes": 4, "samples_per_class": 10, "image_side": 10},
     "model": {"hidden_dim": 3, "structure": "mvh", "mvh_mask": [[1, 0, 1], [1, 1, 0]]},
@@ -40,7 +37,7 @@ JSON_VALUES = [None, True, 7, 2.5, "x", [1], {"a": 1}]
 # Values of the right type but out of range, by key path ("*" for any index).
 OUT_OF_RANGE = {
     "checkpoint": {
-        "format_version": [0, 3],
+        "format_version": [0, 1, 3],
         "structure.kind": ["", "gated"],
         "structure.mask": [[], [[1, 0, 1]]],
         "structure.mask.*": [[1, 0]],
@@ -60,8 +57,8 @@ OUT_OF_RANGE = {
         "views.*.family": ["", "poisson"],
         "num_samples": [0, -1, 10 ** 6],
         "view_files": [[]],
-        "view_files.*": ["nope.csv"],
-        "label_file": ["nope.csv"],
+        "view_files.*": ["nope.csv", "../nope.csv", "/nope.csv"],
+        "label_file": ["nope.csv", "../nope.csv", "/nope.csv"],
     },
     "config": {
         "model.structure": ["", "gated"],
@@ -99,10 +96,6 @@ OUT_OF_RANGE = {
         "eval.view": [9, -1],
     },
 }
-# A format-1 checkpoint also gets shapes that do not fit its arrays' data.
-OUT_OF_RANGE["checkpoint_v1"] = dict(OUT_OF_RANGE["checkpoint"], **{
-    f"arrays.{name}.shape": [[1, 2, 3], [10 ** 6], -1, 10 ** 9]
-    for name in ("W0", "xi0", "W1", "xi1", "lam", "s")})
 
 REMOVED = object()  # the mutation that deletes the key or list item
 
@@ -113,22 +106,20 @@ TYPED = {
     "manifest": {"views", "views.*.name", "views.*.dim", "views.*.family",
                  "num_samples", "view_files", "view_files.*", "label_file"},
 }
-TYPED["checkpoint_v1"] = TYPED["checkpoint"]
 
 
 def accepted(doc_name, pattern, value):
     """Whether a mutation leaves a valid document (True), an invalid one
     (False), or either (None). Mask items may be true or false; a manifest's
     seed and labels_present are only informational, and a dataset without a
-    label file is unlabeled. A format-1 checkpoint's arrays may be read as
-    float64 or not. A config key that is removed, or a nullable one set to
+    label file is unlabeled. A config key that is removed, or a nullable one set to
     null, takes its default (a seed then comes from --seed), which may or
     may not suit the other keys; any other change of a config is invalid,
     except leaving out a `views` record's dim."""
     if pattern.endswith("mask.*.*") and value is True:
         return True
-    if doc_name.startswith("checkpoint"):
-        return None if pattern.startswith("arrays.") else False
+    if doc_name == "checkpoint":
+        return False
     if doc_name == "manifest":
         return pattern in ("seed", "labels_present") or (
             pattern == "label_file" and (value is None or value is REMOVED))
@@ -339,27 +330,6 @@ def test_checkpoint_fields(fixture_dir, capsys):
     assert not findings, "\n".join(findings)
 
 
-def test_format_1_checkpoint_fields(tmp_path, capsys):
-    """The format-1 fixture, an SA model with views v0 and v1 of 3 pixels,
-    through extract on two binary CSVs that a config's views describe."""
-    csvs = []
-    for name in ("v0", "v1"):
-        csvs.append(str(tmp_path / f"{name}.csv"))
-        with open(csvs[-1], "w") as fh:
-            fh.write("1,0,1\n0,1,1\n0,0,0\n")
-    cfg = str(tmp_path / "config.json")
-    write_json_doc({"views": [{"name": name, "family": "bernoulli"} for name in ("v0", "v1")]},
-                   cfg)
-    broken, out = str(tmp_path / "broken.json"), str(tmp_path / "feat")
-    with open(V1_CHECKPOINT) as fh:
-        doc = json.load(fh)
-    argv = ["--config", cfg, "extract", "--checkpoint", broken, "--data", ",".join(csvs),
-            "--out", out]
-    findings = sweep_fields("checkpoint_v1", doc, broken, lambda *_: [(argv, out)],
-                            [broken], capsys)
-    assert not findings, "\n".join(findings)
-
-
 def test_manifest_fields(fixture_dir, capsys):
     root, cfg, data_dir, ckpt = fixture_dir
     work, out = str(root / "manifest_case"), str(root / "trained")
@@ -488,7 +458,8 @@ def test_view_csv_bytes(fixture_dir, capsys):
         width = text.index(b"\n") + 1
         edits = {"emptied": b"", "blank lines only": b"\n \n\n",
                  "last row dropped": text[:-width],
-                 "last newline dropped": text[:-1]}
+                 "last newline dropped": text[:-1],
+                 "byte 0xff in row 2": text[:width] + b"\xff" + text[width + 1:]}
         for cut in rng.integers(1, len(text) - 1, size=4):
             edits[f"cut at byte {cut}"] = text[:cut]
         for edit, cut_text in edits.items():

@@ -53,12 +53,6 @@ def write_binary_csvs(tmp_path):
     return paths
 
 
-# A format-1 checkpoint of make_tiny_model(default_rng(1)), an SA model
-# with views v0 and v1.
-V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "fixtures",
-                             "checkpoint_v1_sa.json")
-
-
 def edit_doc(text, edit):
     """The JSON document text after edit(doc) changed it in place."""
     doc = json.loads(text)
@@ -425,6 +419,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert "manifest.json" in err and "'view_files'" in err
+
+    def test_manifest_file_outside_the_directory_is_config_error(self, tmp_path, capsys):
+        # outside.csv, next to the dataset directory, holds a valid view.
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        shutil.copy(os.path.join(data_dir, "arabic.csv"), tmp_path / "outside.csv")
+        manifest = os.path.join(data_dir, "manifest.json")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["view_files"][0] = "../outside.csv"
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "r")
+        code = cli.main(["--config", cfg, "--seed", "1", "train", "--data", data_dir,
+                         "--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: ['view_files'][0] must be a plain file name, "
+            "got '../outside.csv'\n")
+        assert not os.path.exists(out)
 
     def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -820,22 +835,31 @@ class TestEvalPipeline:
         assert code == cli.EXIT_CONFIG
         assert "no hidden units" in capsys.readouterr().err
 
-    def test_checkpoint_without_arrays_is_config_error(self, tmp_path, trained,
-                                                       capsys):
-        # Format 1 holds the parameters under "arrays", format 2 under "theta".
+    def test_checkpoint_without_theta_is_config_error(self, tmp_path, trained,
+                                                      capsys):
         cfg, data_dir, ckpt = trained
-        for source, key in ((V1_CHECKPOINT, "arrays"), (ckpt, "theta")):
-            with open(source) as fh:
-                doc = json.load(fh)
-            del doc[key]
-            broken = str(tmp_path / "broken.json")
-            with open(broken, "w") as fh:
-                json.dump(doc, fh)
-            code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
-                             "--data", data_dir, "--out", str(tmp_path / "f")])
-            err = capsys.readouterr().err
-            assert code == cli.EXIT_CONFIG
-            assert "broken.json" in err and f"'{key}'" in err
+        with open(ckpt) as fh:
+            doc = json.load(fh)
+        del doc["theta"]
+        broken = str(tmp_path / "broken.json")
+        with open(broken, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["--config", cfg, "extract", "--checkpoint", broken,
+                         "--data", data_dir, "--out", str(tmp_path / "f")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "broken.json" in err and "'theta'" in err
+
+    @pytest.mark.parametrize("name", ["config", "checkpoint", "manifest.json",
+                                      "labels.csv", "arabic.csv"])
+    def test_byte_not_utf8_names_the_file(self, tmp_path, trained, capsys, name):
+        cfg, data_dir, ckpt = trained
+        path = {"config": cfg, "checkpoint": ckpt}.get(name, os.path.join(data_dir, name))
+        Path(path).write_bytes(b"\xff" + read_bytes(path))
+        code = cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                         "--data", data_dir, "--out", str(tmp_path / "knn")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
 
     def test_checkpoint_value_of_wrong_type_is_config_error(self, tmp_path, trained,
                                                             capsys):

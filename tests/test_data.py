@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -202,14 +203,24 @@ class TestCsv:
             assert str(info.value) == f"{p1}:{lineno}: expected 2 columns, got 1"
 
     def test_non_numeric_cell_reported(self, tmp_path):
+        # A byte that is not UTF-8 reads as a lone surrogate (0xff: U+DCFF).
         p1 = str(tmp_path / "a.csv")
-        for text, where in (("1,2\n3,oops\n", "2: column 2: non-numeric cell 'oops'"),
-                            ("1,2\n\n3, \n", "3: column 2: non-numeric cell ''"),
-                            ("#1,2\n", "1: column 1: non-numeric cell '#1'")):
-            Path(p1).write_text(text)
+        for text, where in ((b"1,2\n3,oops\n", "2: column 2: non-numeric cell 'oops'"),
+                            (b"1,2\n\n3, \n", "3: column 2: non-numeric cell ''"),
+                            (b"#1,2\n", "1: column 1: non-numeric cell '#1'"),
+                            (b"1,2\n3,4\xff\n", "2: column 2: non-numeric cell '4\\udcff'")):
+            Path(p1).write_bytes(text)
             with pytest.raises(CsvFormatError) as info:
                 load_multiview_csv([p1])
             assert str(info.value) == f"{p1}:{where}"
+
+    def test_label_byte_not_utf8_reported_with_location(self, tmp_path):
+        p1, lab = str(tmp_path / "a.csv"), str(tmp_path / "lab.csv")
+        Path(p1).write_bytes(b"1\n2\n")
+        Path(lab).write_bytes(b"0\n\xff\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_multiview_csv([p1], lab)
+        assert str(info.value) == f"{lab}:2: non-integer label '\\udcff'"
 
     def test_cell_float_accepts_but_reader_rejects(self, tmp_path):
         # Digit-group underscores parse with float() but not in numpy's
@@ -558,10 +569,13 @@ class TestManifest:
         ('{"views": [], "num_samples": 1, "view_files": []}',
          "manifest.json: ['views'] must be a non-empty list, got []"),
         ('{"views": [5], "num_samples": 1, "view_files": ["a.csv"]}',
-         "manifest.json: ['views'][0] must be an object, got 5")])
+         "manifest.json: ['views'][0] must be an object, got 5"),
+        (b'{"views": ["\xff"]}', "manifest.json: invalid JSON: 'utf-8' codec can't "
+         "decode byte 0xff in position 12: invalid start byte")])
     def test_corrupt_manifest_names_the_file(self, tmp_path, text, match):
         (tmp_path / "a.csv").write_text("1\n")
-        (tmp_path / "manifest.json").write_text(text)
+        (tmp_path / "manifest.json").write_bytes(
+            text if isinstance(text, bytes) else text.encode())
         with pytest.raises(MalformedDocumentError, match=re.escape(match)):
             load_dataset_dir(str(tmp_path))
 
@@ -590,14 +604,39 @@ class TestManifest:
         assert back.labels is None
         assert back.view_arrays[0].tobytes() == np.eye(2).tobytes()
 
-    @pytest.mark.parametrize("names", [["labels", "b"], ["a", "a"]])
-    def test_dataset_dir_views_need_a_file_each(self, tmp_path, names):
+    @pytest.mark.parametrize("names,message", [
+        (["labels", "b"], "views ['labels', 'b'] do not name one file each"),
+        (["a", "a"], "views ['a', 'a'] do not name one file each"),
+        (["../escaped", "b"], "view files ['../escaped.csv', 'b.csv'] are not all plain "),
+        (["a", "sub/x"], "view files ['a.csv', 'sub/x.csv'] are not all plain ")])
+    def test_dataset_dir_views_need_a_file_each(self, tmp_path, names, message):
         views = [ViewConfig(n, 1, Family.BERNOULLI) for n in names]
         ds = MultiViewDataset(views, [np.ones((2, 1)), np.zeros((2, 1))], labels=np.arange(2))
-        with pytest.raises(ValueError, match=re.escape(
-                f"views {names} do not name one file each")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             save_dataset_dir(ds, str(tmp_path / "d"), seed=0)
-        assert not os.path.exists(tmp_path / "d")
+        assert os.listdir(tmp_path) == []  # neither the directory nor a file next to it
+
+    @pytest.mark.parametrize("key,name", [
+        (["view_files", 0], "../outside.csv"), (["view_files", 0], None),
+        (["label_file"], "../outside.csv"), (["label_file"], "."), (["view_files", 1], ".."),
+        (["view_files", 1], "roman\0.csv")],
+        ids=["view-parent", "view-absolute", "label-parent", "label-dot", "view-dotdot",
+             "view-nul"])
+    def test_manifest_files_stay_in_the_directory(self, tmp_path, key, name):
+        # A copy of the named file next to the directory (None: by absolute
+        # path) would read as a valid dataset if the manifest could leave it.
+        ds = generate_synthetic_paired(SynthConfig(seed=3, samples_per_class=2))
+        directory = tmp_path / "d"
+        save_dataset_dir(ds, str(directory), seed=3)
+        doc = json.loads((directory / "manifest.json").read_text())
+        parent, last = (doc, key[0]) if len(key) == 1 else (doc[key[0]], key[1])
+        shutil.copy(directory / parent[last], tmp_path / "outside.csv")
+        parent[last] = str(tmp_path / "outside.csv") if name is None else name
+        key_text = "".join(f"[{k!r}]" for k in key)
+        with pytest.raises(MalformedDocumentError, match=re.escape(
+                f"{directory / 'manifest.json'}: {key_text} must be a plain file name, "
+                f"got {parent[last]!r:.40}")):
+            load_dataset_dir_with(directory, doc)
 
     def test_mixed_family_dataset_dir_round_trip_is_bitwise(self, tmp_path, rng):
         # With a Bernoulli view present nothing is standardized on load, so

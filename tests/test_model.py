@@ -752,15 +752,6 @@ class TestStructureReport:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-def v1_fixture(kind: StructureKind) -> str:
-    """A format-1 checkpoint of make_tiny_model(default_rng(1), SA) or of
-    make_tiny_model(default_rng(2), MVH)."""
-    return os.path.join(FIXTURES, f"checkpoint_v1_{kind.value}.json")
-
-
 def edit_doc(text: str, edit) -> str:
     """The JSON document text after edit(doc) changed it in place."""
     doc = json.loads(text)
@@ -851,15 +842,17 @@ class TestCheckpoint:
         assert np.array_equal(load_checkpoint(path).structure.mask, p.structure.mask)
 
     def test_version_check(self, rng, tmp_path):
-        import json
-        p = make_tiny_model(rng)
+        # Format 2 is the only format: format 1 (one JSON list per array) is
+        # not read either.
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(p, path)
-        doc = json.loads(Path(path).read_text())
-        doc["format_version"] = 99
-        Path(path).write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        save_checkpoint(make_tiny_model(rng), path)
+        text = Path(path).read_text()
+        for version in (99, 1):
+            Path(path).write_text(edit_doc(text, lambda doc: doc.update(format_version=version)))
+            with pytest.raises(MalformedDocumentError, match=re.escape(
+                    f"{path}: malformed checkpoint: unsupported format version "
+                    f"['format_version']: {version}")):
+                load_checkpoint(path)
         Path(path).write_text("[]")  # not an object at all
         with pytest.raises(ValueError, match="format version"):
             load_checkpoint(path)
@@ -904,19 +897,6 @@ class TestCheckpoint:
             assert arr.flags.writeable
             arr += 1.0
         assert np.array_equal(load_checkpoint(path).lam, p.lam)
-
-    @pytest.mark.parametrize("kind,seed", [(StructureKind.SA, 1),
-                                           (StructureKind.MVH, 2)])
-    def test_format_1_fixture_loads_bit_exact(self, kind, seed):
-        # Written by the format-1 save_checkpoint from these same models.
-        p = make_tiny_model(np.random.default_rng(seed), kind)
-        q = load_checkpoint(v1_fixture(kind))
-        assert param_vector(q).tobytes() == param_vector(p).tobytes()
-        assert q.structure.kind is kind
-        if kind is StructureKind.MVH:
-            assert np.array_equal(q.structure.mask, p.structure.mask)
-        assert [(v.name, v.dim, v.family) for v in q.views] == [
-            (v.name, v.dim, v.family) for v in p.views]
 
     @pytest.mark.parametrize("edit,error,match", THETA_CORRUPTIONS)
     def test_corrupt_theta_names_the_file(self, rng, tmp_path, edit, error, match):
