@@ -281,8 +281,8 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
     lines (arabic view) or full-width horizontal lines (roman view) at
     uniformly random positions. Deterministic given the seed.
 
-    With record_noise=True also returns the per-view boolean noise masks,
-    shape (N, side*side) each.
+    The views are uint8 arrays of 0 and 1. With record_noise=True also
+    returns the per-view boolean noise masks, shape (N, side*side) each.
     """
     rng = np.random.default_rng(config.seed)
     side = config.image_side
@@ -303,7 +303,7 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
     offsets = np.arange(_GLYPH_SIDE)
     images, masks = [], []
     for view, glyphs in enumerate(glyph_templates()):
-        img = np.zeros((n_total, side, side))
+        img = np.zeros((n_total, side, side), dtype=np.uint8)
         r = base + shifts[:, view, 0, None, None] + offsets[:, None]  # (N, 8, 1)
         c = base + shifts[:, view, 1, None, None] + offsets  # (N, 1, 8)
         # Class by class, as the labels run in blocks: a glyph per sample
@@ -317,7 +317,7 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
         # Arabic noise lines are columns, roman noise lines are rows.
         noise = np.zeros(img.shape, dtype=bool)
         noise |= hit[:, None, :] if view == 0 else hit[:, :, None]
-        np.copyto(img, 1.0, where=noise)
+        img |= noise
         images.append(img.reshape(n_total, side * side))
         masks.append(noise.reshape(n_total, side * side))
 
@@ -339,10 +339,10 @@ def _parse_matrix(path: str) -> np.ndarray:
     A file in the fixed layout that `save_matrix_csv` writes for a matrix
     of single digits (lines of one length, each ending in a newline, with a
     digit 0-9 at every even byte offset and a comma at every other offset
-    before the newline) is decoded from its bytes. Any other file is parsed
-    by numpy's C reader, and a file that reader rejects is rescanned by
-    `_locate_csv_fault` for an error that names the line and column. Both
-    paths give the same array.
+    before the newline) is decoded from its bytes to uint8. Any other file
+    is parsed by numpy's C reader to float64, and a file that reader rejects
+    is rescanned by `_locate_csv_fault` for an error that names the line and
+    column. Both paths give the same values.
     """
     with open(path, "rb") as fh:
         matrix = _digit_matrix(fh.read())
@@ -370,23 +370,22 @@ _CHECK_BYTES = 1 << 16  # bytes of a file that `_digit_matrix` checks at once
 
 
 def _digit_matrix(text: bytes) -> np.ndarray | None:
-    """The matrix that a file's bytes hold in the fixed single-digit layout,
-    or None if the bytes have any other layout."""
+    """The uint8 matrix that a file's bytes hold in the fixed single-digit
+    layout, or None if the bytes have any other layout."""
     width = text.find(b"\n") + 1
     if width == 0 or width % 2 or len(text) % width:
         return None
     rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
-    matrix = np.empty((rows.shape[0], width // 2))
+    matrix = np.empty((rows.shape[0], width // 2), dtype=np.uint8)
     step = max(1, _CHECK_BYTES // width)
     # Block by block, so the check's temporaries stay small.
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
-        cells = block[:, ::2]
-        if not ((cells - ord("0") <= 9).all()  # uint8: bytes below '0' wrap past 9
+        digits = np.subtract(block[:, ::2], ord("0"), out=matrix[start:start + step])
+        if not ((digits <= 9).all()  # uint8: bytes below '0' wrap past 9
                 and (block[:, 1:-1:2] == ord(",")).all()
                 and (block[:, -1] == ord("\n")).all()):
             return None
-        np.subtract(cells, ord("0"), out=matrix[start:start + step], dtype=np.float64)
     return matrix
 
 
@@ -426,11 +425,13 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
                        names: list[str] | None = None) -> MultiViewDataset:
     """Load one CSV matrix per view (no header, one row per sample).
 
-    By default views are treated as real-valued Gaussian features. When
-    every view is Gaussian, each column is standardized; pass explicit
-    families (e.g. Bernoulli for binary data) to keep the raw values. A file
-    with no rows, or whose row count differs from the first file's, is a
-    CsvFormatError that names it.
+    By default views are treated as real-valued Gaussian features, held as
+    float64. When every view is Gaussian, each column is standardized; pass
+    explicit families (e.g. Bernoulli for binary data) to keep the raw
+    values, which a Bernoulli view holds as read: uint8 from a file of
+    single digits, float64 from any other. A file with no rows, or whose
+    row count differs from the first file's, is a CsvFormatError that
+    names it.
     """
     if families is None:
         families = [Family.GAUSSIAN_UNIT_VARIANCE] * len(paths)
@@ -445,6 +446,9 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
         if m.shape[0] != n_rows:
             raise CsvFormatError(
                 f"{path}: has {m.shape[0]} rows, but {paths[0]} has {n_rows}")
+    for k, fam in enumerate(families[:len(matrices)]):
+        if fam is not Family.BERNOULLI:
+            matrices[k] = matrices[k].astype(np.float64, copy=False)
     if all(f is Family.GAUSSIAN_UNIT_VARIANCE for f in families):
         matrices = [standardize_columns(m) for m in matrices]
 

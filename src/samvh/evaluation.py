@@ -62,6 +62,9 @@ def extract_features(params: HarmoniumParams, data: MultiViewDataset,
     return FeatureMatrix(values=hmean[:, idx], column_indices=idx)
 
 
+_RANK_CELLS = 1 << 16  # distances that knn_classify ranks at once
+
+
 def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
                  test_labels, k: int) -> float:
     """k-nearest-neighbor accuracy under Euclidean distance.
@@ -82,30 +85,38 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
         raise ValueError("need one label per feature row")
 
     # Squared distances preserve the Euclidean ordering. Built in one buffer:
-    # |q|^2 - 2 q.x + |x|^2, rounded as if written out in that order.
+    # |q|^2 - 2 q.x + |x|^2, rounded as if written out in that order. The
+    # product is one call: blocks of it could round differently.
+    q2, x2 = np.sum(Q ** 2, axis=1), np.sum(X ** 2, axis=1)
     d2 = Q @ X.T
-    d2 *= -2.0
-    d2 += np.sum(Q ** 2, axis=1)[:, None]
-    d2 += np.sum(X ** 2, axis=1)[None, :]
-    # The k nearest in any order: the vote does not depend on their order.
-    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    # Where more than k points lie at or below the k-th distance, the
-    # selection among the ties is arbitrary. Re-rank those rows with a
-    # stable sort, so equal distances go to the lower training index.
-    kth = np.take_along_axis(d2, nearest[:, k - 1:], axis=1)
-    ties = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
-    if ties.size:
-        nearest[ties] = np.argsort(d2[ties], axis=1, kind="stable")[:, :k]
-    del d2  # free the distances before the (Q, k) vote arrays exist
-    # Votes per (query, distinct label) from one bincount over offset label
-    # indices. The labels are sorted, so argmax picks the smallest on ties.
     classes, index = np.unique(train_labels, return_inverse=True)
-    cells = index[nearest]
-    cells += np.arange(Q.shape[0])[:, None] * len(classes)
-    votes = np.bincount(cells.ravel(),
-                        minlength=Q.shape[0] * len(classes)).reshape(Q.shape[0], -1)
-    predicted = classes[votes.argmax(axis=1)]
-    return int(np.count_nonzero(predicted == test_labels)) / len(test_labels)
+    correct = 0
+    step = max(1, _RANK_CELLS // X.shape[0])
+    # The rest goes a block of rows at a time, so that only one block's
+    # index and vote arrays exist at once.
+    for start in range(0, Q.shape[0], step):
+        d = d2[start:start + step]
+        d *= -2.0
+        d += q2[start:start + step, None]
+        d += x2
+        # The k nearest in any order: the vote does not depend on their order.
+        nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
+        # Where more than k points lie at or below the k-th distance, the
+        # selection among the ties is arbitrary. Re-rank those rows with a
+        # stable sort, so equal distances go to the lower training index.
+        kth = np.take_along_axis(d, nearest[:, k - 1:], axis=1)
+        ties = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > k)
+        if ties.size:
+            nearest[ties] = np.argsort(d[ties], axis=1, kind="stable")[:, :k]
+        # Votes per (query, distinct label) from one bincount over offset
+        # label indices. The labels are sorted, so argmax picks the smallest
+        # on ties.
+        cells = index[nearest]
+        cells += np.arange(len(d))[:, None] * len(classes)
+        votes = np.bincount(cells.ravel(), minlength=len(d) * len(classes))
+        predicted = classes[votes.reshape(len(d), -1).argmax(axis=1)]
+        correct += int(np.count_nonzero(predicted == test_labels[start:start + step]))
+    return correct / len(test_labels)  # a float, not np.float64: sweep_to_csv reprs it
 
 
 def knn_sweep(train: FeatureMatrix, train_labels, test: FeatureMatrix,

@@ -278,10 +278,12 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
 
 
 def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
-    """Validate a batch against the model and return f(v) per view.
+    """Validate a batch against the model and return f(v) per view, as
+    float64: the one place where a batch of any dtype is widened.
 
     fv holds one (B, D_k) array per view with the same B >= 1 throughout,
-    every value finite and inside its view's family support.
+    every value finite and inside its view's family support. A uint8 view,
+    as the binary datasets are held, is checked on its bytes.
     """
     if len(fv) != params.num_views:
         raise ShapeMismatchError(
@@ -289,10 +291,16 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
             f"{', '.join(repr(v.name) for v in params.views)}")
     out = []
     for cfg, arr in zip(params.views, fv):
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[1] != cfg.dim:
             raise ShapeMismatchError(
                 f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
+        if arr.dtype == np.uint8:
+            if cfg.family is Family.BERNOULLI and arr.max(initial=0) > 1:
+                raise DomainError(f"view {cfg.name!r}: Bernoulli support is {{0, 1}}")
+            out.append(arr.astype(np.float64))
+            continue
+        arr = arr.astype(np.float64, copy=False)
         # The Bernoulli support test fails on NaN and inf too.
         try:
             if cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():

@@ -19,8 +19,8 @@ energy kernels in `model` serves one model and such a stack alike.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
 validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
-checks its view arrays once before the first step, and slices minibatches
-out of them.
+checks its view arrays once before the first step, which widens a uint8
+dataset to float64 once per call, and slices minibatches out of them.
 
 A gradient step builds the gates and the gated weights sigma(s) W^k once
 (`model.gated_weights`) and passes them to the energy kernels of `model`:
@@ -277,8 +277,9 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
           gradient_fn=None) -> tuple[HarmoniumParams, TrainLog]:
     """Minibatch gradient ascent with momentum. Deterministic given the seed.
 
-    The dataset's view arrays are checked against the model once, before the
-    first step; each minibatch is a row slice of them. `gradient_fn(params,
+    The dataset's view arrays are checked against the model and widened to
+    float64 once, before the first step; each minibatch is a row slice of
+    them. `gradient_fn(params,
     fv)` may replace the CD estimator, e.g. with `exact_gradient` on tiny
     models.
     """

@@ -404,6 +404,24 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {arabic}: has no rows\n"
 
+    def test_byte_outside_support_in_dataset_dir_is_config_error(self, tmp_path, capsys):
+        # gen-data's views read back as uint8, and a 2 among those bytes gets
+        # the message that a 2.0 in a float64 view gets.
+        cfg = small_config(tmp_path)
+        data_dir = str(tmp_path / "d")
+        cli.main(["--config", cfg, "--seed", "1", "gen-data", "--out", data_dir])
+        assert [a.dtype for a in load_dataset_dir(data_dir).view_arrays] == [np.uint8] * 2
+        arabic = os.path.join(data_dir, "arabic.csv")
+        text = bytearray(read_bytes(arabic))
+        text[2] = ord("2")
+        with open(arabic, "wb") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data_dir, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: view 'arabic': Bernoulli support is {0, 1}\n"
+
     def test_manifest_without_view_files_is_config_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         data_dir = str(tmp_path / "d")

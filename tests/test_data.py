@@ -124,7 +124,10 @@ class TestGenerate:
         ds, masks = generate_synthetic_paired(cfg, record_noise=True)
         want_images, want_masks, want_labels = reference_generate(cfg)
         assert np.array_equal(ds.labels, want_labels)
-        for got, want in zip(ds.view_arrays + masks, want_images + want_masks):
+        # The images are uint8 with the float64 reference's values.
+        for got, want in zip(ds.view_arrays, want_images):
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        for got, want in zip(masks, want_masks):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -293,7 +296,8 @@ class TestCsv:
         assert back.tobytes() == arr.tobytes()  # keeps the sign of -0.0
 
     def test_matches_per_cell_float_reference(self, tmp_path):
-        # The CSVs `gen-data` writes parse to the same bits as float() per cell.
+        # The CSVs `gen-data` writes parse to uint8 with the values of
+        # float() per cell.
         ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=20))
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")]
         save_multiview_csv(ds, paths)
@@ -302,7 +306,7 @@ class TestCsv:
             with open(path) as fh:
                 want = np.array([[float(c) for c in line.split(",")]
                                  for line in fh if line.strip()])
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
 
     def test_round_trip_binary_exact(self, tmp_path):
         ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=3))
@@ -346,10 +350,12 @@ class TestCsv:
         save_matrix_csv(path, arr)
         raw = read_bytes(path)
         assert raw == per_cell_bytes(arr)
-        # The writer's bytes take the reader's byte path, to the same array.
+        # The writer's bytes take the reader's byte path, to uint8 with the
+        # same values.
         back = _digit_matrix(raw)
-        assert back is not None and back.tobytes() == arr.tobytes()
-        assert _parse_matrix(path).tobytes() == per_cell_floats(path).tobytes()
+        assert back is not None and back.dtype == np.uint8 and np.array_equal(back, arr)
+        got = _parse_matrix(path)
+        assert got.dtype == np.uint8 and np.array_equal(got, per_cell_floats(path))
 
     @pytest.mark.parametrize("shape", [(5, 1), (1, 7), (1, 1)])
     def test_digit_matrix_one_row_or_column(self, tmp_path, rng, shape):
@@ -357,7 +363,8 @@ class TestCsv:
         path = str(tmp_path / "m.csv")
         save_matrix_csv(path, arr)
         assert read_bytes(path) == per_cell_bytes(arr)
-        assert _parse_matrix(path).tobytes() == arr.tobytes()
+        got = _parse_matrix(path)
+        assert got.dtype == np.uint8 and np.array_equal(got, arr)
 
     @pytest.mark.parametrize("odd", [-0.0, 0.5, 10.0, np.nan, np.inf, -1.0])
     def test_values_outside_the_digits_take_the_template(self, tmp_path, rng, odd):
@@ -429,7 +436,8 @@ class TestCsv:
         path = str(tmp_path / "m.csv")
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-        assert _digit_matrix(read_bytes(path)).tobytes() == per_cell_floats(path).tobytes()
+        got = _digit_matrix(read_bytes(path))
+        assert got.dtype == np.uint8 and np.array_equal(got, per_cell_floats(path))
         rows[-50] = "1,x"
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -602,7 +610,14 @@ class TestManifest:
         assert sorted(os.listdir(tmp_path)) == ["manifest.json", "x.csv"]
         back = load_dataset_dir(str(tmp_path))
         assert back.labels is None
-        assert back.view_arrays[0].tobytes() == np.eye(2).tobytes()
+        assert back.view_arrays[0].dtype == np.uint8
+        assert np.array_equal(back.view_arrays[0], np.eye(2))
+
+    def test_generated_dataset_dir_round_trip_keeps_uint8(self, tmp_path):
+        ds = generate_synthetic_paired(SynthConfig(seed=3, samples_per_class=4))
+        save_dataset_dir(ds, str(tmp_path), seed=3)
+        for a, b in zip(ds.view_arrays, load_dataset_dir(str(tmp_path)).view_arrays):
+            assert a.dtype == b.dtype == np.uint8 and np.array_equal(a, b)
 
     @pytest.mark.parametrize("names,message", [
         (["labels", "b"], "views ['labels', 'b'] do not name one file each"),
@@ -640,7 +655,8 @@ class TestManifest:
 
     def test_mixed_family_dataset_dir_round_trip_is_bitwise(self, tmp_path, rng):
         # With a Bernoulli view present nothing is standardized on load, so
-        # the Gaussian view's %.17g text must read back to the same bits.
+        # the Gaussian view's %.17g text must read back to the same bits;
+        # the Bernoulli view reads back as uint8 with the same values.
         gauss = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
         gauss[0] = [5e-324, -0.0, -1e-310]
         views = [ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE),
@@ -650,8 +666,9 @@ class TestManifest:
         save_dataset_dir(ds, str(tmp_path), seed=0)
         back = load_dataset_dir(str(tmp_path))
         assert back.views == ds.views
-        for a, b in zip(ds.view_arrays, back.view_arrays):
-            assert b.tobytes() == a.tobytes()
+        assert back.view_arrays[0].tobytes() == gauss.tobytes()
+        assert back.view_arrays[1].dtype == np.uint8
+        assert np.array_equal(back.view_arrays[1], ds.view_arrays[1])
         assert np.array_equal(back.labels, ds.labels)
 
 

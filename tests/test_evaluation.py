@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from samvh.data import MultiViewDataset
+from samvh.data import MultiViewDataset, train_test_split
 from samvh.evaluation import (
+    _RANK_CELLS,
     EmptySelectionError,
     FeatureMatrix,
     export_filter_images,
@@ -20,6 +21,7 @@ from samvh.evaluation import (
 )
 from samvh.expfam import Family
 from samvh.model import ShapeMismatchError, StructureKind, ViewConfig, gates, make_tiny_model
+from samvh.training import reconstruction_error
 
 
 def dataset_for(params, rng, n):
@@ -186,11 +188,12 @@ class TestKnn:
             assert knn_classify(fm(Xtr), ytr, fm(Xte), want, k) == 1.0
 
     def test_peak_memory_at_pipeline_size(self, rng):
-        # The distances and one (Q, N) index array, with 10% to spare; no
-        # second (Q, N) float array.
+        # The (Q, N) distances and one row block's index, mask and vote
+        # arrays (at most 32 bytes per ranked distance), with 10% to spare:
+        # no (Q, N) index array and no second (Q, N) float array.
         X = fm(rng.random((1000, 60)))
         y = rng.integers(0, 10, size=1000)
-        bound = 1.1 * (1000 * 1000 * (8 + 8))
+        bound = 1.1 * (1000 * 1000 * 8 + 32 * _RANK_CELLS)
         for k in (10, 1000):
             tracemalloc.start()
             try:
@@ -278,6 +281,24 @@ class TestKnn:
         csv = sweep_to_csv(rows)
         assert csv.splitlines()[0] == "k,accuracy"
         assert csv.splitlines()[2] == "3,0.625"
+
+
+class TestByteViews:
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_uint8_data_gives_the_float64_results(self, rng, kind):
+        params = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        floats = dataset_for(params, rng, 60)
+        as_bytes = MultiViewDataset(
+            floats.views, [a.astype(np.uint8) for a in floats.view_arrays], floats.labels)
+        results = []
+        for data in (floats, as_bytes):
+            train_set, test_set = train_test_split(data, 0.5, seed=2)
+            results.append((
+                reconstruction_error(params, data.view_arrays).tobytes(),
+                extract_features(params, data).values.tobytes(),
+                knn_sweep(extract_features(params, train_set), train_set.labels,
+                          extract_features(params, test_set), test_set.labels, [1, 3, 10])))
+        assert results[0] == results[1]
 
 
 class TestFilterImages:

@@ -445,6 +445,18 @@ class TestCheckViews:
         with pytest.raises(DomainError, match="^view 'b': Bernoulli support"):
             check_views(self.model(Family.BERNOULLI), fv)
 
+    def test_byte_view_checked_on_its_bytes_and_widened(self):
+        fv = [np.ones((3, 3), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)]
+        out = check_views(self.model(Family.BERNOULLI), fv)
+        assert [a.dtype for a in out] == [np.float64] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(out, fv))
+        fv[0][1, 2] = 2
+        with pytest.raises(DomainError) as info:
+            check_views(self.model(Family.BERNOULLI), fv)
+        assert str(info.value) == "view 'a': Bernoulli support is {0, 1}"
+        out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv)
+        assert out[0].dtype == np.float64 and out[0][1, 2] == 2.0
+
     def test_gaussian_view_takes_any_finite_value(self):
         fv = [np.full((3, 3), 0.5), np.zeros((3, 2))]
         out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv)

@@ -619,6 +619,15 @@ class TestTrainGoldenDigests:
         fv = make_binary_data(p, rng, 24)
         assert self.digest(tmp_path, p, fv, cd_steps) == self.DIGESTS[kind.value, cd_steps]
 
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_all_bernoulli_held_as_uint8(self, tmp_path, kind, cd_steps):
+        # The same data held as bytes trains to the same bits.
+        rng = np.random.default_rng(31)
+        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
+        fv = [a.astype(np.uint8) for a in make_binary_data(p, rng, 24)]
+        assert self.digest(tmp_path, p, fv, cd_steps) == self.DIGESTS[kind.value, cd_steps]
+
     @pytest.mark.parametrize("hidden_family", list(Family))
     def test_gaussian_view(self, tmp_path, hidden_family):
         p, fv = gaussian_view_model(np.random.default_rng(32), hidden_family)
