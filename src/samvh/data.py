@@ -29,6 +29,9 @@ class SplitFractionError(ValueError):
 
 @dataclass
 class MultiViewDataset:
+    """Per-view N x D_k arrays with optional labels. Generated binary views,
+    and those read in the single-digit CSV layout, are uint8: widen them
+    before any signed arithmetic, as check_views does."""
     views: list[ViewConfig]
     view_arrays: list[np.ndarray]  # per view, N x D_k
     labels: np.ndarray | None = None  # N ints

@@ -110,7 +110,9 @@ class StructureMode:
 @dataclass
 class MultiViewSample:
     """One row of a dataset, for callers that want samples one at a time.
-    Every computation takes per-view batch arrays instead."""
+    Every computation takes per-view batch arrays instead. A uint8 binary
+    view (see MultiViewDataset) must be widened before any signed
+    arithmetic: 1 - v wraps around to 255 on bytes."""
     values: list[np.ndarray]  # one vector per view
     label: int | None = None
 
@@ -279,11 +281,11 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
 
 def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
     """Validate a batch against the model and return f(v) per view, as
-    float64: the one place where a batch of any dtype is widened.
+    float64: the one place where a batch of any dtype, such as the uint8
+    binary views of a dataset, is widened.
 
     fv holds one (B, D_k) array per view with the same B >= 1 throughout,
-    every value finite and inside its view's family support. A uint8 view,
-    as the binary datasets are held, is checked on its bytes.
+    every value finite and inside its view's family support.
     """
     if len(fv) != params.num_views:
         raise ShapeMismatchError(
@@ -291,16 +293,10 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarra
             f"{', '.join(repr(v.name) for v in params.views)}")
     out = []
     for cfg, arr in zip(params.views, fv):
-        arr = np.asarray(arr)
+        arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != cfg.dim:
             raise ShapeMismatchError(
                 f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
-        if arr.dtype == np.uint8:
-            if cfg.family is Family.BERNOULLI and arr.max(initial=0) > 1:
-                raise DomainError(f"view {cfg.name!r}: Bernoulli support is {{0, 1}}")
-            out.append(arr.astype(np.float64))
-            continue
-        arr = arr.astype(np.float64, copy=False)
         # The Bernoulli support test fails on NaN and inf too.
         try:
             if cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():

@@ -445,7 +445,7 @@ class TestCheckViews:
         with pytest.raises(DomainError, match="^view 'b': Bernoulli support"):
             check_views(self.model(Family.BERNOULLI), fv)
 
-    def test_byte_view_checked_on_its_bytes_and_widened(self):
+    def test_byte_view_checked_and_widened(self):
         fv = [np.ones((3, 3), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)]
         out = check_views(self.model(Family.BERNOULLI), fv)
         assert [a.dtype for a in out] == [np.float64] * 2

@@ -613,19 +613,12 @@ class TestTrainGoldenDigests:
 
     @pytest.mark.parametrize("cd_steps", [1, 3])
     @pytest.mark.parametrize("kind", list(StructureKind))
-    def test_all_bernoulli(self, tmp_path, kind, cd_steps):
-        rng = np.random.default_rng(31)
-        p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
-        fv = make_binary_data(p, rng, 24)
-        assert self.digest(tmp_path, p, fv, cd_steps) == self.DIGESTS[kind.value, cd_steps]
-
-    @pytest.mark.parametrize("cd_steps", [1, 3])
-    @pytest.mark.parametrize("kind", list(StructureKind))
-    def test_all_bernoulli_held_as_uint8(self, tmp_path, kind, cd_steps):
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
+    def test_all_bernoulli(self, tmp_path, kind, cd_steps, dtype):
         # The same data held as bytes trains to the same bits.
         rng = np.random.default_rng(31)
         p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
-        fv = [a.astype(np.uint8) for a in make_binary_data(p, rng, 24)]
+        fv = [a.astype(dtype) for a in make_binary_data(p, rng, 24)]
         assert self.digest(tmp_path, p, fv, cd_steps) == self.DIGESTS[kind.value, cd_steps]
 
     @pytest.mark.parametrize("hidden_family", list(Family))
