@@ -217,21 +217,26 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
             raise ConfigError(f"--labels {args.labels} cannot be given with the dataset "
                               f"directory {args.data}, whose manifest names its labels")
         return data_mod.load_dataset_dir(args.data)
-    # Comma-separated CSV paths, each described by one entry of the optional
-    # views section: a name, a family and, if given, the column count.
+    # Comma-separated CSV paths, each described by one entry of the views
+    # section (a name, a family and, if given, the column count); without
+    # one, Gaussian views named view0, view1, ....
     paths, entries = args.data.split(","), config["views"]
     if entries is None:
-        return data_mod.load_multiview_csv(paths, args.labels)
+        entries = [{"name": f"view{k}", "family": model_mod.Family.GAUSSIAN_UNIT_VARIANCE}
+                   for k in range(len(paths))]
     if len(entries) != len(paths):
         raise ConfigError(f"['views'] has {len(entries)} entries for "
                           f"the {len(paths)} files {args.data}", args.config)
-    dataset = data_mod.load_multiview_csv(paths, args.labels,
-                                          families=[e["family"] for e in entries],
+    families = [e["family"] for e in entries]
+    dataset = data_mod.load_multiview_csv(paths, args.labels, families=families,
                                           names=[e["name"] for e in entries])
     for i, (entry, view) in enumerate(zip(entries, dataset.views)):
         if entry.get("dim", view.dim) != view.dim:
             raise ConfigError(f"['views'][{i}]['dim'] is {entry['dim']}, but "
                               f"{paths[i]} has {view.dim} columns", args.config)
+    # All-Gaussian data is standardized, each file by its own column statistics.
+    if all(f is model_mod.Family.GAUSSIAN_UNIT_VARIANCE for f in families):
+        dataset.view_arrays = [data_mod.standardize_columns(a) for a in dataset.view_arrays]
     return dataset
 
 

@@ -276,7 +276,7 @@ def glyph_templates() -> tuple[list[np.ndarray], list[np.ndarray]]:
     return [_glyph_array(g) for g in _ARABIC], [_glyph_array(g) for g in _ROMAN]
 
 
-def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
+def generate_synthetic_paired(config: SynthConfig) -> MultiViewDataset:
     """Render the paired-glyph dataset.
 
     Per sample: place the class glyph in each view with independent +-jitter
@@ -284,8 +284,7 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
     lines (arabic view) or full-width horizontal lines (roman view) at
     uniformly random positions. Deterministic given the seed.
 
-    The views are uint8 arrays of 0 and 1. With record_noise=True also
-    returns the per-view boolean noise masks, shape (N, side*side) each.
+    The views are uint8 arrays of 0 and 1, shape (N, side*side) each.
     """
     rng = np.random.default_rng(config.seed)
     side = config.image_side
@@ -304,7 +303,7 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
 
     samples = np.arange(n_total)
     offsets = np.arange(_GLYPH_SIDE)
-    images, masks = [], []
+    images = []
     for view, glyphs in enumerate(glyph_templates()):
         img = np.zeros((n_total, side, side), dtype=np.uint8)
         r = base + shifts[:, view, 0, None, None] + offsets[:, None]  # (N, 8, 1)
@@ -318,18 +317,12 @@ def generate_synthetic_paired(config: SynthConfig, record_noise: bool = False):
         hit = np.zeros((n_total, side), dtype=bool)
         hit[samples[:, None], lines[:, view]] = True
         # Arabic noise lines are columns, roman noise lines are rows.
-        noise = np.zeros(img.shape, dtype=bool)
-        noise |= hit[:, None, :] if view == 0 else hit[:, :, None]
-        img |= noise
+        img |= hit[:, None, :] if view == 0 else hit[:, :, None]
         images.append(img.reshape(n_total, side * side))
-        masks.append(noise.reshape(n_total, side * side))
 
     views = [ViewConfig("arabic", side * side, Family.BERNOULLI),
              ViewConfig("roman", side * side, Family.BERNOULLI)]
-    dataset = MultiViewDataset(views=views, view_arrays=images, labels=labels)
-    if record_noise:
-        return dataset, masks
-    return dataset
+    return MultiViewDataset(views=views, view_arrays=images, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +416,16 @@ def standardize_columns(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_multiview_csv(paths: list[str], label_path: str | None = None,
-                       families: list[Family] | None = None,
-                       names: list[str] | None = None) -> MultiViewDataset:
-    """Load one CSV matrix per view (no header, one row per sample).
+def load_multiview_csv(paths: list[str], label_path: str | None = None, *,
+                       families: list[Family], names: list[str]) -> MultiViewDataset:
+    """Load one CSV matrix per view (no header, one row per sample), view k
+    named names[k] and of family families[k], with the values the files hold.
 
-    By default views are treated as real-valued Gaussian features, held as
-    float64. When every view is Gaussian, each column is standardized; pass
-    explicit families (e.g. Bernoulli for binary data) to keep the raw
-    values, which a Bernoulli view holds as read: uint8 from a file of
-    single digits, float64 from any other. A file with no rows, or whose
-    row count differs from the first file's, is a CsvFormatError that
-    names it.
+    A Bernoulli view is held as read: uint8 from a file of single digits,
+    float64 from any other; a Gaussian view is float64. A file with no rows,
+    or whose row count differs from the first file's, is a CsvFormatError
+    that names it.
     """
-    if families is None:
-        families = [Family.GAUSSIAN_UNIT_VARIANCE] * len(paths)
-    if names is None:
-        names = [f"view{k}" for k in range(len(paths))]
-
     matrices = [_parse_matrix(p) for p in paths]
     n_rows = matrices[0].shape[0]
     for path, m in zip(paths, matrices):
@@ -452,8 +437,6 @@ def load_multiview_csv(paths: list[str], label_path: str | None = None,
     for k, fam in enumerate(families[:len(matrices)]):
         if fam is not Family.BERNOULLI:
             matrices[k] = matrices[k].astype(np.float64, copy=False)
-    if all(f is Family.GAUSSIAN_UNIT_VARIANCE for f in families):
-        matrices = [standardize_columns(m) for m in matrices]
 
     labels = None
     if label_path is not None:

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 from samvh import cli
-from samvh.data import load_dataset_dir
+from samvh.data import MultiViewDataset, load_dataset_dir, save_dataset_dir, save_matrix_csv
+from samvh.evaluation import extract_features
 from samvh.expfam import Family
 from samvh.model import (
+    PARAM_GROUPS,
     StructureKind,
     StructureMode,
+    ViewConfig,
     init_params,
     load_checkpoint,
     make_tiny_model,
@@ -313,6 +317,65 @@ class TestTrain:
         for a, b in zip(got.W, want.W):
             assert np.array_equal(a, b)
         assert np.array_equal(got.s, want.s)
+
+    @staticmethod
+    def train_then_extract(tmp_path, cfg, data):
+        """The checkpoint of `train` on data, and the features that `extract`
+        writes for the same data."""
+        run, feat = str(tmp_path / "run"), str(tmp_path / "feat")
+        assert cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", data, "--out", run]) == cli.EXIT_OK
+        ckpt = os.path.join(run, "checkpoint.json")
+        assert cli.main(["--config", cfg, "extract", "--checkpoint", ckpt,
+                         "--data", data, "--out", feat]) == cli.EXIT_OK
+        return (load_checkpoint(ckpt),
+                np.loadtxt(os.path.join(feat, "features.csv"), delimiter=",", ndmin=2))
+
+    def test_gaussian_dataset_dir_is_read_as_stored(self, tmp_path, rng):
+        # A dataset directory is never standardized, whatever its families:
+        # an untrained model's features are those of the saved arrays.
+        views = [ViewConfig("a", 3, Family.GAUSSIAN_UNIT_VARIANCE),
+                 ViewConfig("b", 2, Family.GAUSSIAN_UNIT_VARIANCE)]
+        ds = MultiViewDataset(views, [rng.normal(5.0, 3.0, (12, 3)),
+                                      rng.normal(-2.0, 0.5, (12, 2))])
+        data_dir = str(tmp_path / "d")
+        save_dataset_dir(ds, data_dir, seed=None)
+        cfg = write_config(tmp_path, {"model": {"hidden_dim": 4},
+                                      "train": {"epochs": 0, "batch_size": 4}})
+        params, feats = self.train_then_extract(tmp_path, cfg, data_dir)
+        assert np.array_equal(feats, extract_features(params, ds, "all").values)
+
+    def test_raw_gaussian_csv_without_views_is_standardized(self, tmp_path):
+        # Without a views section raw files are Gaussian views view0, view1,
+        # ..., and all-Gaussian data is standardized column by column: the
+        # column 1, 3, 5 becomes -r, 0, r with r = sqrt(1.5), and a constant
+        # column becomes all zeros.
+        path = str(tmp_path / "a.csv")
+        Path(path).write_text("1,5\n3,5\n5,5\n")
+        cfg = write_config(tmp_path, {"model": {"hidden_dim": 2},
+                                      "train": {"epochs": 0, "batch_size": 3}})
+        params, feats = self.train_then_extract(tmp_path, cfg, path)
+        assert [(v.name, v.family) for v in params.views] == [
+            ("view0", Family.GAUSSIAN_UNIT_VARIANCE)]
+        r = np.sqrt(1.5)
+        standardized = MultiViewDataset(params.views, [np.array([[-r, 0], [0, 0], [r, 0]])])
+        np.testing.assert_allclose(
+            feats, extract_features(params, standardized, "all").values, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_4(self, tmp_path, capsys):
+        path = str(tmp_path / "g.csv")
+        save_matrix_csv(path, np.random.default_rng(1).standard_normal((8, 2)) * 5)
+        cfg = write_config(tmp_path, {
+            "views": [{"name": "g", "family": "gaussian_unit_variance"}],
+            "model": {"hidden_dim": 2, "hidden_family": "gaussian_unit_variance"},
+            "train": {"learning_rate": 5.0, "epochs": 400, "batch_size": 4}})
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", path, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_DIVERGED
+        groups = "|".join(PARAM_GROUPS)
+        assert re.fullmatch(rf"error: non-finite values in parameter group '({groups})' "
+                            r"at epoch \d+\n", capsys.readouterr().err)
 
     def test_train_outputs_and_determinism(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -31,7 +31,6 @@ from samvh.data import (
     save_dataset_dir,
     save_matrix_csv,
     save_multiview_csv,
-    standardize_columns,
     train_test_split,
 )
 from samvh.expfam import Family
@@ -85,24 +84,31 @@ class TestGenerate:
             assert x.tobytes() == y.tobytes()
         assert np.array_equal(a.labels, b.labels)
 
+    # In these tests an 8x8 glyph sits inside a 12x12 image, so a full-height
+    # arabic column or a full-width roman row can only be a noise line.
+
     def test_noise_columns_uniform_chisquare(self):
         # Noise-line positions on the arabic view are uniform over columns;
         # chi-square goodness of fit at significance 1e-3 on ~1e4 samples.
         cfg = SynthConfig(seed=3, samples_per_class=1000, jitter=0)
-        _, masks = generate_synthetic_paired(cfg, record_noise=True)
-        cols = masks[0].reshape(-1, 12, 12).any(axis=1)  # per-sample noisy cols
+        ds = generate_synthetic_paired(cfg)
+        cols = ds.view_arrays[0].reshape(-1, 12, 12).all(axis=1)  # per-sample noisy cols
         counts = cols.sum(axis=0)
         _, pvalue = chisquare(counts)
         assert pvalue > 1e-3
 
     def test_noise_orthogonal_between_views(self):
         cfg = SynthConfig(seed=4, samples_per_class=20)
-        _, masks = generate_synthetic_paired(cfg, record_noise=True)
-        # Arabic noise is full columns; roman noise full rows.
-        a = masks[0].reshape(-1, 12, 12)
-        r = masks[1].reshape(-1, 12, 12)
-        assert np.all(a.any(axis=(1, 2)) == a.all(axis=1).any(axis=1))
-        assert np.all(r.any(axis=(1, 2)) == r.all(axis=2).any(axis=1))
+        ds = generate_synthetic_paired(cfg)
+        a, r = (v.reshape(-1, 12, 12).astype(bool) for v in ds.view_arrays)
+        cols, rows = a.all(axis=1), r.all(axis=2)  # per-sample noise lines
+        assert cols.any(axis=1).all() and rows.any(axis=1).all()
+        assert cols.sum(axis=1).max() <= 2 and rows.sum(axis=1).max() <= 2
+        # With jitter 1 no glyph reaches the first row or column, so there
+        # the arabic view shows exactly its noise columns and the roman view
+        # its noise rows; neither view has a line of the other's kind.
+        assert np.array_equal(a[:, 0, :], cols) and np.array_equal(r[:, :, 0], rows)
+        assert not a.all(axis=2).any() and not r.all(axis=1).any()
 
     def test_glyph_must_fit(self):
         with pytest.raises(ValueError):
@@ -121,15 +127,12 @@ class TestGenerate:
         SynthConfig(seed=12),
         SynthConfig(seed=13, image_side=24)])
     def test_equals_per_sample_reference(self, cfg):
-        ds, masks = generate_synthetic_paired(cfg, record_noise=True)
-        want_images, want_masks, want_labels = reference_generate(cfg)
+        ds = generate_synthetic_paired(cfg)
+        want_images, want_labels = reference_generate(cfg)
         assert np.array_equal(ds.labels, want_labels)
         # The images are uint8 with the float64 reference's values.
         for got, want in zip(ds.view_arrays, want_images):
             assert got.dtype == np.uint8 and np.array_equal(got, want)
-        for got, want in zip(masks, want_masks):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
 
     def test_bounded_draws_share_one_stream(self):
         # The generator makes one call where the reference makes one per
@@ -147,15 +150,14 @@ class TestGenerate:
 
 
 def reference_generate(config: SynthConfig):
-    """The generator as one loop over samples and views: the images, the
-    noise masks and the labels that `generate_synthetic_paired` must match."""
+    """The generator as one loop over samples and views: the images and the
+    labels that `generate_synthetic_paired` must match."""
     rng = np.random.default_rng(config.seed)
     arabic, roman = glyph_templates()
     side = config.image_side
     base = (side - 8) // 2
     n_total = config.num_classes * config.samples_per_class
     images = [np.zeros((n_total, side * side)), np.zeros((n_total, side * side))]
-    masks = [np.zeros((n_total, side * side), dtype=bool) for _ in range(2)]
     labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
     for n, cls in enumerate(labels):
         for view, glyphs in enumerate((arabic, roman)):
@@ -172,8 +174,7 @@ def reference_generate(config: SynthConfig):
                     noise[pos, :] = True
             img[noise] = 1.0
             images[view][n] = img.ravel()
-            masks[view][n] = noise.ravel()
-    return images, masks, labels
+    return images, labels
 
 
 class TestCsv:
@@ -181,20 +182,13 @@ class TestCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         Path(p1).write_text("1,2,3\n4,5,6\n7,8,9\n0,1,0\n2,2,2\n")
         Path(p2).write_text("1,0\n0,1\n1,1\n0,0\n0.5,0.5\n")
-        ds = load_multiview_csv([p1, p2])
+        ds = load_gaussian_csv([p1, p2])
         assert ds.num_views == 2
         assert [v.dim for v in ds.views] == [3, 2]
         assert ds.num_samples == 5
+        assert [v.name for v in ds.views] == ["view0", "view1"]
         assert all(v.family is Family.GAUSSIAN_UNIT_VARIANCE for v in ds.views)
-
-    def test_standardized_by_default(self, tmp_path):
-        p1 = str(tmp_path / "a.csv")
-        Path(p1).write_text("1,5\n3,5\n5,5\n")
-        ds = load_multiview_csv([p1])
-        np.testing.assert_allclose(ds.view_arrays[0][:, 0].mean(), 0, atol=1e-12)
-        np.testing.assert_allclose(ds.view_arrays[0][:, 0].std(), 1, atol=1e-12)
-        # Constant column maps to zeros, no division by zero.
-        assert np.array_equal(ds.view_arrays[0][:, 1], np.zeros(3))
+        assert np.array_equal(ds.view_arrays[1][4], [0.5, 0.5])  # read, not rescaled
 
     def test_ragged_row_reported_with_location(self, tmp_path):
         # Line numbers count the blank lines the reader skips.
@@ -202,7 +196,7 @@ class TestCsv:
         for text, lineno in (("1,2\n3\n", 2), ("1,2\n\n3,4\n  \n5\n", 5)):
             Path(p1).write_text(text)
             with pytest.raises(CsvFormatError) as info:
-                load_multiview_csv([p1])
+                load_gaussian_csv([p1])
             assert str(info.value) == f"{p1}:{lineno}: expected 2 columns, got 1"
 
     def test_non_numeric_cell_reported(self, tmp_path):
@@ -214,7 +208,7 @@ class TestCsv:
                             (b"1,2\n3,4\xff\n", "2: column 2: non-numeric cell '4\\udcff'")):
             Path(p1).write_bytes(text)
             with pytest.raises(CsvFormatError) as info:
-                load_multiview_csv([p1])
+                load_gaussian_csv([p1])
             assert str(info.value) == f"{p1}:{where}"
 
     def test_label_byte_not_utf8_reported_with_location(self, tmp_path):
@@ -222,7 +216,7 @@ class TestCsv:
         Path(p1).write_bytes(b"1\n2\n")
         Path(lab).write_bytes(b"0\n\xff\n")
         with pytest.raises(CsvFormatError) as info:
-            load_multiview_csv([p1], lab)
+            load_gaussian_csv([p1], lab)
         assert str(info.value) == f"{lab}:2: non-integer label '\\udcff'"
 
     def test_cell_float_accepts_but_reader_rejects(self, tmp_path):
@@ -231,7 +225,7 @@ class TestCsv:
         p1 = str(tmp_path / "a.csv")
         Path(p1).write_text("1,2\n1_0,3\n")
         with pytest.raises(CsvFormatError, match=rf"^{p1}: .*'1_0'"):
-            load_multiview_csv([p1])
+            load_gaussian_csv([p1])
 
     def test_blank_lines_and_padded_cells(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
@@ -259,31 +253,30 @@ class TestCsv:
         for line in ("70000000000000000000000", str(2 ** 63), str(-2 ** 63 - 1)):
             Path(lab).write_text(f"0\n\n{line}\n1\n")
             with pytest.raises(CsvFormatError) as info:
-                load_multiview_csv([p1], lab)
+                load_gaussian_csv([p1], lab)
             assert str(info.value) == f"{lab}:3: label {line} is outside int64"
         Path(lab).write_text(f"{2 ** 63 - 1}\n{-2 ** 63}\n0\n")
-        assert load_multiview_csv([p1], lab).labels.tolist() == [2 ** 63 - 1, -2 ** 63, 0]
+        assert load_gaussian_csv([p1], lab).labels.tolist() == [2 ** 63 - 1, -2 ** 63, 0]
 
     def test_row_count_mismatch(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         Path(p1).write_text("1\n2\n")
         Path(p2).write_text("1\n")
         with pytest.raises(CsvFormatError, match="rows"):
-            load_multiview_csv([p1, p2])
+            load_gaussian_csv([p1, p2])
 
     def test_round_trip(self, tmp_path, rng):
         views = [ViewConfig("x", 3, Family.GAUSSIAN_UNIT_VARIANCE),
                  ViewConfig("y", 2, Family.GAUSSIAN_UNIT_VARIANCE)]
-        arrays = [standardize_columns(rng.standard_normal((6, 3))),
-                  standardize_columns(rng.standard_normal((6, 2)))]
+        arrays = [rng.standard_normal((6, 3)), rng.standard_normal((6, 2))]
         labels = rng.integers(0, 3, size=6)
         ds = MultiViewDataset(views, arrays, labels)
         paths = [str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]
         lab = str(tmp_path / "lab.csv")
         save_multiview_csv(ds, paths, lab)
-        back = load_multiview_csv(paths, lab)
+        back = load_gaussian_csv(paths, lab)
         for a, b in zip(ds.view_arrays, back.view_arrays):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+            assert np.array_equal(a, b)
         assert np.array_equal(ds.labels, back.labels)
 
     def test_round_trip_real_valued_bitwise(self, tmp_path, rng):
@@ -301,7 +294,8 @@ class TestCsv:
         ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=20))
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")]
         save_multiview_csv(ds, paths)
-        back = load_multiview_csv(paths, families=[Family.BERNOULLI] * 2)
+        back = load_multiview_csv(paths, families=[Family.BERNOULLI] * 2,
+                                  names=["arabic", "roman"])
         for path, got in zip(paths, back.view_arrays):
             with open(path) as fh:
                 want = np.array([[float(c) for c in line.split(",")]
@@ -312,8 +306,8 @@ class TestCsv:
         ds = generate_synthetic_paired(SynthConfig(seed=5, samples_per_class=3))
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "r.csv")]
         save_multiview_csv(ds, paths)
-        back = load_multiview_csv(paths,
-                                  families=[Family.BERNOULLI, Family.BERNOULLI])
+        back = load_multiview_csv(paths, families=[Family.BERNOULLI] * 2,
+                                  names=["arabic", "roman"])
         for a, b in zip(ds.view_arrays, back.view_arrays):
             assert np.array_equal(a, b)
 
@@ -524,6 +518,13 @@ class TestFloatText:
         assert self.save(tmp_path, arr) == per_cell_bytes(arr)
 
 
+def load_gaussian_csv(paths: list[str], label_path: str | None = None) -> MultiViewDataset:
+    """`load_multiview_csv` of Gaussian views named view0, view1, ...."""
+    return load_multiview_csv(paths, label_path,
+                              families=[Family.GAUSSIAN_UNIT_VARIANCE] * len(paths),
+                              names=[f"view{k}" for k in range(len(paths))])
+
+
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -653,22 +654,30 @@ class TestManifest:
                 f"got {parent[last]!r:.40}")):
             load_dataset_dir_with(directory, doc)
 
-    def test_mixed_family_dataset_dir_round_trip_is_bitwise(self, tmp_path, rng):
-        # With a Bernoulli view present nothing is standardized on load, so
-        # the Gaussian view's %.17g text must read back to the same bits;
-        # the Bernoulli view reads back as uint8 with the same values.
-        gauss = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
-        gauss[0] = [5e-324, -0.0, -1e-310]
-        views = [ViewConfig("g", 3, Family.GAUSSIAN_UNIT_VARIANCE),
-                 ViewConfig("b", 4, Family.BERNOULLI)]
-        ds = MultiViewDataset(views, [gauss, rng.integers(0, 2, (7, 4)).astype(float)],
-                              labels=rng.integers(-5, 5, size=7))
+    @pytest.mark.parametrize("families", [
+        [Family.GAUSSIAN_UNIT_VARIANCE] * 2,
+        [Family.GAUSSIAN_UNIT_VARIANCE, Family.BERNOULLI],
+        [Family.BERNOULLI] * 2], ids=["all-gaussian", "mixed", "all-bernoulli"])
+    def test_dataset_dir_round_trip_is_bitwise(self, tmp_path, rng, families):
+        # Nothing is rescaled on load, so a Gaussian view's %.17g text reads
+        # back to the same bits, and a uint8 Bernoulli view to the same bytes.
+        def draw(k, fam):
+            if fam is Family.BERNOULLI:
+                return rng.integers(0, 2, (7, 3 + k), dtype=np.uint8)
+            arr = rng.normal(5.0 - 7 * k, 3.0, (7, 3 + k)) * 10.0 ** rng.integers(
+                -300, 300, (7, 3 + k))
+            arr[0, :3] = [5e-324, -0.0, -1e-310]
+            return arr
+
+        arrays = [draw(k, fam) for k, fam in enumerate(families)]
+        views = [ViewConfig(f"v{k}", a.shape[1], fam)
+                 for k, (a, fam) in enumerate(zip(arrays, families))]
+        ds = MultiViewDataset(views, arrays, labels=rng.integers(-5, 5, size=7))
         save_dataset_dir(ds, str(tmp_path), seed=0)
         back = load_dataset_dir(str(tmp_path))
         assert back.views == ds.views
-        assert back.view_arrays[0].tobytes() == gauss.tobytes()
-        assert back.view_arrays[1].dtype == np.uint8
-        assert np.array_equal(back.view_arrays[1], ds.view_arrays[1])
+        for got, want in zip(back.view_arrays, arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
 
