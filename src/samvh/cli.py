@@ -236,7 +236,15 @@ def _load_data_arg(args, config) -> data_mod.MultiViewDataset:
                               f"{paths[i]} has {view.dim} columns", args.config)
     # All-Gaussian data is standardized, each file by its own column statistics.
     if all(f is model_mod.Family.GAUSSIAN_UNIT_VARIANCE for f in families):
-        dataset.view_arrays = [data_mod.standardize_columns(a) for a in dataset.view_arrays]
+        for k, (view, a) in enumerate(zip(dataset.views, dataset.view_arrays)):
+            if not np.isfinite(a).all():
+                raise ConfigError(f"view {view.name!r}: values must be finite")
+            try:
+                with np.errstate(over="raise"):
+                    dataset.view_arrays[k] = data_mod.standardize_columns(a)
+            except FloatingPointError:
+                raise ConfigError(f"view {view.name!r}: values too large to "
+                                  f"standardize in float64") from None
     return dataset
 
 

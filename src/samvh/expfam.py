@@ -5,6 +5,8 @@ implemented families), log-partition function, mean map (the derivative of
 the log-partition), and a sampler. All functions accept scalars or numpy
 arrays and operate elementwise. `sigmoid`, built from numpy's vectorised
 exp, is the package's one sigmoid: Bernoulli means and draws, switch gates.
+A float32 array stays float32 (the training chain's dtype); every other
+input is computed in float64.
 """
 from __future__ import annotations
 
@@ -26,8 +28,13 @@ class NonFiniteError(ValueError):
     """Natural parameter overflowed to inf or nan."""
 
 
+def _float_dtype(x) -> type:
+    """float32 for a float32 array or scalar, float64 for anything else."""
+    return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+
+
 def _check_finite(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=np.float64)
+    eta = np.asarray(eta, dtype=_float_dtype(eta))
     if not np.isfinite(eta).all():
         raise NonFiniteError("natural parameter must be finite")
     return eta
@@ -45,9 +52,10 @@ def suff_stat(family: Family, x):
 
 
 def sigmoid(x, out=None) -> np.ndarray:
-    """1 / (1 + exp(-x)) as a new float64 array (0-d for a scalar), or in
-    out, which may be x. Below x ~ -709.8 it is exactly 0, with no warning."""
-    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+    """1 / (1 + exp(-x)) as a new array (0-d for a scalar), float32 for a
+    float32 x and float64 otherwise, or in out, which may be x. Below
+    x ~ -709.8 (float32: ~ -88.7) it is exactly 0, with no warning."""
+    out = np.negative(x, out=np.empty(np.shape(x), _float_dtype(x)) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -83,7 +91,8 @@ def sample(family: Family, eta, rng: np.random.Generator):
 
 
 def sample_from_mean(family: Family, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """`sample` given mu = `mean(family, eta)` of a checked eta; mu is not checked."""
+    """`sample` given mu = `mean(family, eta)` of a checked eta; mu is not
+    checked. The draws take mu's dtype; the rng stream (float64) does not."""
     if family is Family.BERNOULLI:
-        return (rng.random(size=mu.shape) < mu).astype(np.float64)
-    return mu + rng.standard_normal(size=mu.shape)
+        return (rng.random(size=mu.shape) < mu).astype(mu.dtype)
+    return (mu + rng.standard_normal(size=mu.shape)).astype(mu.dtype, copy=False)

@@ -280,9 +280,9 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
 
 
 def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
-    """Validate a batch against the model and return f(v) per view, as
-    float64: the one place where a batch of any dtype, such as the uint8
-    binary views of a dataset, is widened.
+    """Validate a batch against the model and return f(v) per view as
+    float64, the one place where a batch of any dtype (a dataset's uint8
+    binary views) is widened; the CD chain rounds its copy to float32.
 
     fv holds one (B, D_k) array per view with the same B >= 1 throughout,
     every value finite and inside its view's family support.

@@ -26,15 +26,18 @@ A gradient step builds the gates and the gated weights sigma(s) W^k once
 (`model.gated_weights`) and passes them to the energy kernels of `model`:
 `posterior_hidden_mean_batch` (over `hidden_shifted_batch`),
 `gibbs_step_batch` and `visible_shifted_batch`, and for the exact gradient
-`exact_visible_distribution`. Each natural-parameter array is checked for
-finiteness once; Bernoulli means take `expfam.sigmoid`, the package's one
-sigmoid. The Gibbs step writes each view's mean into its natural
-parameter's buffer. The hidden means are new arrays: written in place, they
-raised peak RSS by about 2 MB at the `train_wide` bench shape, through the
-allocator's heap pattern, with no gain in speed. Each chain state's hidden
-mean B'(lam_hat) drives the next Gibbs step and gives the state's
-statistics. One `_contrast_stats` call takes both phases' statistics, one
-GEMM per view, into the step's one `GradientSet`.
+`exact_visible_distribution`. `cd_gradient` and `reconstruction_error` run
+their Gibbs chain in float32 (`_float32_chain`): CD's sampling noise is far
+above the rounding, and the GEMMs take half the float64 time. theta, its
+update, the `GradientSet` and the exact oracles stay float64. Each
+natural-parameter array is checked for finiteness once; Bernoulli means take
+`expfam.sigmoid`, the package's one sigmoid. The Gibbs step writes each
+view's mean into its natural parameter's buffer. The hidden means are new
+arrays: written in place, they raised peak RSS by about 2 MB at the
+`train_wide` bench shape, through the allocator's heap pattern, with no gain
+in speed. Each chain state's hidden mean B'(lam_hat) drives the next Gibbs
+step and gives the state's statistics. One `_contrast_stats` call takes both
+phases' statistics, one GEMM per view, into the step's one `GradientSet`.
 A `GradientSet` is one flat vector laid out as in `model.param_vector`
 (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps the parameters it
 updates as views into one such vector theta, with one velocity vector
@@ -49,6 +52,7 @@ group (W, xi, lam, s) that went non-finite.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,10 +192,20 @@ def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> Gradien
     return out
 
 
+def _float32_chain(params: HarmoniumParams, g: np.ndarray, fv: list[np.ndarray]) -> tuple:
+    """The float32 operands of a Gibbs chain: a copy of params whose lam and
+    xi are float32, `gated_weights(params.W, g)` rounded to float32 as it is
+    formed (3x faster than a cast afterwards), and the checked batch fv."""
+    chain = copy.copy(params)
+    chain.lam, chain.xi = params.lam.astype(np.float32), [x.astype(np.float32) for x in params.xi]
+    return (chain, [np.multiply(w, g[k], out=np.empty(w.shape, np.float32))
+                    for k, w in enumerate(params.W)], [a.astype(np.float32) for a in fv])
+
+
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
                 cd_steps: int, rng: np.random.Generator) -> GradientSet:
     """Contrastive-divergence gradient estimate over a batch fv, one (B, D_k)
-    array per view.
+    array per view, from a float32 chain (see `_float32_chain`).
 
     The gates and the gated weights are computed once, and so is each chain
     state's hidden mean (its lam_hat checked once): the data's drives the
@@ -199,15 +213,14 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     state's the negative phase, which uses that mean rather than a sampled
     h (lower variance, same expectation). Both phases are weighted 1/B.
     """
-    fv = check_views(params, fv)
     g = gates(params)
-    wg = gated_weights(params.W, g)
-    h_data = hmean = posterior_hidden_mean_batch(params, wg, fv)
+    chain_params, wg, fv = _float32_chain(params, g, check_views(params, fv))
+    h_data = hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
     chain = fv
     for _ in range(cd_steps):
-        _, chain = gibbs_step_batch(params, wg, hmean, rng)
-        hmean = posterior_hidden_mean_batch(params, wg, chain)
-    weights = np.full(len(hmean), 1.0 / len(hmean))
+        _, chain = gibbs_step_batch(chain_params, wg, hmean, rng)
+        hmean = posterior_hidden_mean_batch(chain_params, wg, chain)
+    weights = np.full(len(hmean), 1.0 / len(hmean), dtype=np.float32)
     return _contrast_stats(params, g, (fv, h_data, weights), (chain, hmean, weights))
 
 
@@ -247,19 +260,19 @@ def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
 
 def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
     """Per-view mean squared error of the one-step mean-field reconstruction
-    of the batch fv."""
-    fv = check_views(params, fv)
-    wg = gated_weights(params.W, gates(params))
-    hmean = posterior_hidden_mean_batch(params, wg, fv)
+    of the batch fv, run as the float32 chain of `cd_gradient` and averaged
+    in float64."""
+    chain_params, wg, fv = _float32_chain(params, gates(params), check_views(params, fv))
+    hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
         # The mean and (fv - recon)^2 in the natural parameter's buffer,
         # freed before the next view's is built: over a whole dataset these
         # are the largest arrays of a training run.
-        diff = visible_shifted_batch(params, wg, hmean, k)
+        diff = visible_shifted_batch(chain_params, wg, hmean, k)
         mean(cfg.family, diff, out=diff)
         np.subtract(fv[k], diff, out=diff)
-        errs[k] = np.mean(np.square(diff, out=diff))
+        errs[k] = np.mean(np.square(diff, out=diff), dtype=np.float64)
         del diff
     return errs
 

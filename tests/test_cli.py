@@ -362,6 +362,21 @@ class TestTrain:
         np.testing.assert_allclose(
             feats, extract_features(params, standardized, "all").values, rtol=1e-12)
 
+    @pytest.mark.parametrize("cell,message", [
+        ("nan", "values must be finite"),  # standardizing made the column zeros
+        ("1e300", "values too large to standardize in float64"),  # its square overflows
+    ])
+    def test_raw_gaussian_csv_fault_is_named(self, tmp_path, capsys, cell, message):
+        path = str(tmp_path / "a.csv")
+        Path(path).write_text(f"1,{cell}\n3,2\n5,4\n")
+        cfg = write_config(tmp_path, {"model": {"hidden_dim": 2},
+                                      "train": {"epochs": 1, "batch_size": 3}})
+        code = cli.main(["--config", cfg, "--seed", "1", "train",
+                         "--data", path, "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: view 'view0': {message}\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):
         path = str(tmp_path / "g.csv")
@@ -800,10 +815,11 @@ class TestEvalPipeline:
     # change to the real-valued CSV writer shows: for the trained checkpoint,
     # and for the same checkpoint with W and lam scaled by 180, whose
     # features run from about 1e-108 to 1 - 1e-15 (three-digit exponents).
-    # Like the training digests, they depend on numpy's SIMD `exp`.
+    # Like the training digests, they depend on numpy's SIMD `exp` and on
+    # the BLAS kernels that trained the checkpoint.
     FEATURE_DIGESTS = {
-        1.0: "fb11cffe56fee258a5fc421e2a40fdf73a5618d85543ab9559394873639b71be",
-        180.0: "8e94ba9c25865c01a6f7ec9f2b03d36e8bc8d83aacae4f9e36286c05fe8a5cdd",
+        1.0: "04facd53c74a324bc88cd2a117563ebba0db4d1dab01a452a89e4ec1a8184a8b",
+        180.0: "48fff111eb75f411b9ca878123c70c5c9985990366ec5fadfc34a88b7459c218",
     }
 
     @pytest.mark.parametrize("scale", sorted(FEATURE_DIGESTS))

@@ -159,8 +159,34 @@ def test_mean_into_out(family):
     assert np.array_equal(inplace, want)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_float32_mean_and_draws_keep_the_dtype_and_the_stream(family):
+    # A float32 mean draws float32 values from the float64 uniforms and
+    # normals that a float64 mean takes, leaving the rng in the same state.
+    eta = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    mu32, mu64 = mean(family, eta.astype(np.float32)), mean(family, eta)
+    assert mu32.dtype == np.float32
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    got, want = sample_from_mean(family, mu32, rng_a), sample_from_mean(family, mu64, rng_b)
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
 class TestSigmoid:
     X = np.linspace(-800.0, 800.0, 320_001)
+
+    def test_float32_in_float32_out(self):
+        # Within 4 float32 ulps of expit down to the smallest normal float32;
+        # below it exp(-x) overflows in float32, and the result is 0 or subnormal.
+        x = self.X.astype(np.float32)
+        got, want = sigmoid(x), expit(x.astype(np.float64))
+        assert got.dtype == np.float32 and sigmoid(np.float32(2.0)).dtype == np.float32
+        tiny = np.finfo(np.float32).tiny
+        normal = want >= tiny
+        ulp = np.spacing(want[normal].astype(np.float32))
+        assert np.all(np.abs(got[normal] - want[normal]) <= 4 * ulp)
+        assert np.all(got[~normal] < tiny)
 
     def test_within_4_ulp_of_expit(self):
         got, want = sigmoid(self.X), expit(self.X)

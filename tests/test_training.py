@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
+from samvh import model as model_mod
+from samvh import training as training_mod
 from samvh.data import MultiViewDataset
 from samvh.expfam import Family, NonFiniteError, mean, sample, suff_stat
 from samvh.model import (
@@ -62,47 +64,50 @@ def oracle_stats(params, values, hmean):
     return out
 
 
-def reference_chain(params, fv, cd_steps, rng):
+def reference_chain(params, fv, cd_steps, rng, dtype=np.float32):
     """The two phases of CD-k computed view by view, as (fv, hidden means)
     of the data and of the final chain state: every product recomputes the
-    gates and its view's gated weights."""
+    gates and its view's gated weights. The chain runs in dtype: at float32
+    it rounds the gated weights, lam, xi and fv once, as `cd_gradient` does."""
     hf = params.hidden_family
+    lam, xi = params.lam.astype(dtype), [x.astype(dtype) for x in params.xi]
 
     def gated(k):
-        return params.W[k] * gates(params)[k][None, :]
+        return (params.W[k] * gates(params)[k][None, :]).astype(dtype)
 
     def hidden(fv):
-        out = np.broadcast_to(params.lam, (fv[0].shape[0], params.hidden_dim)).copy()
+        out = np.broadcast_to(lam, (fv[0].shape[0], params.hidden_dim)).copy()
         for k in range(params.num_views):
             out += fv[k] @ gated(k)
         return out
 
-    chain = fv
+    fv = chain = [a.astype(dtype) for a in fv]
     for _ in range(cd_steps):
-        gh = suff_stat(hf, sample(hf, hidden(chain), rng))
-        chain = [sample(cfg.family, params.xi[k][None, :] + gh @ gated(k).T, rng)
+        gh = sample(hf, hidden(chain), rng)  # g(h) = h for both families
+        chain = [sample(cfg.family, xi[k][None, :] + gh @ gated(k).T, rng)
                  for k, cfg in enumerate(params.views)]
     return (fv, mean(hf, hidden(fv))), (chain, mean(hf, hidden(chain)))
 
 
-def reference_cd_gradient(params, fv, cd_steps, rng):
+def reference_cd_gradient(params, fv, cd_steps, rng, dtype=np.float32):
     """CD-k as a flat vector laid out like `GradientSet.vec`, from the phases
-    of `reference_chain`. The statistics stack both phases, F = [fv+; fv-]
-    and H = [h+/B; -h-/B], and take each view's groups from one product
-    stat = F' H, the switch statistic as g (1 - g) colsum(W * stat)."""
-    (fv_pos, h_pos), (fv_neg, h_neg) = reference_chain(params, fv, cd_steps, rng)
+    of `reference_chain` in dtype. The statistics stack both phases,
+    F = [fv+; fv-] and H = [h+/B; -h-/B], and take each view's groups from
+    one product stat = F' H, the switch statistic as g (1 - g) colsum(W * stat)."""
+    (fv_pos, h_pos), (fv_neg, h_neg) = reference_chain(params, fv, cd_steps, rng, dtype)
     B = h_pos.shape[0]
-    w = np.concatenate([np.full(B, 1.0 / B), -np.full(B, 1.0 / B)])
+    w = np.concatenate([np.full(B, 1.0 / B, dtype), -np.full(B, 1.0 / B, dtype)])
     H = np.concatenate([h_pos, h_neg]) * w[:, None]
     F = [np.concatenate([a, b]) for a, b in zip(fv_pos, fv_neg)]
     g = gates(params)
     sa = params.structure.kind is StructureKind.SA
-    stat = [F[k].T @ H for k in range(params.num_views)]
+    stat = [(F[k].T @ H).astype(np.float64) for k in range(params.num_views)]
     dW = [g[k][None, :] * stat[k] for k in range(params.num_views)]
     dxi = [F[k].T @ w for k in range(params.num_views)]
     ds = [g[k] * (1.0 - g[k]) * np.einsum("ij,ij->j", params.W[k], stat[k]) if sa
           else np.zeros(params.hidden_dim) for k in range(params.num_views)]
-    return np.concatenate([a.ravel() for a in (*dW, *dxi, H.sum(axis=0), *ds)])
+    return np.concatenate([a.ravel() for a in (*dW, *dxi, H.sum(axis=0, dtype=np.float64),
+                                                *ds)])
 
 
 def textbook_stats(params, fv, hmean, weights):
@@ -121,10 +126,16 @@ def textbook_stats(params, fv, hmean, weights):
     return np.concatenate([a.ravel() for a in (*dW, *dxi, wh.sum(axis=0), *ds)])
 
 
-def assert_matches_textbook(got, want):
-    """Equal to 1e-12 relative, elements near zero measured against the
+def assert_matches_textbook(got, want, tol=1e-12):
+    """Equal to tol relative, elements near zero measured against the
     largest |want|: the two forms sum the same terms in different orders."""
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+# The tolerance of a CD gradient, whose chain runs in float32 (eps 1.2e-7),
+# against a float64 computation: about 80 float32 ulps. Over 200 seeds of
+# the tiny models below, the largest deviation was 4e-7 of the largest |want|.
+F32_TOL = 1e-5
 
 
 def reference_finite_diff_gradient(params, fv, step):
@@ -254,7 +265,7 @@ class TestContrastStats:
             p, fv, cd_steps, np.random.default_rng(45))
         w = np.full(h_pos.shape[0], 1.0 / h_pos.shape[0])
         want = textbook_stats(p, fv_pos, h_pos, w) - textbook_stats(p, fv_neg, h_neg, w)
-        assert_matches_textbook(flatten(got), want)
+        assert_matches_textbook(flatten(got), want, F32_TOL)
 
     @pytest.mark.parametrize("cd_steps", [1, 3])
     @pytest.mark.parametrize("kind", list(StructureKind))
@@ -343,6 +354,58 @@ class TestCdGradient:
         got = cd_gradient(p, fv, cd_steps, np.random.default_rng(12))
         want = reference_cd_gradient(p, fv, cd_steps, np.random.default_rng(12))
         assert np.array_equal(flatten(got), want)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("model", [*StructureKind, *Family])
+    def test_agrees_with_float64_reference(self, model, cd_steps):
+        # The float32 chain takes the same draws as a float64 one, so the two
+        # gradients differ by rounding only. A Family is a gaussian_view_model.
+        rng = np.random.default_rng(9)
+        if isinstance(model, Family):
+            p, fv = gaussian_view_model(rng, model)
+        else:
+            p = make_tiny_model(rng, model, dims=(4, 3), J=5)
+            fv = make_binary_data(p, rng, 9)
+        got = cd_gradient(p, fv, cd_steps, np.random.default_rng(13))
+        want = reference_cd_gradient(p, fv, cd_steps, np.random.default_rng(13), np.float64)
+        assert_matches_textbook(flatten(got), want, F32_TOL)
+
+    def test_chain_is_float32_and_train_returns_float64(self, monkeypatch):
+        # Every array the traced energy kernels get or give inside a CD step,
+        # the model's lam and xi included, is float32; the trained
+        # parameters are float64.
+        seen = {}
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, (list, tuple)):
+                return [a for item in obj for a in arrays(item)]
+            if isinstance(obj, HarmoniumParams):
+                return [obj.lam, *obj.xi]
+            return []
+
+        def record(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                seen.setdefault(name, set()).update(a.dtype for a in arrays([args, out]))
+                return out
+            return wrapper
+
+        kernels = ("hidden_shifted_batch", "visible_shifted_batch",
+                   "posterior_hidden_mean_batch", "gibbs_step_batch")
+        for name in kernels:
+            wrapped = record(name, getattr(model_mod, name))
+            for module in (model_mod, training_mod):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        rng = np.random.default_rng(3)
+        p = make_tiny_model(rng)
+        cd_gradient(p, make_binary_data(p, rng, 6), 2, rng)
+        assert seen == {name: {np.dtype(np.float32)} for name in kernels}
+        out, _ = train(p, as_dataset(p, make_binary_data(p, rng, 6)),
+                       TrainConfig(epochs=1, batch_size=3, seed=1))
+        assert {a.dtype for a in (*out.W, *out.xi, out.lam, out.s)} == {np.dtype(np.float64)}
 
     def test_direction_agrees_with_exact(self):
         rng = np.random.default_rng(99)
@@ -593,20 +656,21 @@ class TestTrainGoldenDigests:
     """sha256 of the checkpoint bytes plus `TrainLog.to_csv()` of short CD
     runs with weight decay, pinned so that any change to the bits a training
     run produces (the CD step, its rng order, the update or the epoch-end
-    metrics) shows. The bits also depend on the BLAS kernel and on numpy's
-    SIMD `exp`, which `expfam.sigmoid` uses (see README, Tests)."""
+    metrics) shows. The bits also depend on the BLAS kernel (the CD chain's
+    float32 sgemm among them) and on numpy's SIMD `exp`, which
+    `expfam.sigmoid` uses (see README, Tests)."""
 
     DIGESTS = {
-        ("sa", 1): "56edad63934fcf5edde96c83d51fbd98236666d573606caa916dbdc2025a0d0e",
-        ("sa", 3): "f7365ceb047a05520fd4e7834d51b26275c797859fbe35ff4ccdbed7889b5a70",
-        ("dwh", 1): "062ba04bef5a00b68ac8f26f90a6f0d95272ebb4486e4447c088e95ff27e2563",
-        ("dwh", 3): "dbc34c46ea3eceb90a2d332382439203db538e3dff1054b96a5ab84c53a6991b",
-        ("mvh", 1): "68b97aed9e3f32c4acb1ab44c2f0aff5563789b38b8e2a2665d0b11c2b3a0f57",
-        ("mvh", 3): "03c96dcdb94103f043d66d6f8b92cd08a7cc4c2e4fe9f6be0a7ff6106c2138e7",
+        ("sa", 1): "d4b86eeafa7b2705c02bff8e946fa799b2e90df3a30dbbb6eb03c1f8bb9e0025",
+        ("sa", 3): "27eae9ecc418fc26be2bb802825dc60712d4882065708ccb48290e04f15a07b0",
+        ("dwh", 1): "b25fe7ba5249b6b9961da96229f591ef773b9b21af44c9ed1fa37958263ea318",
+        ("dwh", 3): "d2b06aaf870074f6e9400862e3a043ffebb4792711cf91e7b28e61fd2c9da596",
+        ("mvh", 1): "3f419ef358e04b415dc3d826189b96aeaacefcaba42e6bb489040373a94bbf2d",
+        ("mvh", 3): "29a75eca721796ed101171ade89e42a010ded44f7cc940e82df1291ecd24b96f",
         ("gaussian_view", "bernoulli"):
-            "c17f057cea9de98d5386b6b412d59b239299a7f9b7b5d8e15ee0e4091107ecee",
+            "15a44b0e382adbeff47b1649c4f81b4073cbe75b15225cb0cf54a3745965928a",
         ("gaussian_view", "gaussian_unit_variance"):
-            "a420c5464d1dd55db55feaaf0ab9e7bd8f6693136fd395115f0aa3d9e4f6a849",
+            "8e41e0ad52983c9f93f783d800702c4bffb84f66899a57bb7c3ff1686f025e45",
     }
 
     @staticmethod
