@@ -41,11 +41,10 @@ def _check_finite(eta) -> np.ndarray:
 
 
 def suff_stat(family: Family, x):
-    """Sufficient statistic f(x). Identity for both families.
-
-    Raises DomainError if a Bernoulli value is not in {0, 1}.
+    """Sufficient statistic f(x), the identity for both families; float32
+    stays float32. Raises DomainError if a Bernoulli value is not in {0, 1}.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_float_dtype(x))
     if family is Family.BERNOULLI and not ((x == 0.0) | (x == 1.0)).all():
         raise DomainError("Bernoulli support is {0, 1}")
     return x if x.ndim else float(x)
@@ -94,5 +93,5 @@ def sample_from_mean(family: Family, mu: np.ndarray, rng: np.random.Generator) -
     """`sample` given mu = `mean(family, eta)` of a checked eta; mu is not
     checked. The draws take mu's dtype; the rng stream (float64) does not."""
     if family is Family.BERNOULLI:
-        return (rng.random(size=mu.shape) < mu).astype(mu.dtype)
+        return np.less(rng.random(size=mu.shape), mu, out=np.empty(mu.shape, mu.dtype))
     return (mu + rng.standard_normal(size=mu.shape)).astype(mu.dtype, copy=False)

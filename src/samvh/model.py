@@ -279,31 +279,33 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
     return sigmoid(s)
 
 
-def check_views(params: HarmoniumParams, fv: list[np.ndarray]) -> list[np.ndarray]:
-    """Validate a batch against the model and return f(v) per view as
-    float64, the one place where a batch of any dtype (a dataset's uint8
-    binary views) is widened; the CD chain rounds its copy to float32.
+@np.errstate(over="ignore")  # a value beyond dtype's range casts to inf, reported below
+def check_views(params: HarmoniumParams, fv: list[np.ndarray],
+                dtype: type = np.float64) -> list[np.ndarray]:
+    """Validate a batch against the model and return f(v) per view in dtype
+    (float32 for the CD chain), the one place where a batch of any dtype (a
+    dataset's uint8 binary views) is converted; a view in dtype is not copied.
 
     fv holds one (B, D_k) array per view with the same B >= 1 throughout,
-    every value finite and inside its view's family support.
+    every value finite, inside its view's family support and dtype's range.
     """
     if len(fv) != params.num_views:
         raise ShapeMismatchError(
             f"batch has {len(fv)} views, model has {params.num_views}: "
             f"{', '.join(repr(v.name) for v in params.views)}")
     out = []
-    for cfg, arr in zip(params.views, fv):
-        arr = np.asarray(arr, dtype=np.float64)
+    for cfg, raw in zip(params.views, fv):
+        arr = np.asarray(raw, dtype=dtype)
         if arr.ndim != 2 or arr.shape[1] != cfg.dim:
             raise ShapeMismatchError(
                 f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
         # The Bernoulli support test fails on NaN and inf too.
         try:
             if cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():
-                raise DomainError("values must be finite")
+                raise DomainError(f"values must be within the {arr.dtype} range")
             out.append(suff_stat(cfg.family, arr))
         except DomainError as exc:
-            fault = exc if np.isfinite(arr).all() else "values must be finite"
+            fault = exc if np.isfinite(np.asarray(raw, float)).all() else "values must be finite"
             raise DomainError(f"view {cfg.name!r}: {fault}") from None
     rows = {a.shape[0] for a in out}
     if len(rows) != 1 or 0 in rows:

@@ -18,9 +18,8 @@ call, which enumerates the visible states once for all of them; one set of
 energy kernels in `model` serves one model and such a stack alike.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
-validates it with `model.check_views`. `train` takes a `MultiViewDataset`,
-checks its view arrays once before the first step, which widens a uint8
-dataset to float64 once per call, and slices minibatches out of them.
+validates it with `model.check_views`. `train` checks a `MultiViewDataset`'s
+view arrays once, into one float32 copy that it slices minibatches out of.
 
 A gradient step builds the gates and the gated weights sigma(s) W^k once
 (`model.gated_weights`) and passes them to the energy kernels of `model`:
@@ -195,11 +194,11 @@ def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> Gradien
 def _float32_chain(params: HarmoniumParams, g: np.ndarray, fv: list[np.ndarray]) -> tuple:
     """The float32 operands of a Gibbs chain: a copy of params whose lam and
     xi are float32, `gated_weights(params.W, g)` rounded to float32 as it is
-    formed (3x faster than a cast afterwards), and the checked batch fv."""
+    formed (3x faster than a cast afterwards), and fv checked in float32."""
     chain = copy.copy(params)
     chain.lam, chain.xi = params.lam.astype(np.float32), [x.astype(np.float32) for x in params.xi]
     return (chain, [np.multiply(w, g[k], out=np.empty(w.shape, np.float32))
-                    for k, w in enumerate(params.W)], [a.astype(np.float32) for a in fv])
+                    for k, w in enumerate(params.W)], check_views(params, fv, np.float32))
 
 
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -214,7 +213,7 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     h (lower variance, same expectation). Both phases are weighted 1/B.
     """
     g = gates(params)
-    chain_params, wg, fv = _float32_chain(params, g, check_views(params, fv))
+    chain_params, wg, fv = _float32_chain(params, g, fv)
     h_data = hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
     chain = fv
     for _ in range(cd_steps):
@@ -262,7 +261,7 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     """Per-view mean squared error of the one-step mean-field reconstruction
     of the batch fv, run as the float32 chain of `cd_gradient` and averaged
     in float64."""
-    chain_params, wg, fv = _float32_chain(params, gates(params), check_views(params, fv))
+    chain_params, wg, fv = _float32_chain(params, gates(params), fv)
     hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
     errs = np.empty(params.num_views)
     for k, cfg in enumerate(params.views):
@@ -290,15 +289,15 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
           gradient_fn=None) -> tuple[HarmoniumParams, TrainLog]:
     """Minibatch gradient ascent with momentum. Deterministic given the seed.
 
-    The dataset's view arrays are checked against the model and widened to
-    float64 once, before the first step; each minibatch is a row slice of
-    them. `gradient_fn(params,
-    fv)` may replace the CD estimator, e.g. with `exact_gradient` on tiny
-    models.
+    The dataset is checked once, before the first step, into one float32
+    copy (uint8 is not widened to float64 on the way); minibatches are its
+    row slices. `gradient_fn(params, fv)` may replace the CD estimator, e.g.
+    `exact_gradient`; it and `exact_log_likelihood` get float32 rows too,
+    whose 0/1 values (enumeration is all-Bernoulli) widen back exactly.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    arrays = check_views(params, data.view_arrays)
+    arrays = check_views(params, data.view_arrays, np.float32)
     n = arrays[0].shape[0]
 
     cur, theta = params.flat_copy()

@@ -377,6 +377,24 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: view 'view0': {message}\n"
         assert not (tmp_path / "r").exists()
 
+    def test_value_beyond_float32_range_exits_2(self, tmp_path, capsys):
+        # 1e39 is finite in float64 but not in the CD chain's float32; it
+        # is named before any step, with no overflow warning (warnings are
+        # errors in this suite), and is not reported as divergence.
+        (tmp_path / "g.csv").write_text("1e39,1\n2,3\n")
+        (tmp_path / "b.csv").write_text("0,1\n1,0\n")
+        cfg = write_config(tmp_path, {
+            "views": [{"name": "g", "family": "gaussian_unit_variance"},
+                      {"name": "b", "family": "bernoulli"}],
+            "model": {"hidden_dim": 2}, "train": {"epochs": 1, "batch_size": 2}})
+        code = cli.main(["--config", cfg, "--seed", "1", "train", "--data",
+                         f"{tmp_path / 'g.csv'},{tmp_path / 'b.csv'}",
+                         "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: view 'g': values must be within the float32 range\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):
         path = str(tmp_path / "g.csv")

@@ -445,22 +445,46 @@ class TestCheckViews:
         with pytest.raises(DomainError, match="^view 'b': Bernoulli support"):
             check_views(self.model(Family.BERNOULLI), fv)
 
-    def test_byte_view_checked_and_widened(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_byte_view_checked_and_widened(self, dtype):
         fv = [np.ones((3, 3), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)]
-        out = check_views(self.model(Family.BERNOULLI), fv)
-        assert [a.dtype for a in out] == [np.float64] * 2
+        out = check_views(self.model(Family.BERNOULLI), fv, dtype)
+        assert [a.dtype for a in out] == [dtype] * 2
         assert all(np.array_equal(a, b) for a, b in zip(out, fv))
         fv[0][1, 2] = 2
         with pytest.raises(DomainError) as info:
-            check_views(self.model(Family.BERNOULLI), fv)
+            check_views(self.model(Family.BERNOULLI), fv, dtype)
         assert str(info.value) == "view 'a': Bernoulli support is {0, 1}"
-        out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv)
-        assert out[0].dtype == np.float64 and out[0][1, 2] == 2.0
+        out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv, dtype)
+        assert out[0].dtype == dtype and out[0][1, 2] == 2.0
 
     def test_gaussian_view_takes_any_finite_value(self):
         fv = [np.full((3, 3), 0.5), np.zeros((3, 2))]
         out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv)
         assert np.array_equal(out[0], fv[0])
+
+    def test_float32_batch_is_not_copied(self):
+        fv = [np.full((3, 3), 0.5, dtype=np.float32), np.ones((3, 2), dtype=np.float32)]
+        out = check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv, np.float32)
+        assert all(np.shares_memory(a, b) for a, b in zip(out, fv))
+        fv[1][0, 0] = 0.5
+        with pytest.raises(DomainError, match="^view 'b': Bernoulli support"):
+            check_views(self.model(Family.GAUSSIAN_UNIT_VARIANCE), fv, np.float32)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+    def test_value_beyond_float32_range(self, value):
+        # Finite in float64, so only a float32 check rejects it, by name and
+        # without an overflow warning (warnings are errors in this suite).
+        fv = [np.ones((3, 3)), np.zeros((3, 2))]
+        fv[0][2, 1] = value
+        model = self.model(Family.GAUSSIAN_UNIT_VARIANCE)
+        assert check_views(model, fv)[0][2, 1] == value
+        with pytest.raises(DomainError) as info:
+            check_views(model, fv, np.float32)
+        assert str(info.value) == "view 'a': values must be within the float32 range"
+        fv[0][0, 0] = np.nan
+        with pytest.raises(DomainError, match="^view 'a': values must be finite$"):
+            check_views(model, fv, np.float32)
 
 
 class TestPosteriorHiddenMean:

@@ -10,7 +10,7 @@ from scipy.special import logit
 from samvh import model as model_mod
 from samvh import training as training_mod
 from samvh.data import MultiViewDataset
-from samvh.expfam import Family, NonFiniteError, mean, sample, suff_stat
+from samvh.expfam import DomainError, Family, NonFiniteError, mean, sample, suff_stat
 from samvh.model import (
     PARAM_GROUPS,
     HarmoniumParams,
@@ -20,6 +20,7 @@ from samvh.model import (
     ViewConfig,
     exact_visible_distribution,
     gates,
+    init_params,
     make_binary_data,
     make_tiny_model,
     param_vector,
@@ -37,6 +38,9 @@ from samvh.training import (
     train,
 )
 from test_model import hmean_of, reference_log_likelihood, wg_of
+
+# How check_views(..., np.float32) names a finite value beyond float32's range.
+F32_RANGE = "^view 'g': values must be within the float32 range$"
 
 
 def flatten(g: GradientSet) -> np.ndarray:
@@ -407,6 +411,14 @@ class TestCdGradient:
                        TrainConfig(epochs=1, batch_size=3, seed=1))
         assert {a.dtype for a in (*out.W, *out.xi, out.lam, out.s)} == {np.dtype(np.float64)}
 
+    def test_value_beyond_float32_range_is_domain_error(self):
+        # 1e39 is finite in float64 but not in the chain's float32: it is
+        # named as out of range, not reported as an overflow.
+        p, fv = gaussian_view_model(np.random.default_rng(9), Family.BERNOULLI)
+        fv[0][3, 1] = 1e39
+        with pytest.raises(DomainError, match=F32_RANGE):
+            cd_gradient(p, fv, 1, np.random.default_rng(0))
+
     def test_direction_agrees_with_exact(self):
         rng = np.random.default_rng(99)
         hits = 0
@@ -607,6 +619,34 @@ class TestTrain:
             train(p, data, TrainConfig(epochs=1), gradient_fn=overflow)
         assert (exc.value.group, exc.value.epoch) == (group, 0)
 
+    def test_value_beyond_float32_range_rejected_before_any_step(self):
+        p, fv = gaussian_view_model(np.random.default_rng(9), Family.BERNOULLI)
+        fv[0][5, 2] = -1e39
+
+        def no_step(q, fv):
+            raise AssertionError("a step ran on a value beyond float32's range")
+
+        for gradient_fn in (no_step, None):
+            with pytest.raises(DomainError, match=F32_RANGE):
+                train(p, as_dataset(p, fv), TrainConfig(epochs=1), gradient_fn=gradient_fn)
+
+    def test_holds_no_float64_copy_of_the_dataset(self):
+        # A dataset-dominated shape: two byte views of 400 over 4000 rows.
+        # The one float32 copy is 4 bytes a value; a float64 copy alone
+        # would reach the bound of 8 bytes a value.
+        rng = np.random.default_rng(5)
+        views = [ViewConfig(f"v{k}", 400, Family.BERNOULLI) for k in range(2)]
+        p = init_params(views, 8, Family.BERNOULLI, StructureMode(StructureKind.SA), rng)
+        data = MultiViewDataset(views, [(rng.random((4000, 400)) < 0.3).astype(np.uint8)
+                                        for _ in views])
+        tracemalloc.start()
+        try:
+            train(p, data, TrainConfig(epochs=2, batch_size=50, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4000 * 800, peak
+
     def test_bad_dataset_rejected_before_any_step(self, rng):
         p = make_tiny_model(rng)
 
@@ -717,6 +757,12 @@ class TestReconstructionError:
         for k, eta in enumerate((0.3, -0.2)):
             prior = 1 / (1 + math.exp(-eta))
             assert got[k] == pytest.approx(np.mean((fv[k] - prior) ** 2))
+
+    def test_value_beyond_float32_range_is_domain_error(self):
+        p, fv = gaussian_view_model(np.random.default_rng(9), Family.BERNOULLI)
+        fv[0][0, 0] = 3.5e38
+        with pytest.raises(DomainError, match=F32_RANGE):
+            reconstruction_error(p, fv)
 
     def test_saturated_autoencoder(self):
         p = HarmoniumParams(
