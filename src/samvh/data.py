@@ -30,8 +30,8 @@ class SplitFractionError(ValueError):
 @dataclass
 class MultiViewDataset:
     """Per-view N x D_k arrays with optional labels. Generated binary views,
-    and those read in the single-digit CSV layout, are uint8; check_views
-    converts them once, to the float dtype its caller computes in."""
+    and those read in the single-digit CSV layout, are uint8; `train` and
+    `extract_features` have check_views convert a batch or block at a time."""
     views: list[ViewConfig]
     view_arrays: list[np.ndarray]  # per view, N x D_k
     labels: np.ndarray | None = None  # N ints

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .model import (HarmoniumParams, check_views, gated_weights, gates,
-                    posterior_hidden_mean_batch, structure_report)
+                    posterior_hidden_mean_batch, row_blocks, structure_report)
 # suff_stat is not called here, but the span tracer in bench/ rebinds it in
 # this namespace and its tests require the name to be bound.
 from .expfam import suff_stat  # noqa: F401
@@ -51,15 +51,21 @@ def extract_features(params: HarmoniumParams, data: MultiViewDataset,
     """Posterior hidden means per sample, restricted to a unit category.
 
     selection is "all", "shared", or ("specific", view_index); categories are
-    taken from `model.structure_report`.
+    taken from `model.structure_report`. Rows are checked in float64 and run
+    a `model.row_blocks` block at a time, bitwise as one pass wherever the
+    BLAS rounds a block's GEMMs as the whole's (see `row_blocks`).
     """
     units, category = _selected_units(params, selection)
     if not units:
         raise EmptySelectionError(category)
     wg = gated_weights(params.W, gates(params))
-    hmean = posterior_hidden_mean_batch(params, wg, check_views(params, data.view_arrays))
     idx = np.asarray(units, dtype=np.int64)
-    return FeatureMatrix(values=hmean[:, idx], column_indices=idx)
+    out, start = np.empty((data.num_samples, idx.size)), 0
+    for block in row_blocks(params, data.view_arrays):
+        hmean = posterior_hidden_mean_batch(params, wg, check_views(params, block))
+        out[start:start + len(hmean)] = hmean[:, idx]
+        start += len(hmean)
+    return FeatureMatrix(values=out, column_indices=idx)
 
 
 _RANK_CELLS = 1 << 16  # distances that knn_classify ranks at once

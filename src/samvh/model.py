@@ -47,6 +47,9 @@ MAX_ENUM_HIDDEN = 12
 # blocks hold at most this many float64 values (8 MB). One row of the
 # largest enumerable model, 2^16 states x 12 hidden units, fits in a block.
 _STACK_BLOCK = 2 ** 20
+# `row_blocks` yields a dataset's rows in blocks of at most this many values
+# of sum_k D_k (2 MB in float64): 227 rows of two 24x24 views.
+ROW_BLOCK_VALUES = 2 ** 18
 
 
 class EnumerationBoundError(ValueError):
@@ -312,6 +315,21 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray],
         raise ShapeMismatchError(
             f"every view needs the same nonzero number of rows, got {sorted(rows)}")
     return out
+
+
+def row_blocks(params: HarmoniumParams, fv: list[np.ndarray]):
+    """Yield fv in row slices of at most ROW_BLOCK_VALUES values, at least
+    one, a row apart in size: a short last block could take a BLAS' small-
+    matrix GEMM kernel, which rounds otherwise. A batch that does not fit
+    the model's shapes (0 rows, say) is yielded whole, for check_views."""
+    shapes = [getattr(a, "shape", None) for a in fv]
+    n = shapes[0][0] if shapes and shapes[0] else 0
+    blocks = -(-n // max(1, ROW_BLOCK_VALUES // sum(v.dim for v in params.views)))
+    if blocks <= 1 or shapes != [(n, v.dim) for v in params.views]:
+        yield fv
+        return
+    for i in range(blocks):
+        yield [a[i * n // blocks:(i + 1) * n // blocks] for a in fv]
 
 
 # gated_weights, hidden_shifted_batch and log_unnorm_marginal_batch take one

@@ -18,8 +18,9 @@ call, which enumerates the visible states once for all of them; one set of
 energy kernels in `model` serves one model and such a stack alike.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
-validates it with `model.check_views`. `train` checks a `MultiViewDataset`'s
-view arrays once, into one float32 copy that it slices minibatches out of.
+validates it with `model.check_views`. `train` keeps no copy of a
+`MultiViewDataset`; it and `reconstruction_error` take a dataset's rows a
+`model.row_blocks` block at a time.
 
 A gradient step builds the gates and the gated weights sigma(s) W^k once
 (`model.gated_weights`) and passes them to the energy kernels of `model`:
@@ -75,6 +76,7 @@ from .model import (
     param_group_ends,
     param_vector,
     posterior_hidden_mean_batch,
+    row_blocks,
     split_param_vector,
     stacked_log_likelihood,
     visible_shifted_batch,
@@ -191,14 +193,14 @@ def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> Gradien
     return out
 
 
-def _float32_chain(params: HarmoniumParams, g: np.ndarray, fv: list[np.ndarray]) -> tuple:
+def _float32_chain(params: HarmoniumParams, g: np.ndarray) -> tuple:
     """The float32 operands of a Gibbs chain: a copy of params whose lam and
-    xi are float32, `gated_weights(params.W, g)` rounded to float32 as it is
-    formed (3x faster than a cast afterwards), and fv checked in float32."""
+    xi are float32, and `gated_weights(params.W, g)` rounded to float32 as
+    it is formed (3x faster than a cast afterwards)."""
     chain = copy.copy(params)
     chain.lam, chain.xi = params.lam.astype(np.float32), [x.astype(np.float32) for x in params.xi]
-    return (chain, [np.multiply(w, g[k], out=np.empty(w.shape, np.float32))
-                    for k, w in enumerate(params.W)], check_views(params, fv, np.float32))
+    return chain, [np.multiply(w, g[k], out=np.empty(w.shape, np.float32))
+                   for k, w in enumerate(params.W)]
 
 
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -212,8 +214,9 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     state's the negative phase, which uses that mean rather than a sampled
     h (lower variance, same expectation). Both phases are weighted 1/B.
     """
+    fv = check_views(params, fv, np.float32)
     g = gates(params)
-    chain_params, wg, fv = _float32_chain(params, g, fv)
+    chain_params, wg = _float32_chain(params, g)
     h_data = hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
     chain = fv
     for _ in range(cd_steps):
@@ -259,21 +262,20 @@ def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
 
 def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
     """Per-view mean squared error of the one-step mean-field reconstruction
-    of the batch fv, run as the float32 chain of `cd_gradient` and averaged
-    in float64."""
-    chain_params, wg, fv = _float32_chain(params, gates(params), fv)
-    hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
-    errs = np.empty(params.num_views)
-    for k, cfg in enumerate(params.views):
-        # The mean and (fv - recon)^2 in the natural parameter's buffer,
-        # freed before the next view's is built: over a whole dataset these
-        # are the largest arrays of a training run.
-        diff = visible_shifted_batch(chain_params, wg, hmean, k)
-        mean(cfg.family, diff, out=diff)
-        np.subtract(fv[k], diff, out=diff)
-        errs[k] = np.mean(np.square(diff, out=diff), dtype=np.float64)
-        del diff
-    return errs
+    of the batch fv, run as the float32 chain of `cd_gradient` one
+    `row_blocks` block at a time. Each view's squared errors are summed in
+    float64; over one block that rounds as `np.mean` does."""
+    chain_params, wg = _float32_chain(params, gates(params))
+    sums = np.zeros(params.num_views)
+    for block in row_blocks(params, fv):
+        block = check_views(params, block, np.float32)
+        hmean = posterior_hidden_mean_batch(chain_params, wg, block)
+        for k, cfg in enumerate(params.views):
+            # The mean and (fv - recon)^2 in the natural parameter's buffer.
+            diff = visible_shifted_batch(chain_params, wg, hmean, k)
+            np.subtract(block[k], mean(cfg.family, diff, out=diff), out=diff)
+            sums[k] += np.sum(np.square(diff, out=diff), dtype=np.float64)
+    return sums / (len(fv[0]) * np.array([v.dim for v in params.views]))
 
 
 def _enumeration_feasible(params: HarmoniumParams) -> bool:
@@ -289,15 +291,17 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
           gradient_fn=None) -> tuple[HarmoniumParams, TrainLog]:
     """Minibatch gradient ascent with momentum. Deterministic given the seed.
 
-    The dataset is checked once, before the first step, into one float32
-    copy (uint8 is not widened to float64 on the way); minibatches are its
-    row slices. `gradient_fn(params, fv)` may replace the CD estimator, e.g.
-    `exact_gradient`; it and `exact_log_likelihood` get float32 rows too,
-    whose 0/1 values (enumeration is all-Bernoulli) widen back exactly.
+    The dataset is checked in float32 once, before the first step, a
+    `row_blocks` block at a time, and not copied: minibatches are row slices
+    of `data.view_arrays` (uint8 binary views stay uint8), which
+    `cd_gradient`, or `gradient_fn(params, fv)` in its place (e.g.
+    `exact_gradient`), and the epoch's `exact_log_likelihood` convert.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    arrays = check_views(params, data.view_arrays, np.float32)
+    arrays = data.view_arrays
+    for block in row_blocks(params, arrays):
+        check_views(params, block, np.float32)
     n = arrays[0].shape[0]
 
     cur, theta = params.flat_copy()

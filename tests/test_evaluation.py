@@ -20,8 +20,10 @@ from samvh.evaluation import (
     write_pgm,
 )
 from samvh.expfam import Family
-from samvh.model import ShapeMismatchError, StructureKind, ViewConfig, gates, make_tiny_model
+from samvh.model import (ShapeMismatchError, StructureKind, ViewConfig, check_views,
+                         gated_weights, gates, make_tiny_model, posterior_hidden_mean_batch)
 from samvh.training import reconstruction_error
+from test_training import blocked_model
 
 
 def dataset_for(params, rng, n):
@@ -98,6 +100,28 @@ class TestExtractFeatures:
             with pytest.raises(ShapeMismatchError,
                                match=repr(params.views[-1].name)):
                 extract_features(params, bad, "all")
+
+    @pytest.mark.parametrize("selection", ["all", "shared"])
+    def test_row_blocks_bit_equal_to_one_pass(self, selection):
+        # 4 row blocks of 707 or 708 rows, written into one output. Each
+        # block's GEMMs are large enough for the BLAS to round them as it
+        # rounds the one-pass GEMM (see the next test for smaller ones).
+        p, fv = blocked_model(np.random.default_rng(45))
+        got = extract_features(p, MultiViewDataset(list(p.views), fv), selection)
+        idx = got.column_indices
+        assert (len(idx) == p.hidden_dim) == (selection == "all") and len(idx) > 0
+        want = posterior_hidden_mean_batch(p, gated_weights(p.W, gates(p)), check_views(p, fv))
+        assert np.array_equal(got.values, want[:, idx])
+
+    def test_row_blocks_of_small_gemms_agree_to_rounding(self):
+        # Two hidden units: a block's (rows, D_k) x (D_k, 2) GEMMs fall to
+        # a BLAS' small-matrix kernel, which may round otherwise than the
+        # one-pass GEMM does; the features still agree to float64 rounding.
+        p = make_tiny_model(np.random.default_rng(46), dims=(300, 212), J=2, scale=0.05)
+        data = dataset_for(p, np.random.default_rng(47), 2000)
+        want = posterior_hidden_mean_batch(p, gated_weights(p.W, gates(p)),
+                                           check_views(p, data.view_arrays))
+        np.testing.assert_allclose(extract_features(p, data).values, want, rtol=1e-14, atol=0)
 
     def test_bad_selection(self, rng):
         params = make_tiny_model(rng)

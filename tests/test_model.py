@@ -14,6 +14,7 @@ from scipy.special import expit, logsumexp
 
 from samvh.expfam import DomainError, Family
 from samvh.model import (
+    ROW_BLOCK_VALUES,
     EnumerationBoundError,
     HarmoniumParams,
     MalformedDocumentError,
@@ -40,6 +41,7 @@ from samvh.model import (
     param_group_ends,
     param_vector,
     posterior_hidden_mean_batch,
+    row_blocks,
     save_checkpoint,
     split_param_vector,
     stacked_log_likelihood,
@@ -747,6 +749,38 @@ def test_dwh_as_saturation_limit(rng):
 # Structure report
 # ---------------------------------------------------------------------------
 
+class TestRowBlocks:
+    DIMS = (300, 212)  # 512 values a row: ROW_BLOCK_VALUES // 512 rows a block
+
+    def model(self):
+        return make_tiny_model(np.random.default_rng(0), dims=self.DIMS, J=3)
+
+    @pytest.mark.parametrize("extra", [1, 100, 511, 512])
+    def test_blocks_cover_the_rows_in_order(self, extra):
+        # At most a block's rows each, as few blocks as that allows, and
+        # sizes a row apart at most: no short last block.
+        step = ROW_BLOCK_VALUES // 512
+        fv = [np.arange((3 * step + extra) * d).reshape(-1, d) for d in self.DIMS]
+        blocks = list(row_blocks(self.model(), fv))
+        sizes = [len(b[0]) for b in blocks]
+        assert len(blocks) == 4 and max(sizes) <= step and max(sizes) - min(sizes) <= 1
+        assert all(len(b[1]) == len(b[0]) for b in blocks)
+        for k in range(2):
+            assert np.array_equal(np.concatenate([b[k] for b in blocks]), fv[k])
+
+    @pytest.mark.parametrize("rows", [(1, 1), (512, 512), (0, 0), (2000, 1999), (1999, 2000)])
+    def test_one_block_or_a_misfit_batch_is_yielded_whole(self, rows):
+        fv = [np.zeros((n, d)) for d, n in zip(self.DIMS, rows)]
+        blocks = list(row_blocks(self.model(), fv))
+        assert len(blocks) == 1 and blocks[0] is fv
+
+    def test_batch_of_other_views_is_yielded_whole(self):
+        p = self.model()
+        for fv in ([], [np.zeros((2000, 300))], [np.zeros((2000, 300)), np.zeros((2000, 9))],
+                   [np.zeros(2000), np.zeros(2000)], [[[0.0] * 300] * 2000] * 2):
+            assert [b is fv for b in row_blocks(p, fv)] == [True]
+
+
 class TestStructureReport:
     def test_untrained_switches_are_dead(self, rng):
         p = make_tiny_model(rng)
@@ -782,6 +816,21 @@ class TestStructureReport:
         assert rep.num_dead == 26
         assert rep.summary_line() == (
             "shared=95 specific_view0=47 specific_view1=32 dead=26")
+
+    def test_gates_near_the_threshold(self):
+        # Gates 0.02 either side of GATE_THRESHOLD: a threshold moved to
+        # 0.45 or to 0.55 reclassifies at least one of these units.
+        gate = np.array([[0.52, 0.52, 0.48], [0.52, 0.48, 0.48]])
+        views = [ViewConfig("a", 1, Family.BERNOULLI), ViewConfig("b", 1, Family.BERNOULLI)]
+        p = HarmoniumParams(
+            views=views, hidden_dim=3, hidden_family=Family.BERNOULLI,
+            W=[np.zeros((1, 3)), np.zeros((1, 3))], xi=[np.zeros(1), np.zeros(1)],
+            lam=np.zeros(3), s=np.log(gate / (1.0 - gate)),
+            structure=StructureMode(StructureKind.SA))
+        assert np.allclose(gates(p), gate, rtol=0, atol=1e-15)
+        rep = structure_report(p)
+        assert (rep.shared_units, rep.specific_units, rep.dead_units) == ([0], [[1], []], [2])
+        assert rep.summary_line() == "shared=1 specific_view0=1 specific_view1=0 dead=1"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import logit
 from samvh import model as model_mod
 from samvh import training as training_mod
 from samvh.data import MultiViewDataset
+from samvh.evaluation import extract_features
 from samvh.expfam import DomainError, Family, NonFiniteError, mean, sample, suff_stat
 from samvh.model import (
     PARAM_GROUPS,
@@ -18,13 +20,16 @@ from samvh.model import (
     StructureKind,
     StructureMode,
     ViewConfig,
+    check_views,
     exact_visible_distribution,
     gates,
     init_params,
     make_binary_data,
     make_tiny_model,
     param_vector,
+    posterior_hidden_mean_batch,
     save_checkpoint,
+    visible_shifted_batch,
 )
 from samvh.training import (
     GradientSet,
@@ -632,8 +637,8 @@ class TestTrain:
 
     def test_holds_no_float64_copy_of_the_dataset(self):
         # A dataset-dominated shape: two byte views of 400 over 4000 rows.
-        # The one float32 copy is 4 bytes a value; a float64 copy alone
-        # would reach the bound of 8 bytes a value.
+        # A float64 copy alone would reach the bound of 8 bytes a value
+        # (train keeps no copy at all; see the test below).
         rng = np.random.default_rng(5)
         views = [ViewConfig(f"v{k}", 400, Family.BERNOULLI) for k in range(2)]
         p = init_params(views, 8, Family.BERNOULLI, StructureMode(StructureKind.SA), rng)
@@ -646,6 +651,76 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 4000 * 800, peak
+
+    def test_peak_memory_does_not_grow_with_the_dataset(self):
+        # One train and one extract_features call hold a block of checked
+        # rows and its buffers, not the dataset: their peaks at 4000 and
+        # 8000 rows differ by less than a float64 block (2 MB), and both stay
+        # under 1.5 blocks (3.1 MB), below the 6.4 MB of bytes at 8000 rows
+        # and the 12.8 MB a float32 copy of 4000 rows would take.
+        block = 8 * model_mod.ROW_BLOCK_VALUES
+        peaks = []
+        for n in (4000, 8000):
+            rng = np.random.default_rng(5)
+            views = [ViewConfig(f"v{k}", 400, Family.BERNOULLI) for k in range(2)]
+            p = init_params(views, 8, Family.BERNOULLI, StructureMode(StructureKind.SA), rng)
+            data = MultiViewDataset(views, [(rng.random((n, 400)) < 0.3).astype(np.uint8)
+                                            for _ in views])
+            _, train_peak = traced_peak(
+                lambda: train(p, data, TrainConfig(epochs=2, batch_size=50, seed=1)))
+            feats, extract_peak = traced_peak(lambda: extract_features(p, data))
+            peaks.append((train_peak, extract_peak - feats.values.nbytes))
+        for small, large in zip(*peaks):
+            assert abs(large - small) < block and max(small, large) < 1.5 * block, peaks
+
+    @pytest.mark.parametrize("view,value,message", [
+        ("b", 2, "view 'b': Bernoulli support is {0, 1}"),
+        ("g", np.nan, "view 'g': values must be finite"),
+        ("g", 1e39, "view 'g': values must be within the float32 range"),
+    ], ids=["byte-2", "nan", "beyond-float32"])
+    def test_bad_value_in_the_last_block_rejected_before_any_step(self, view, value, message):
+        # The dataset is checked block by block, with the text of one
+        # check over the whole dataset, before the first epoch draws its
+        # permutation. extract_features checks in float64, where 1e39 is
+        # a valid value.
+        p, fv = blocked_model(np.random.default_rng(42))
+        k = [v.name for v in p.views].index(view)
+        fv[k][-1, -1] = value
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_views(p, fv, np.float32)
+
+        def no_step(q, fv):
+            raise AssertionError("a step ran on a bad value")
+
+        for gradient_fn in (no_step, None):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                train(p, as_dataset(p, fv), TrainConfig(epochs=1), rng=rng,
+                      gradient_fn=gradient_fn)
+            assert rng.bit_generator.state == state
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            reconstruction_error(p, fv)
+        if value != 1e39:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                extract_features(p, as_dataset(p, fv))
+
+    def test_row_counts_named_before_blocking(self):
+        # Views of different row counts, each over several blocks: the
+        # error names the dataset's counts, not a block's. So does an
+        # empty dataset's.
+        p, fv = blocked_model(np.random.default_rng(43))
+        n = len(fv[0])
+        short = as_dataset(p, fv)
+        short.view_arrays[1] = fv[1][:-1]
+        empty = as_dataset(p, [a[:0] for a in fv])
+        for data, rows in ((short, [n - 1, n]), (empty, [0])):
+            for call in (lambda: train(p, data, TrainConfig(epochs=1)),
+                         lambda: reconstruction_error(p, data.view_arrays),
+                         lambda: extract_features(p, data)):
+                with pytest.raises(ShapeMismatchError, match=re.escape(
+                        f"every view needs the same nonzero number of rows, got {rows}")):
+                    call()
 
     def test_bad_dataset_rejected_before_any_step(self, rng):
         p = make_tiny_model(rng)
@@ -690,6 +765,33 @@ def gaussian_view_model(rng, hidden_family):
         lam=0.1 * rng.standard_normal(5), s=rng.standard_normal((2, 5)),
         structure=StructureMode(StructureKind.SA))
     return p, [rng.standard_normal((24, 3)), (rng.random((24, 4)) < 0.5).astype(float)]
+
+
+def blocked_model(rng):
+    """SA model with a Gaussian view "g" and a byte Bernoulli view "b" of
+    144 each (12x12 glyphs) and 60 hidden units: sum_k D_k = 288 values a
+    row, so `model.row_blocks` takes up to 910 rows at a time. The data
+    holds 3 such blocks and 100 rows more: 4 blocks of 707 or 708 rows."""
+    views = [ViewConfig("g", 144, Family.GAUSSIAN_UNIT_VARIANCE),
+             ViewConfig("b", 144, Family.BERNOULLI)]
+    p = HarmoniumParams(
+        views=views, hidden_dim=60, hidden_family=Family.BERNOULLI,
+        W=[0.05 * rng.standard_normal((v.dim, 60)) for v in views],
+        xi=[0.1 * rng.standard_normal(v.dim) for v in views],
+        lam=0.1 * rng.standard_normal(60), s=2.0 * rng.standard_normal((2, 60)),
+        structure=StructureMode(StructureKind.SA))
+    n = 3 * (model_mod.ROW_BLOCK_VALUES // 288) + 100
+    return p, [rng.standard_normal((n, 144)), (rng.random((n, 144)) < 0.5).astype(np.uint8)]
+
+
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTrainGoldenDigests:
@@ -739,7 +841,26 @@ class TestTrainGoldenDigests:
                 == self.DIGESTS["gaussian_view", hidden_family.value])
 
 
+def one_shot_reconstruction_error(params, fv):
+    """`reconstruction_error` as one `np.mean` over the whole batch."""
+    chain, wg = training_mod._float32_chain(params, gates(params))
+    fv = check_views(params, fv, np.float32)
+    hmean = posterior_hidden_mean_batch(chain, wg, fv)
+    return np.array([
+        np.mean(np.square(fv[k] - mean(cfg.family, visible_shifted_batch(chain, wg, hmean, k))),
+                dtype=np.float64) for k, cfg in enumerate(params.views)])
+
+
 class TestReconstructionError:
+    def test_one_block_bit_equal_to_one_mean_and_many_blocks_close(self):
+        # Over one block the float64 sum of squares divided by the count
+        # rounds as np.mean does; over several, the blocks' sums are added.
+        p, fv = blocked_model(np.random.default_rng(44))
+        one = [a[:model_mod.ROW_BLOCK_VALUES // 288] for a in fv]
+        assert np.array_equal(reconstruction_error(p, one), one_shot_reconstruction_error(p, one))
+        np.testing.assert_allclose(reconstruction_error(p, fv),
+                                   one_shot_reconstruction_error(p, fv), rtol=1e-12, atol=0)
+
     def test_nonnegative(self, rng):
         p = make_tiny_model(rng)
         fv = make_binary_data(p, rng, 6)
