@@ -34,7 +34,8 @@ def _float_dtype(x) -> type:
 
 
 def _check_finite(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=_float_dtype(eta))
+    if not (isinstance(eta, np.ndarray) and eta.dtype in (np.float32, np.float64)):
+        eta = np.asarray(eta, dtype=_float_dtype(eta))
     if not np.isfinite(eta).all():
         raise NonFiniteError("natural parameter must be finite")
     return eta
@@ -89,9 +90,13 @@ def sample(family: Family, eta, rng: np.random.Generator):
     return out if out.ndim else float(out)
 
 
-def sample_from_mean(family: Family, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_from_mean(family: Family, mu: np.ndarray, rng: np.random.Generator,
+                     out=None, draws=None) -> np.ndarray:
     """`sample` given mu = `mean(family, eta)` of a checked eta; mu is not
-    checked. The draws take mu's dtype; the rng stream (float64) does not."""
+    checked. The draws take mu's dtype, or go into out (which may be mu); the
+    rng stream (float64) does not, and fills the start of draws if given."""
+    out = np.empty(mu.shape, mu.dtype) if out is None else out
+    draws = None if draws is None else draws[:mu.size].reshape(mu.shape)
     if family is Family.BERNOULLI:
-        return np.less(rng.random(size=mu.shape), mu, out=np.empty(mu.shape, mu.dtype))
-    return (mu + rng.standard_normal(size=mu.shape)).astype(mu.dtype, copy=False)
+        return np.less(rng.random(size=mu.shape, out=draws), mu, out=out)
+    return np.add(mu, rng.standard_normal(size=mu.shape, out=draws), out=out)

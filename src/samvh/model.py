@@ -284,10 +284,13 @@ def _gates(structure: StructureMode, s: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")  # a value beyond dtype's range casts to inf, reported below
 def check_views(params: HarmoniumParams, fv: list[np.ndarray],
-                dtype: type = np.float64) -> list[np.ndarray]:
+                dtype: type = np.float64, out: list[np.ndarray] | None = None
+                ) -> list[np.ndarray]:
     """Validate a batch against the model and return f(v) per view in dtype
     (float32 for the CD chain), the one place where a batch of any dtype (a
     dataset's uint8 binary views) is converted; a view in dtype is not copied.
+    Given out, one array of dtype per view, each view goes into the leading
+    rows of its own. A uint8 Bernoulli view's support is tested on its bytes.
 
     fv holds one (B, D_k) array per view with the same B >= 1 throughout,
     every value finite, inside its view's family support and dtype's range.
@@ -296,25 +299,31 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray],
         raise ShapeMismatchError(
             f"batch has {len(fv)} views, model has {params.num_views}: "
             f"{', '.join(repr(v.name) for v in params.views)}")
-    out = []
-    for cfg, raw in zip(params.views, fv):
-        arr = np.asarray(raw, dtype=dtype)
-        if arr.ndim != 2 or arr.shape[1] != cfg.dim:
+    checked = []
+    for k, (cfg, raw) in enumerate(zip(params.views, fv)):
+        shape = np.shape(raw)
+        if len(shape) != 2 or shape[1] != cfg.dim:
             raise ShapeMismatchError(
-                f"view {cfg.name!r} batch has shape {arr.shape}, want (B, {cfg.dim})")
+                f"view {cfg.name!r} batch has shape {shape}, want (B, {cfg.dim})")
+        bits = cfg.family is Family.BERNOULLI and getattr(raw, "dtype", None) == np.uint8
         # The Bernoulli support test fails on NaN and inf too.
         try:
-            if cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():
+            if bits and raw.size and raw.max() > 1:
+                raise DomainError("Bernoulli support is {0, 1}")
+            arr = np.asarray(raw, dtype=dtype) if out is None else out[k][:shape[0]]
+            if out is not None:
+                arr[...] = raw
+            if not bits and cfg.family is not Family.BERNOULLI and not np.isfinite(arr).all():
                 raise DomainError(f"values must be within the {arr.dtype} range")
-            out.append(suff_stat(cfg.family, arr))
+            checked.append(arr if bits else suff_stat(cfg.family, arr))
         except DomainError as exc:
             fault = exc if np.isfinite(np.asarray(raw, float)).all() else "values must be finite"
             raise DomainError(f"view {cfg.name!r}: {fault}") from None
-    rows = {a.shape[0] for a in out}
+    rows = {a.shape[0] for a in checked}
     if len(rows) != 1 or 0 in rows:
         raise ShapeMismatchError(
             f"every view needs the same nonzero number of rows, got {sorted(rows)}")
-    return out
+    return checked
 
 
 def row_blocks(params: HarmoniumParams, fv: list[np.ndarray]):
@@ -342,10 +351,10 @@ def gated_weights(W: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
 
 
 def hidden_shifted_batch(lam: np.ndarray, wg: list[np.ndarray],
-                         fv: list[np.ndarray]) -> np.ndarray:
+                         fv: list[np.ndarray], out=None) -> np.ndarray:
     """Natural parameter of p(h | v), lam_hat = lam + sum_k sigma(s) W^k f(v^k),
-    for a batch: (..., B, J). fv[k] is f(v) for view k, shape (B, D_k)."""
-    out = fv[0] @ wg[0]
+    for a batch: (..., B, J), or in out. fv[k] is f(v) for view k, shape (B, D_k)."""
+    out = np.matmul(fv[0], wg[0], out=out)
     out += lam[..., None, :]
     for k in range(1, len(fv)):
         out += fv[k] @ wg[k]
@@ -353,31 +362,34 @@ def hidden_shifted_batch(lam: np.ndarray, wg: list[np.ndarray],
 
 
 def visible_shifted_batch(params: HarmoniumParams, wg: list[np.ndarray],
-                          gh: np.ndarray, k: int) -> np.ndarray:
+                          gh: np.ndarray, k: int, out=None) -> np.ndarray:
     """Natural parameter of p(v^k | h), xi^k + sigma(s) W^k g(h), over a batch
-    of hidden statistics gh, shape (B, J), as a new array."""
-    out = gh @ wg[k].T
+    of hidden statistics gh, shape (B, J), as a new array or in out."""
+    out = np.matmul(gh, wg[k].T, out=out)
     out += params.xi[k]
     return out
 
 
 def posterior_hidden_mean_batch(params: HarmoniumParams, wg: list[np.ndarray],
-                                fv: list[np.ndarray]) -> np.ndarray:
+                                fv: list[np.ndarray], out=None) -> np.ndarray:
     """B'(lam_hat): the per-unit conditional mean, (B, J), used as the feature
-    vector and as a Gibbs chain state's hidden mean. lam_hat is checked for
-    finiteness."""
-    return mean(params.hidden_family, hidden_shifted_batch(params.lam, wg, fv))
+    vector and as a Gibbs chain state's hidden mean; given out, lam_hat and
+    then the mean are written there. lam_hat is checked for finiteness."""
+    return mean(params.hidden_family, hidden_shifted_batch(params.lam, wg, fv, out), out=out)
 
 
 def gibbs_step_batch(params: HarmoniumParams, wg: list[np.ndarray], hmean: np.ndarray,
-                     rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+                     rng: np.random.Generator, out=None, draws=None
+                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One block Gibbs sweep for a batch, from a chain state whose hidden mean
     hmean = `posterior_hidden_mean_batch` is already known: h is drawn from
     hmean and is its own sufficient statistic, then each view v'^k from
-    p(v^k | h). Returns (h, v')."""
-    h = sample_from_mean(params.hidden_family, hmean, rng)
-    etas = [visible_shifted_batch(params, wg, h, k) for k in range(params.num_views)]
-    return h, [sample_from_mean(cfg.family, mean(cfg.family, eta, out=eta), rng)
+    p(v^k | h). Returns (h, v'), or fills out, an (h, v') pair of buffers
+    (each view's natural parameter and mean too); draws as in `sample_from_mean`."""
+    h, vs = (None, [None] * params.num_views) if out is None else out
+    h = sample_from_mean(params.hidden_family, hmean, rng, h, draws)
+    etas = [visible_shifted_batch(params, wg, h, k, v) for k, v in enumerate(vs)]
+    return h, [sample_from_mean(cfg.family, mean(cfg.family, eta, out=eta), rng, eta, draws)
                for cfg, eta in zip(params.views, etas)]
 
 
@@ -484,7 +496,8 @@ def stacked_log_likelihood(params: HarmoniumParams, thetas: np.ndarray,
     result equals, bit for bit, that of a model holding its parameters.
     """
     _check_enum_bounds(params)
-    fv = check_views(params, fv)
+    for block in row_blocks(params, fv):
+        check_views(params, block)
     thetas = np.asarray(thetas, dtype=np.float64)
     n = param_group_ends([v.dim for v in params.views], params.hidden_dim)[-1]
     if thetas.ndim != 2 or thetas.shape[1] != n:
@@ -495,11 +508,12 @@ def stacked_log_likelihood(params: HarmoniumParams, thetas: np.ndarray,
 def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
                          fv: list[np.ndarray] | None = None) -> np.ndarray:
     """Per row of thetas, log Z, or the mean log p(v) over the batch fv if
-    one is given. The rows are taken in chunks whose (rows, states, J) and
+    one is given, summed a `row_blocks` block at a time (np.mean's bits over
+    one block). The rows are taken in chunks whose (rows, states, J) and
     (rows, B, J) blocks hold at most _STACK_BLOCK values."""
     dims, J = [v.dim for v in params.views], params.hidden_dim
     states = _visible_states(dims)
-    widest = max(states[0].shape[0], 0 if fv is None else fv[0].shape[0])
+    widest = max(states[0].shape[0], 0 if fv is None else len(fv[0]))
     chunk = max(1, _STACK_BLOCK // (widest * J))
     out = np.empty(thetas.shape[0])
     for start in range(0, out.size, chunk):
@@ -511,7 +525,9 @@ def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
             return log_unnorm_marginal_batch(xi, batch, hidden_shifted_batch(lam, wg, batch))
 
         log_z = _logsumexp(log_marginal(states), axis=1)
-        out[rows] = log_z if fv is None else np.mean(log_marginal(fv), axis=1) - log_z
+        out[rows] = log_z if fv is None else sum(
+            np.sum(log_marginal(check_views(params, block)), axis=1)
+            for block in row_blocks(params, fv)) / len(fv[0]) - log_z
     return out
 
 

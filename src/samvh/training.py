@@ -19,8 +19,8 @@ energy kernels in `model` serves one model and such a stack alike.
 
 Every function here takes a batch as `fv`, one (B, D_k) array per view, and
 validates it with `model.check_views`. `train` keeps no copy of a
-`MultiViewDataset`; it and `reconstruction_error` take a dataset's rows a
-`model.row_blocks` block at a time.
+`MultiViewDataset`; it, `reconstruction_error` and `exact_log_likelihood`
+take a dataset's rows a `model.row_blocks` block at a time.
 
 A gradient step builds the gates and the gated weights sigma(s) W^k once
 (`model.gated_weights`) and passes them to the energy kernels of `model`:
@@ -31,13 +31,9 @@ their Gibbs chain in float32 (`_float32_chain`): CD's sampling noise is far
 above the rounding, and the GEMMs take half the float64 time. theta, its
 update, the `GradientSet` and the exact oracles stay float64. Each
 natural-parameter array is checked for finiteness once; Bernoulli means take
-`expfam.sigmoid`, the package's one sigmoid. The Gibbs step writes each
-view's mean into its natural parameter's buffer. The hidden means are new
-arrays: written in place, they raised peak RSS by about 2 MB at the
-`train_wide` bench shape, through the allocator's heap pattern, with no gain
-in speed. Each chain state's hidden mean B'(lam_hat) drives the next Gibbs
-step and gives the state's statistics. One `_contrast_stats` call takes both
-phases' statistics, one GEMM per view, into the step's one `GradientSet`.
+`expfam.sigmoid`, the package's one sigmoid. `train` builds one `_StepState`
+per call: every array a CD step writes, among them the stacked phases from
+which `_contrast_stats` takes both phases' statistics, one GEMM per view.
 A `GradientSet` is one flat vector laid out as in `model.param_vector`
 (W^0..W^{K-1}, xi^0..xi^{K-1}, lam, s). `train` keeps the parameters it
 updates as views into one such vector theta, with one velocity vector
@@ -164,28 +160,26 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> GradientSet:
+def _contrast_stats(params: HarmoniumParams, g: np.ndarray, F: list[np.ndarray],
+                    H: np.ndarray, w: np.ndarray, out: GradientSet | None = None) -> GradientSet:
     """Weighted positive- minus negative-phase sums of the sufficient
-    statistics; g is gates(params). pos and neg are each (fv, hmean, weights),
-    one weight per row. With F^k = [f(v+); f(v-)], H = [w+ h+; -w- h-] and one
-    GEMM per view, stat^k = F^k' H (formed in dW^k's place):
+    statistics into out, new if None (its ds zero outside SA mode); g is
+    gates(params). With the phases stacked, F^k = [f(v+); f(v-)], H = [h+; h-]
+    and one weight per row w = [w+; -w-], H is weighted in place and with
+    one GEMM per view, stat^k = F^k' H (formed in dW^k's place):
 
         dW^k = g_k * stat^k        ds_k = g_k (1 - g_k) * colsum(W^k * stat^k)
-        dlam = colsum(H)           dxi^k = F^k' [w+; -w-]
+        dlam = colsum(H)           dxi^k = F^k' w
 
     ds_k uses sum_b (F W)_bj H_bj = sum_i W_ij (F' H)_ij; outside SA mode,
     where s is frozen, it is left at zero."""
-    (fv_pos, h_pos, w_pos), (fv_neg, h_neg, w_neg) = pos, neg
-    w = np.concatenate([w_pos, -w_neg])
-    H = np.concatenate([h_pos, h_neg])
+    out = GradientSet.zeros_like(params) if out is None else out
     H *= w[:, None]
-    out = GradientSet.zeros_like(params)
     H.sum(axis=0, out=out.dlam)
     sa_mode = params.structure.kind is StructureKind.SA
     for k in range(params.num_views):
-        F = np.concatenate([fv_pos[k], fv_neg[k]])
-        stat = np.matmul(F.T, H, out=out.dW[k])
-        np.matmul(F.T, w, out=out.dxi[k])
+        stat = np.matmul(F[k].T, H, out=out.dW[k])
+        np.matmul(F[k].T, w, out=out.dxi[k])
         if sa_mode:
             np.multiply(g[k] * (1.0 - g[k]), np.einsum("ij,ij->j", params.W[k], stat),
                         out=out.ds[k])
@@ -193,18 +187,39 @@ def _contrast_stats(params: HarmoniumParams, g: np.ndarray, pos, neg) -> Gradien
     return out
 
 
-def _float32_chain(params: HarmoniumParams, g: np.ndarray) -> tuple:
+def _float32_chain(params: HarmoniumParams, g: np.ndarray, out: tuple | None = None) -> tuple:
     """The float32 operands of a Gibbs chain: a copy of params whose lam and
     xi are float32, and `gated_weights(params.W, g)` rounded to float32 as
-    it is formed (3x faster than a cast afterwards)."""
-    chain = copy.copy(params)
-    chain.lam, chain.xi = params.lam.astype(np.float32), [x.astype(np.float32) for x in params.xi]
-    return chain, [np.multiply(w, g[k], out=np.empty(w.shape, np.float32))
-                   for k, w in enumerate(params.W)]
+    it is formed (3x faster than a cast afterwards); written into out, a
+    pair this returned before, if one is given."""
+    chain, wg = out or (copy.copy(params), [np.empty(w.shape, np.float32) for w in params.W])
+    if out is None:
+        chain.lam, chain.xi = np.float32(params.lam), [np.float32(x) for x in params.xi]
+    np.copyto(chain.lam, params.lam)
+    for k, w in enumerate(params.W):
+        np.copyto(chain.xi[k], params.xi[k])
+        np.multiply(w, g[k], out=wg[k])
+    return chain, wg
+
+
+class _StepState:
+    """Every array a CD step writes, for batches of up to `rows` rows. A batch
+    of B rows takes the leading 2B rows of the stacked phases F^k and H: its
+    data, then its chain (draws, natural parameters and means in place)."""
+
+    def __init__(self, params: HarmoniumParams, rows: int):
+        dims, J = [v.dim for v in params.views], params.hidden_dim
+        self.chain = _float32_chain(params, gates(params))
+        self.F = [np.empty((2 * rows, d), np.float32) for d in dims]
+        self.H = np.empty((2 * rows, J), np.float32)
+        self.w = np.empty(2 * rows, np.float32)
+        self.draws = np.empty(rows * max(J, *dims))
+        self.grad = GradientSet.zeros_like(params)
 
 
 def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
-                cd_steps: int, rng: np.random.Generator) -> GradientSet:
+                cd_steps: int, rng: np.random.Generator,
+                state: _StepState | None = None) -> GradientSet:
     """Contrastive-divergence gradient estimate over a batch fv, one (B, D_k)
     array per view, from a float32 chain (see `_float32_chain`).
 
@@ -213,17 +228,23 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     first Gibbs step, each later state's the next step, and the final
     state's the negative phase, which uses that mean rather than a sampled
     h (lower variance, same expectation). Both phases are weighted 1/B.
+    The step writes only into state, a `_StepState` of at least B rows
+    (built here if None), and returns its gradient.
     """
-    fv = check_views(params, fv, np.float32)
+    if state is None:
+        state = _StepState(params, len(check_views(params, fv, np.float32)[0]))
+    pos = check_views(params, fv, np.float32, state.F)
+    B = len(pos[0])
     g = gates(params)
-    chain_params, wg = _float32_chain(params, g)
-    h_data = hmean = posterior_hidden_mean_batch(chain_params, wg, fv)
-    chain = fv
+    chain, wg = _float32_chain(params, g, state.chain)
+    F, H, w = [f[:2 * B] for f in state.F], state.H[:2 * B], state.w[:2 * B]
+    neg = [f[B:] for f in F]
+    hmean = posterior_hidden_mean_batch(chain, wg, pos, out=H[:B])
     for _ in range(cd_steps):
-        _, chain = gibbs_step_batch(chain_params, wg, hmean, rng)
-        hmean = posterior_hidden_mean_batch(chain_params, wg, chain)
-    weights = np.full(len(hmean), 1.0 / len(hmean), dtype=np.float32)
-    return _contrast_stats(params, g, (fv, h_data, weights), (chain, hmean, weights))
+        gibbs_step_batch(chain, wg, hmean, rng, out=(H[B:], neg), draws=state.draws)
+        hmean = posterior_hidden_mean_batch(chain, wg, neg, out=H[B:])
+    w[:B], w[B:] = 1.0 / B, -1.0 / B
+    return _contrast_stats(params, g, F, H, w, state.grad)
 
 
 def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet:
@@ -234,8 +255,9 @@ def exact_gradient(params: HarmoniumParams, fv: list[np.ndarray]) -> GradientSet
     wg = gated_weights(params.W, g)
     h_data = posterior_hidden_mean_batch(params, wg, fv)
     fv_all, lam_all, probs = exact_visible_distribution(params, wg)
-    return _contrast_stats(params, g, (fv, h_data, np.full(len(h_data), 1.0 / len(h_data))),
-                           (fv_all, mean(params.hidden_family, lam_all, out=lam_all), probs))
+    return _contrast_stats(params, g, [np.concatenate(f) for f in zip(fv, fv_all)],
+                           np.concatenate([h_data, mean(params.hidden_family, lam_all)]),
+                           np.concatenate([np.full(len(h_data), 1.0 / len(h_data)), -probs]))
 
 
 def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
@@ -260,12 +282,12 @@ def finite_diff_gradient(params: HarmoniumParams, fv: list[np.ndarray],
                        [v.dim for v in params.views], params.hidden_dim)
 
 
-def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.ndarray:
+def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray], chain=None) -> np.ndarray:
     """Per-view mean squared error of the one-step mean-field reconstruction
-    of the batch fv, run as the float32 chain of `cd_gradient` one
-    `row_blocks` block at a time. Each view's squared errors are summed in
-    float64; over one block that rounds as `np.mean` does."""
-    chain_params, wg = _float32_chain(params, gates(params))
+    of the batch fv, run as `cd_gradient`'s float32 chain (in chain, a pair
+    `_float32_chain` returned, if given) a `row_blocks` block at a time. Each
+    view's squared errors are summed in float64 (over one block, np.mean's rounding)."""
+    chain_params, wg = _float32_chain(params, gates(params), chain)
     sums = np.zeros(params.num_views)
     for block in row_blocks(params, fv):
         block = check_views(params, block, np.float32)
@@ -278,14 +300,6 @@ def reconstruction_error(params: HarmoniumParams, fv: list[np.ndarray]) -> np.nd
     return sums / (len(fv[0]) * np.array([v.dim for v in params.views]))
 
 
-def _enumeration_feasible(params: HarmoniumParams) -> bool:
-    try:
-        _check_enum_bounds(params)
-    except ValueError:
-        return False
-    return True
-
-
 def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
           rng: np.random.Generator | None = None,
           gradient_fn=None) -> tuple[HarmoniumParams, TrainLog]:
@@ -293,9 +307,9 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
 
     The dataset is checked in float32 once, before the first step, a
     `row_blocks` block at a time, and not copied: minibatches are row slices
-    of `data.view_arrays` (uint8 binary views stay uint8), which
-    `cd_gradient`, or `gradient_fn(params, fv)` in its place (e.g.
-    `exact_gradient`), and the epoch's `exact_log_likelihood` convert.
+    of `data.view_arrays` (uint8 binary views stay uint8), converted into
+    the one `_StepState` that all CD steps and each epoch's reconstruction
+    share (a `gradient_fn(params, fv)` such as `exact_gradient` converts its own).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -318,7 +332,12 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
     update, decayed = np.empty(live), np.empty(n_w)
     finite = np.empty(theta.size, dtype=bool)
     log = TrainLog()
-    log_ll = _enumeration_feasible(cur)
+    try:  # the epoch's exact log-likelihood, where enumeration is feasible
+        _check_enum_bounds(cur)
+        log_ll = True
+    except ValueError:
+        log_ll = False
+    state = _StepState(cur, min(config.batch_size, n))
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -327,7 +346,7 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
             fv = [a[idx] for a in arrays]
             try:
                 if gradient_fn is None:
-                    grad = cd_gradient(cur, fv, config.cd_steps, rng)
+                    grad = cd_gradient(cur, fv, config.cd_steps, rng, state)
                 else:
                     grad = gradient_fn(cur, fv)
             except NonFiniteError:
@@ -353,7 +372,7 @@ def train(params: HarmoniumParams, data: MultiViewDataset, config: TrainConfig,
         g = gates(cur)
         log.records.append(EpochRecord(
             epoch=epoch,
-            recon_err=[float(e) for e in reconstruction_error(cur, arrays)],
+            recon_err=[float(e) for e in reconstruction_error(cur, arrays, state.chain)],
             mean_gate=[float(m) for m in g.mean(axis=1)],
             exact_ll=exact_log_likelihood(cur, arrays) if log_ll else None,
         ))

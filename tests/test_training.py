@@ -21,6 +21,7 @@ from samvh.model import (
     StructureMode,
     ViewConfig,
     check_views,
+    exact_log_likelihood,
     exact_visible_distribution,
     gates,
     init_params,
@@ -32,8 +33,10 @@ from samvh.model import (
     visible_shifted_batch,
 )
 from samvh.training import (
+    EpochRecord,
     GradientSet,
     TrainConfig,
+    TrainLog,
     TrainingDivergedError,
     _contrast_stats,
     cd_gradient,
@@ -172,16 +175,24 @@ def reference_finite_diff_gradient(params, fv, step):
     return out
 
 
-def reference_train(params, data, config, gradient_fn):
-    """Momentum ascent updating each parameter array on its own."""
+def reference_train(params, data, config, gradient_fn=None):
+    """Momentum ascent updating each parameter array on its own, as a loop of
+    public calls: `gradient_fn(params, fv)`, or by default `cd_gradient`
+    without a step state on the run's one rng stream. Returns the trained
+    parameters and the log `train` documents (`reconstruction_error`, the
+    mean gates and, where enumeration is feasible, `exact_log_likelihood`)."""
     rng = np.random.default_rng(config.seed)
+    if gradient_fn is None:
+        def gradient_fn(cur, fv):
+            return cd_gradient(cur, fv, config.cd_steps, rng)
+    log = TrainLog()
     cur = params.copy()
     lr, m = config.learning_rate, config.momentum
     vW = [np.zeros_like(w) for w in cur.W]
     vxi = [np.zeros_like(x) for x in cur.xi]
     vlam, vs = np.zeros_like(cur.lam), np.zeros_like(cur.s)
     n = data.num_samples
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -196,17 +207,32 @@ def reference_train(params, data, config, gradient_fn):
             if cur.structure.kind is StructureKind.SA:
                 vs = m * vs + grad.ds
                 cur.s += lr * config.switch_lr_scale * vs
-    return cur
+        try:
+            exact_ll = exact_log_likelihood(cur, data.view_arrays)
+        except ValueError:  # beyond the enumeration bounds, or a Gaussian family
+            exact_ll = None
+        log.records.append(EpochRecord(
+            epoch, [float(e) for e in reconstruction_error(cur, data.view_arrays)],
+            [float(g) for g in gates(cur).mean(axis=1)], exact_ll))
+    return cur, log
 
 
 def as_dataset(params, fv):
     return MultiViewDataset(views=list(params.views), view_arrays=fv)
 
 
+def two_phase_stats(params, pos, neg):
+    """`_contrast_stats` of two phases, each (fv, hmean, weights), stacked."""
+    (fv_pos, h_pos, w_pos), (fv_neg, h_neg, w_neg) = pos, neg
+    return _contrast_stats(params, gates(params),
+                           [np.concatenate(f) for f in zip(fv_pos, fv_neg)],
+                           np.concatenate([h_pos, h_neg]), np.concatenate([w_pos, -w_neg]))
+
+
 def positive_stats(params, fv, hmean):
     """`_contrast_stats` of a batch weighted 1/B against an empty negative phase."""
     weights = np.full(hmean.shape[0], 1.0 / hmean.shape[0])
-    return _contrast_stats(params, gates(params), (fv, hmean, weights),
+    return two_phase_stats(params, (fv, hmean, weights),
                            ([a[:0] for a in fv], hmean[:0], weights[:0]))
 
 
@@ -264,7 +290,7 @@ class TestContrastStats:
         p = make_tiny_model(rng, kind, dims=(4, 3), J=5)
         pos = (make_binary_data(p, rng, 7), rng.random((7, 5)), rng.random(7))
         neg = (make_binary_data(p, rng, 11), rng.random((11, 5)), rng.random(11))
-        got = _contrast_stats(p, gates(p), pos, neg)
+        got = two_phase_stats(p, pos, neg)
         assert_matches_textbook(flatten(got), textbook_stats(p, *pos) - textbook_stats(p, *neg))
 
     @staticmethod
@@ -313,6 +339,16 @@ class TestCdGradient:
         g1 = cd_gradient(p, batch, 2, np.random.default_rng(5))
         g2 = cd_gradient(p, batch, 2, np.random.default_rng(5))
         assert np.array_equal(flatten(g1), flatten(g2))
+
+    def test_calls_without_a_state_do_not_alias(self, rng):
+        # Each call builds its own step state, so a second call leaves the
+        # first call's gradient as it was.
+        p = make_tiny_model(rng)
+        first = cd_gradient(p, make_binary_data(p, rng, 8), 1, np.random.default_rng(5))
+        kept = first.vec.copy()
+        second = cd_gradient(p, make_binary_data(p, rng, 8), 1, np.random.default_rng(6))
+        assert not np.shares_memory(first.vec, second.vec)
+        assert np.array_equal(first.vec, kept) and not np.array_equal(first.vec, second.vec)
 
     def test_empty_batch(self, rng):
         with pytest.raises(ValueError):
@@ -381,8 +417,9 @@ class TestCdGradient:
 
     def test_chain_is_float32_and_train_returns_float64(self, monkeypatch):
         # Every array the traced energy kernels get or give inside a CD step,
-        # the model's lam and xi included, is float32; the trained
-        # parameters are float64.
+        # the model's lam and xi and the out buffers included, is float32;
+        # the trained parameters are float64. Only the rng's own draws
+        # (`draws`) are float64.
         seen = {}
 
         def arrays(obj):
@@ -395,9 +432,10 @@ class TestCdGradient:
             return []
 
         def record(name, fn):
-            def wrapper(*args):
-                out = fn(*args)
-                seen.setdefault(name, set()).update(a.dtype for a in arrays([args, out]))
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.setdefault(name, set()).update(
+                    a.dtype for a in arrays([args, kwargs.get("out"), out]))
                 return out
             return wrapper
 
@@ -742,7 +780,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.2, momentum=0.9, epochs=4, batch_size=3,
                           seed=6, switch_lr_scale=2.0, weight_decay=0.01)
         got, _ = train(p, data, cfg, gradient_fn=exact_gradient)
-        want = reference_train(p, data, cfg, exact_gradient)
+        want, _ = reference_train(p, data, cfg, exact_gradient)
         for a, b in zip((*got.W, *got.xi, got.lam, got.s),
                         (*want.W, *want.xi, want.lam, want.s)):
             assert np.array_equal(a, b)
@@ -752,6 +790,72 @@ class TestTrain:
         data = as_dataset(p, make_binary_data(p, rng, 10))
         out, _ = train(p, data, TrainConfig(epochs=2, batch_size=5, seed=2))
         assert np.array_equal(out.s, p.s)
+
+    @pytest.mark.parametrize("cd_steps", [1, 3])
+    @pytest.mark.parametrize("model", [*StructureKind, Family.BERNOULLI])
+    def test_equals_loop_of_public_calls(self, tmp_path, model, cd_steps):
+        # train, with its one step state, writes the checkpoint and log bytes
+        # of a loop that calls the public cd_gradient without one. 13 and
+        # 24 rows in batches of 5 end each epoch on a short batch. A Family
+        # is a gaussian_view_model; the tiny models' data is bytes.
+        rng = np.random.default_rng(17)
+        if isinstance(model, Family):
+            p, fv = gaussian_view_model(rng, model)
+        else:
+            p = make_tiny_model(rng, model, dims=(4, 3), J=5)
+            fv = [a.astype(np.uint8) for a in make_binary_data(p, rng, 13)]
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=5, cd_steps=cd_steps,
+                          seed=8, weight_decay=0.01)
+        outputs = []
+        for params, log in (train(p, as_dataset(p, fv), cfg),
+                            reference_train(p, as_dataset(p, fv), cfg)):
+            save_checkpoint(params, str(tmp_path / "checkpoint.json"))
+            outputs.append(((tmp_path / "checkpoint.json").read_bytes(), log.to_csv()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count("\n") == 4
+
+    def test_step_buffers_built_once_per_call(self, monkeypatch):
+        # One GradientSet (the step state's) for all 9 steps of 3 epochs;
+        # every step gets the same state and returns its gradient.
+        built, states, grads = [], set(), set()
+
+        class CountedGradientSet(GradientSet):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        step = training_mod.cd_gradient
+
+        def recorded(*args):
+            states.add(id(args[4]))
+            grad = step(*args)
+            grads.add(id(grad))
+            return grad
+
+        monkeypatch.setattr(training_mod, "GradientSet", CountedGradientSet)
+        monkeypatch.setattr(training_mod, "cd_gradient", recorded)
+        rng = np.random.default_rng(6)
+        p = make_tiny_model(rng)
+        train(p, as_dataset(p, make_binary_data(p, rng, 13)),
+              TrainConfig(epochs=3, batch_size=5, seed=1))
+        assert (len(built), len(states), len(grads)) == (1, 1, 1)
+
+    def test_exact_log_likelihood_memory_does_not_grow_with_the_dataset(self):
+        # The epoch's exact log-likelihood takes the rows a block at a time.
+        # 2 and 4 blocks of rows (sum_k D_k = 6) give peaks within one
+        # float64 block (2 MB) of each other; each epoch's row permutation,
+        # 8 bytes a row, is the one array that grows. Widened whole, the
+        # rows cost about 120 bytes each, 10.5 MB more at 4 blocks.
+        block_rows = model_mod.ROW_BLOCK_VALUES // 6
+        peaks = []
+        for n in (2 * block_rows, 4 * block_rows):
+            rng = np.random.default_rng(5)
+            p = make_tiny_model(rng, dims=(3, 3), J=4)
+            data = as_dataset(p, [a.astype(np.uint8) for a in make_binary_data(p, rng, n)])
+            _, peak = traced_peak(
+                lambda: train(p, data, TrainConfig(epochs=1, batch_size=500, seed=1)))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 8 * model_mod.ROW_BLOCK_VALUES, peaks
 
 
 def gaussian_view_model(rng, hidden_family):
