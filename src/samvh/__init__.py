@@ -8,7 +8,6 @@ discovers shared versus view-specific structure during training.
 from .expfam import Family
 from .model import (
     HarmoniumParams,
-    MultiViewSample,
     StructureKind,
     StructureMode,
     SwitchReport,
@@ -24,7 +23,6 @@ from .data import MultiViewDataset, SynthConfig, generate_synthetic_paired
 __all__ = [
     "Family",
     "HarmoniumParams",
-    "MultiViewSample",
     "MultiViewDataset",
     "StructureKind",
     "StructureMode",

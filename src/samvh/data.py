@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import Family
-from .model import (MalformedDocumentError, MultiViewSample, ViewConfig, key_path,
-                    read_json, require_key, require_views, write_json)
+from .model import (MalformedDocumentError, ViewConfig, key_path, read_json,
+                    require_key, require_views, write_json)
 
 
 class CsvFormatError(ValueError):
@@ -57,13 +57,10 @@ class MultiViewDataset:
     def num_views(self) -> int:
         return len(self.views)
 
-    def sample(self, n: int) -> MultiViewSample:
-        return MultiViewSample(
-            values=[arr[n] for arr in self.view_arrays],
-            label=None if self.labels is None else int(self.labels[n]))
-
-    def samples(self) -> list[MultiViewSample]:
-        return [self.sample(n) for n in range(self.num_samples)]
+    def samples(self) -> list[tuple[np.ndarray, ...]]:
+        """Each row's view vectors. Nothing in samvh calls this; it stays
+        because the benchmark's span tracer wraps it (bench/spans.py)."""
+        return list(zip(*self.view_arrays))
 
     def subset(self, idx: np.ndarray) -> "MultiViewDataset":
         return MultiViewDataset(

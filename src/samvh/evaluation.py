@@ -90,20 +90,20 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
     if len(train_labels) != X.shape[0] or len(test_labels) != Q.shape[0]:
         raise ValueError("need one label per feature row")
 
-    # Squared distances preserve the Euclidean ordering. Built in one buffer:
-    # |q|^2 - 2 q.x + |x|^2, rounded as if written out in that order. The
-    # product is one call: blocks of it could round differently.
-    q2, x2 = np.sum(Q ** 2, axis=1), np.sum(X ** 2, axis=1)
-    d2 = Q @ X.T
+    # Squared distances preserve the Euclidean ordering. Per block of query
+    # rows, |q|^2 - 2 q.x + |x|^2 in one buffer, rounded as if written out in
+    # that order. Blocks are a row apart in size, as in `model.row_blocks`,
+    # so a short last block takes no small-matrix GEMM kernel of its own.
+    x2 = np.sum(X ** 2, axis=1)
     classes, index = np.unique(train_labels, return_inverse=True)
     correct = 0
-    step = max(1, _RANK_CELLS // X.shape[0])
-    # The rest goes a block of rows at a time, so that only one block's
-    # index and vote arrays exist at once.
-    for start in range(0, Q.shape[0], step):
-        d = d2[start:start + step]
+    blocks = -(-Q.shape[0] // max(1, _RANK_CELLS // X.shape[0]))
+    for i in range(blocks):
+        rows = slice(i * Q.shape[0] // blocks, (i + 1) * Q.shape[0] // blocks)
+        q = Q[rows]
+        d = q @ X.T
         d *= -2.0
-        d += q2[start:start + step, None]
+        d += np.sum(q ** 2, axis=1)[:, None]
         d += x2
         # The k nearest in any order: the vote does not depend on their order.
         nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
@@ -121,7 +121,7 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
         cells += np.arange(len(d))[:, None] * len(classes)
         votes = np.bincount(cells.ravel(), minlength=len(d) * len(classes))
         predicted = classes[votes.reshape(len(d), -1).argmax(axis=1)]
-        correct += int(np.count_nonzero(predicted == test_labels[start:start + step]))
+        correct += int(np.count_nonzero(predicted == test_labels[rows]))
     return correct / len(test_labels)  # a float, not np.float64: sweep_to_csv reprs it
 
 
@@ -184,16 +184,23 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """The image in a binary PGM file laid out as `write_pgm` writes it;
+    any other file is a ValueError that names it."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM file")
-        dims = fh.readline().split()
-        maxval = int(fh.readline())
+        try:
+            w, h = map(int, fh.readline().split())
+            maxval = int(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: unparsable PGM header") from None
         if maxval != 255:
             raise ValueError(f"{path}: unsupported maxval {maxval}")
-        w, h = int(dims[0]), int(dims[1])
-        return np.frombuffer(fh.read(w * h), dtype=np.uint8).reshape(h, w)
+        pixels = fh.read(w * h)
+        if len(pixels) != w * h:
+            raise ValueError(f"{path}: {len(pixels)} bytes of pixels, want {w * h}")
+        return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
 
 def export_filter_images(params: HarmoniumParams, view: int, out_dir: str,

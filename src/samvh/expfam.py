@@ -34,8 +34,7 @@ def _float_dtype(x) -> type:
 
 
 def _check_finite(eta) -> np.ndarray:
-    if not (isinstance(eta, np.ndarray) and eta.dtype in (np.float32, np.float64)):
-        eta = np.asarray(eta, dtype=_float_dtype(eta))
+    eta = np.asarray(eta, dtype=_float_dtype(eta))
     if not np.isfinite(eta).all():
         raise NonFiniteError("natural parameter must be finite")
     return eta

@@ -111,16 +111,6 @@ class StructureMode:
 
 
 @dataclass
-class MultiViewSample:
-    """One row of a dataset, for callers that want samples one at a time.
-    Every computation takes per-view batch arrays instead. A uint8 binary
-    view (see MultiViewDataset) must be widened before any signed
-    arithmetic: 1 - v wraps around to 255 on bytes."""
-    values: list[np.ndarray]  # one vector per view
-    label: int | None = None
-
-
-@dataclass
 class HarmoniumParams:
     views: list[ViewConfig]
     hidden_dim: int
@@ -326,6 +316,12 @@ def check_views(params: HarmoniumParams, fv: list[np.ndarray],
     return checked
 
 
+def batch_rows(fv: list[np.ndarray]) -> int:
+    """The most rows of any 2-D array in an unchecked batch (0 if none): a
+    buffer this long leaves it to check_views to report mismatched counts."""
+    return max((np.shape(a)[0] for a in fv if np.ndim(a) == 2), default=0)
+
+
 def row_blocks(params: HarmoniumParams, fv: list[np.ndarray]):
     """Yield fv in row slices of at most ROW_BLOCK_VALUES values, at least
     one, a row apart in size: a short last block could take a BLAS' small-
@@ -496,12 +492,10 @@ def stacked_log_likelihood(params: HarmoniumParams, thetas: np.ndarray,
     result equals, bit for bit, that of a model holding its parameters.
     """
     _check_enum_bounds(params)
-    for block in row_blocks(params, fv):
-        check_views(params, block)
     thetas = np.asarray(thetas, dtype=np.float64)
     n = param_group_ends([v.dim for v in params.views], params.hidden_dim)[-1]
-    if thetas.ndim != 2 or thetas.shape[1] != n:
-        raise ShapeMismatchError(f"thetas has shape {thetas.shape}, want (R, {n})")
+    if thetas.ndim != 2 or thetas.shape[1] != n or thetas.shape[0] < 1:
+        raise ShapeMismatchError(f"thetas has shape {thetas.shape}, want (R >= 1, {n})")
     return _stacked_enumeration(params, thetas, fv)
 
 
@@ -509,11 +503,12 @@ def _stacked_enumeration(params: HarmoniumParams, thetas: np.ndarray,
                          fv: list[np.ndarray] | None = None) -> np.ndarray:
     """Per row of thetas, log Z, or the mean log p(v) over the batch fv if
     one is given, summed a `row_blocks` block at a time (np.mean's bits over
-    one block). The rows are taken in chunks whose (rows, states, J) and
-    (rows, B, J) blocks hold at most _STACK_BLOCK values."""
+    one block), each block checked as it is converted. The rows are taken in
+    chunks whose (rows, states, J) and (rows, B, J) blocks hold at most
+    _STACK_BLOCK values."""
     dims, J = [v.dim for v in params.views], params.hidden_dim
     states = _visible_states(dims)
-    widest = max(states[0].shape[0], 0 if fv is None else len(fv[0]))
+    widest = max(states[0].shape[0], 0 if fv is None else batch_rows(fv))
     chunk = max(1, _STACK_BLOCK // (widest * J))
     out = np.empty(thetas.shape[0])
     for start in range(0, out.size, chunk):
@@ -608,11 +603,12 @@ class MissingKeyError(MalformedDocumentError):
 
 def read_json(path: str):
     """The JSON document in a file, or a MalformedDocumentError naming it
-    if the file is not JSON in UTF-8."""
+    if the file is not JSON in UTF-8 or nests too deeply for the parser."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+        # bad JSON or UTF-8, an over-long integer, or too deep a nesting
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -63,6 +63,7 @@ from .model import (
     HarmoniumParams,
     StructureKind,
     _check_enum_bounds,
+    batch_rows,
     check_views,
     exact_log_likelihood,
     exact_visible_distribution,
@@ -229,10 +230,11 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     state's the negative phase, which uses that mean rather than a sampled
     h (lower variance, same expectation). Both phases are weighted 1/B.
     The step writes only into state, a `_StepState` of at least B rows
-    (built here if None), and returns its gradient.
+    (built here from fv's shape if None), and returns its gradient; fv is
+    checked once, as it is converted into the state.
     """
     if state is None:
-        state = _StepState(params, len(check_views(params, fv, np.float32)[0]))
+        state = _StepState(params, batch_rows(fv))
     pos = check_views(params, fv, np.float32, state.F)
     B = len(pos[0])
     g = gates(params)

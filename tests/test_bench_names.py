@@ -3,11 +3,11 @@
 `bench/spans.py` wraps every function in its `TARGETS` list, and
 `bench/tests/test_bench.py` looks further names up in samvh's modules and
 counts the calls `training.train` makes to `training.cd_gradient`. The
-benchmark's own tests run separately (`python3 -m pytest -q bench/tests`),
-so these checks keep a deletion in samvh from breaking `bench/run.py
---trace 1` unnoticed, and keep the traced energy kernels on the CD step's
-path, so that their per-layer figures measure it. Both files are only read
-here.
+benchmark's own tests are in the pytest `testpaths` too; these checks name
+the samvh binding that a deletion broke, rather than a failing
+`bench/run.py --trace 1` session, and keep the traced energy kernels on the
+CD step's path, so that their per-layer figures measure it. Both files are
+only read here.
 """
 import ast
 import importlib

@@ -976,6 +976,17 @@ class TestEvalPipeline:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {path}:")
 
+    @pytest.mark.parametrize("name", ["config", "checkpoint", "manifest.json"])
+    def test_deeply_nested_document_names_the_file(self, tmp_path, trained, capsys, name):
+        # Nesting past the JSON parser's recursion limit is invalid JSON too.
+        cfg, data_dir, ckpt = trained
+        path = {"config": cfg, "checkpoint": ckpt}.get(name, os.path.join(data_dir, name))
+        Path(path).write_text("[" * 10 ** 5)
+        code = cli.main(["--config", cfg, "eval-knn", "--checkpoint", ckpt,
+                         "--data", data_dir, "--out", str(tmp_path / "knn")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+
     def test_checkpoint_value_of_wrong_type_is_config_error(self, tmp_path, trained,
                                                             capsys):
         cfg, data_dir, ckpt = trained

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -211,21 +212,37 @@ class TestKnn:
             want = [np.bincount(ytr[row[:k]]).argmax() for row in ranked]
             assert knn_classify(fm(Xtr), ytr, fm(Xte), want, k) == 1.0
 
+    @staticmethod
+    def knn_peak(X, y, Q, yq, k) -> int:
+        tracemalloc.start()
+        try:
+            knn_classify(X, y, Q, yq, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_at_pipeline_size(self, rng):
-        # The (Q, N) distances and one row block's index, mask and vote
-        # arrays (at most 32 bytes per ranked distance), with 10% to spare:
-        # no (Q, N) index array and no second (Q, N) float array.
+        # The squares of the (N, F) training features, and one row block's
+        # distances, index, mask and vote arrays (at most 32 bytes per ranked
+        # distance), with 10% to spare: no (Q, N) array.
         X = fm(rng.random((1000, 60)))
         y = rng.integers(0, 10, size=1000)
-        bound = 1.1 * (1000 * 1000 * 8 + 32 * _RANK_CELLS)
+        bound = 1.1 * (1000 * 60 * 8 + 32 * _RANK_CELLS)
         for k in (10, 1000):
-            tracemalloc.start()
-            try:
-                knn_classify(X, y, X, y, k)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = self.knn_peak(X, y, X, y, k)
             assert peak <= bound, (k, peak)
+
+    def test_peak_memory_does_not_grow_with_queries(self, rng):
+        # 8 times the queries, ranked in blocks of about as many rows (62 or
+        # 63 rows against 64 or 65), take about the same peak. A (Q, N)
+        # array would add 8 bytes per query and training row: 28 MB here.
+        X = fm(rng.random((1000, 60)))
+        y = rng.integers(0, 10, size=1000)
+        peaks = []
+        for q in (500, 4000):
+            Q, yq = fm(rng.random((q, 60))), rng.integers(0, 10, size=q)
+            peaks.append(self.knn_peak(X, y, Q, yq, 10))
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_feature_rotation_invariant(self, rng):
         # Euclidean distances are invariant to orthogonal maps of the features.
@@ -333,6 +350,18 @@ class TestFilterImages:
         back = read_pgm(path)
         assert back.shape == (5, 7)
         assert np.array_equal(back, img)
+
+    @pytest.mark.parametrize("data,fault", [
+        (b"P5\n4\n255\n", "unparsable PGM header"),
+        (b"P5\n4 x\n255\n", "unparsable PGM header"),
+        (b"P5\n4 2\n", "unparsable PGM header"),
+        (b"P5\n4 2\n255\n" + bytes(7), "7 bytes of pixels, want 8"),
+        (b"P6\n4 2\n255\n" + bytes(8), "not a binary PGM file")])
+    def test_malformed_pgm_names_the_file(self, tmp_path, data, fault):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
+            read_pgm(str(path))
 
     def test_dwh_writes_only_shared(self, tmp_path, rng):
         params = make_tiny_model(rng, kind=StructureKind.DWH, dims=(4, 4), J=6)

@@ -12,6 +12,7 @@ import pytest
 
 from scipy.special import expit, logsumexp
 
+from samvh import model as model_mod
 from samvh.expfam import DomainError, Family
 from samvh.model import (
     ROW_BLOCK_VALUES,
@@ -613,11 +614,32 @@ class TestExactLogLikelihood:
         assert got.shape == (4,)
         assert np.array_equal(got, [reference_log_likelihood(q, data) for q in models])
 
+    def test_stacked_checks_each_row_block_once_per_chunk(self, rng, monkeypatch):
+        # 6 visible units in blocks of 4 rows: 10 rows are 3 blocks. 64 states
+        # and 4 hidden units in chunks of 3 thetas: 7 thetas are 3 chunks.
+        # Each chunk checks each block as it converts it, and nothing else does.
+        p = make_tiny_model(rng)
+        data = make_binary_data(p, rng, 10)
+        thetas = np.stack([param_vector(make_tiny_model(rng)) for _ in range(7)])
+        want = stacked_log_likelihood(p, thetas, data)
+        monkeypatch.setattr(model_mod, "ROW_BLOCK_VALUES", 4 * 6)
+        monkeypatch.setattr(model_mod, "_STACK_BLOCK", 3 * 64 * 4)
+        calls = []
+
+        def counted(params, fv, *args, **kwargs):
+            calls.append(len(fv[0]))
+            return check_views(params, fv, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "check_views", counted)
+        got = stacked_log_likelihood(p, thetas, data)
+        assert calls == [3, 3, 4] * 3
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
     def test_stacked_rows_must_be_parameter_vectors(self, rng):
         p = make_tiny_model(rng)
         data = make_binary_data(p, rng, 2)
         theta = param_vector(p)
-        for bad in (theta, np.stack([theta[:-1]] * 2)):
+        for bad in (theta, np.stack([theta[:-1]] * 2), theta[None][:0]):
             with pytest.raises(ShapeMismatchError, match="thetas"):
                 stacked_log_likelihood(p, bad, data)
 

@@ -354,6 +354,27 @@ class TestCdGradient:
         with pytest.raises(ValueError):
             cd_gradient(make_tiny_model(rng), [np.zeros((0, 3))] * 2, 1, rng)
 
+    def test_stateless_call_checks_its_batch_once(self, rng, monkeypatch):
+        # A call without a step state sizes one from the batch's shape, and
+        # checks the rows once, as it converts them into it. Row counts that
+        # differ between views are still named by check_views.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check_views(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "check_views", counted)
+        p = make_tiny_model(rng)
+        fv = make_binary_data(p, rng, 8)
+        cd_gradient(p, fv, 1, rng)
+        assert len(calls) == 1
+        for short in range(2):
+            bad = [a[:5] if k == short else a for k, a in enumerate(fv)]
+            with pytest.raises(ShapeMismatchError, match=re.escape(
+                    "every view needs the same nonzero number of rows, got [5, 8]")):
+                cd_gradient(p, bad, 1, rng)
+
     def test_fixed_point_at_decoupled_model(self, rng):
         # W=0 and batch drawn from the model itself: expected dxi and dlam
         # are zero; check the empirical mean against 3 standard errors.
