@@ -76,11 +76,12 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
     """k-nearest-neighbor accuracy under Euclidean distance.
 
     Deterministic tie-breaks: equal distances prefer the lower training
-    index; vote ties prefer the smallest label.
+    index; vote ties prefer the smallest label. Features must be finite;
+    distances are taken in float64.
     """
     train_labels = np.asarray(train_labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
-    X, Q = train.values, test.values
+    X, Q = (np.asarray(m.values, dtype=np.float64) for m in (train, test))
     if X.shape[1] != Q.shape[1]:
         raise ValueError("train and test feature dimensions differ")
     if X.shape[0] == 0 or Q.shape[0] == 0:
@@ -89,38 +90,52 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
         raise ValueError(f"k={k} must be in [1, {X.shape[0]}]")
     if len(train_labels) != X.shape[0] or len(test_labels) != Q.shape[0]:
         raise ValueError("need one label per feature row")
+    for name, values in (("train", X), ("test", Q)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} features hold a non-finite value")
 
     # Squared distances preserve the Euclidean ordering. Per block of query
     # rows, |q|^2 - 2 q.x + |x|^2 in one buffer, rounded as if written out in
     # that order. Blocks are a row apart in size, as in `model.row_blocks`,
     # so a short last block takes no small-matrix GEMM kernel of its own.
+    n = X.shape[0]
     x2 = np.sum(X ** 2, axis=1)
     classes, index = np.unique(train_labels, return_inverse=True)
+    # Votes are sums of 0/1 mask entries, exact in float32 up to 2^24 rows.
+    vote = np.float32 if n <= 1 << 24 else np.float64
+    onehot = np.zeros((n, len(classes)), vote)
+    onehot[np.arange(n), index] = 1
+    blocks = -(-Q.shape[0] // max(1, _RANK_CELLS // n))
+    rows_max = -(-Q.shape[0] // blocks)
+    dist, ranked = np.empty((rows_max, n)), np.empty((rows_max, n))
+    mask, votes = np.empty((rows_max, n), vote), np.empty((rows_max, len(classes)), vote)
     correct = 0
-    blocks = -(-Q.shape[0] // max(1, _RANK_CELLS // X.shape[0]))
     for i in range(blocks):
         rows = slice(i * Q.shape[0] // blocks, (i + 1) * Q.shape[0] // blocks)
         q = Q[rows]
-        d = q @ X.T
+        d, r, m, v = dist[:len(q)], ranked[:len(q)], mask[:len(q)], votes[:len(q)]
+        np.matmul(q, X.T, out=d)
         d *= -2.0
         d += np.sum(q ** 2, axis=1)[:, None]
         d += x2
-        # The k nearest in any order: the vote does not depend on their order.
-        nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
-        # Where more than k points lie at or below the k-th distance, the
-        # selection among the ties is arbitrary. Re-rank those rows with a
-        # stable sort, so equal distances go to the lower training index.
-        kth = np.take_along_axis(d, nearest[:, k - 1:], axis=1)
-        ties = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > k)
+        # Each row's k-th distance by value; the k nearest are the points at
+        # or below it wherever exactly k are, and the votes are the mask's
+        # product with the one-hot labels.
+        np.copyto(r, d)
+        r.partition(k - 1, axis=1)
+        np.less_equal(d, r[:, k - 1:k], out=m)
+        np.matmul(m, onehot, out=v)
+        # Where more than k points tie at the k-th distance, take the first
+        # k of a stable sort, so equal distances go to the lower training
+        # index.
+        ties = np.flatnonzero(v.sum(axis=1) != k)
         if ties.size:
-            nearest[ties] = np.argsort(d[ties], axis=1, kind="stable")[:, :k]
-        # Votes per (query, distinct label) from one bincount over offset
-        # label indices. The labels are sorted, so argmax picks the smallest
-        # on ties.
-        cells = index[nearest]
-        cells += np.arange(len(d))[:, None] * len(classes)
-        votes = np.bincount(cells.ravel(), minlength=len(d) * len(classes))
-        predicted = classes[votes.reshape(len(d), -1).argmax(axis=1)]
+            nearest = np.argsort(d[ties], axis=1, kind="stable")[:, :k]
+            chosen = np.zeros((ties.size, n), vote)
+            np.put_along_axis(chosen, nearest, 1, axis=1)
+            v[ties] = chosen @ onehot
+        # The labels are sorted, so argmax picks the smallest on vote ties.
+        predicted = classes[v.argmax(axis=1)]
         correct += int(np.count_nonzero(predicted == test_labels[rows]))
     return correct / len(test_labels)  # a float, not np.float64: sweep_to_csv reprs it
 

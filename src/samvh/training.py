@@ -61,6 +61,7 @@ from .model import hidden_shifted_batch  # noqa: F401
 from .model import (
     PARAM_GROUPS,
     HarmoniumParams,
+    ShapeMismatchError,
     StructureKind,
     _check_enum_bounds,
     batch_rows,
@@ -210,6 +211,7 @@ class _StepState:
 
     def __init__(self, params: HarmoniumParams, rows: int):
         dims, J = [v.dim for v in params.views], params.hidden_dim
+        self.rows = rows
         self.chain = _float32_chain(params, gates(params))
         self.F = [np.empty((2 * rows, d), np.float32) for d in dims]
         self.H = np.empty((2 * rows, J), np.float32)
@@ -231,10 +233,14 @@ def cd_gradient(params: HarmoniumParams, fv: list[np.ndarray],
     h (lower variance, same expectation). Both phases are weighted 1/B.
     The step writes only into state, a `_StepState` of at least B rows
     (built here from fv's shape if None), and returns its gradient; fv is
-    checked once, as it is converted into the state.
+    checked once, as it is converted into the state. A batch of more rows
+    than the state holds is a ShapeMismatchError.
     """
+    rows = batch_rows(fv)
     if state is None:
-        state = _StepState(params, batch_rows(fv))
+        state = _StepState(params, rows)
+    elif rows > state.rows:
+        raise ShapeMismatchError(f"batch has {rows} rows, its step state holds {state.rows}")
     pos = check_views(params, fv, np.float32, state.F)
     B = len(pos[0])
     g = gates(params)

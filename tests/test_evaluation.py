@@ -159,12 +159,15 @@ class TestKnn:
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([0]), k=2) == 1.0
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([1]), k=2) == 0.0
 
-    def test_matches_brute_force(self, rng):
+    @pytest.mark.parametrize("one_label", [False, True])
+    def test_matches_brute_force(self, rng, one_label):
+        # k = 20 lets every training point vote; a one-label training set
+        # predicts that label for every query.
         Xtr = rng.standard_normal((20, 4))
-        ytr = rng.integers(0, 3, size=20)
+        ytr = np.full(20, 2) if one_label else rng.integers(0, 3, size=20)
         Xte = rng.standard_normal((15, 4))
         yte = rng.integers(0, 3, size=15)
-        for k in (1, 3, 7):
+        for k in (1, 3, 7, 20):
             correct = 0
             for q, truth in zip(Xte, yte):
                 d = np.array([np.linalg.norm(q - x) for x in Xtr])
@@ -175,29 +178,32 @@ class TestKnn:
             got = knn_classify(fm(Xtr), ytr, fm(Xte), yte, k=k)
             assert got == pytest.approx(want)
 
-    def test_matches_per_query_loop_with_ties(self, rng):
+    @pytest.mark.parametrize("one_label", [False, True])
+    def test_matches_per_query_loop_with_ties(self, rng, one_label):
         # Integer features on a small grid give many distance ties, and five
-        # labels among up to 8 neighbours give vote ties.
+        # labels among up to 8 neighbours give vote ties; k = 40 lets every
+        # training point vote.
         Xtr = rng.integers(0, 3, size=(40, 2)).astype(float)
-        ytr = rng.integers(0, 5, size=40)
+        ytr = np.full(40, 3) if one_label else rng.integers(0, 5, size=40)
         Xte = rng.integers(0, 3, size=(30, 2)).astype(float)
         yte = rng.integers(0, 5, size=30)
         d2 = (np.sum(Xte ** 2, axis=1)[:, None] - 2.0 * Xte @ Xtr.T
               + np.sum(Xtr ** 2, axis=1)[None, :])
-        for k in range(1, 9):
+        for k in [*range(1, 9), 40]:
             correct = 0
             for row, truth in zip(d2, yte):
                 nearest = np.argsort(row, kind="stable")[:k]
                 correct += int(np.bincount(ytr[nearest]).argmax()) == truth
             assert knn_classify(fm(Xtr), ytr, fm(Xte), yte, k) == correct / len(yte)
 
-    def test_matches_stable_argsort_with_duplicated_rows(self, rng):
+    @pytest.mark.parametrize("one_label", [False, True])
+    def test_matches_stable_argsort_with_duplicated_rows(self, rng, one_label):
         # Each distinct training row appears several times, so many queries
         # have more than k candidates at the k-th distance: the rows whose
-        # neighbours are re-ranked after the partial sort.
+        # neighbours are re-ranked by a stable sort. k = 60 is every point.
         base = rng.integers(0, 4, size=(12, 3)).astype(float)
         Xtr = base[rng.integers(0, 12, size=60)]
-        ytr = rng.integers(0, 4, size=60)
+        ytr = np.full(60, 1) if one_label else rng.integers(0, 4, size=60)
         Xte = rng.integers(0, 4, size=(50, 3)).astype(float)
         d2 = Xte @ Xtr.T
         d2 *= -2.0
@@ -223,11 +229,11 @@ class TestKnn:
 
     def test_peak_memory_at_pipeline_size(self, rng):
         # The squares of the (N, F) training features, and one row block's
-        # distances, index, mask and vote arrays (at most 32 bytes per ranked
-        # distance), with 10% to spare: no (Q, N) array.
+        # distances, their partitioned copy and the float32 mask (20 bytes
+        # per ranked distance), with 10% to spare: no (Q, N) array.
         X = fm(rng.random((1000, 60)))
         y = rng.integers(0, 10, size=1000)
-        bound = 1.1 * (1000 * 60 * 8 + 32 * _RANK_CELLS)
+        bound = 1.1 * (1000 * 60 * 8 + 20 * _RANK_CELLS)
         for k in (10, 1000):
             peak = self.knn_peak(X, y, X, y, k)
             assert peak <= bound, (k, peak)
@@ -266,6 +272,13 @@ class TestKnn:
             knn_classify(X, y, X, y, k=0)
         with pytest.raises(ValueError, match="one label per feature row"):
             knn_classify(X, y, X, y[:3], k=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            values = X.values.copy()
+            values[2, 1] = bad
+            with pytest.raises(ValueError, match="^train features hold a non-finite value$"):
+                knn_classify(fm(values), y, X, y, k=1)
+            with pytest.raises(ValueError, match="^test features hold a non-finite value$"):
+                knn_classify(X, y, fm(values), y, k=1)
 
     def test_votes_over_distinct_labels(self, rng):
         # Relabelling {0, 1} as {-5, 10**9} keeps the order of the labels, so

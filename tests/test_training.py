@@ -375,6 +375,20 @@ class TestCdGradient:
                     "every view needs the same nonzero number of rows, got [5, 8]")):
                 cd_gradient(p, bad, 1, rng)
 
+    def test_batch_larger_than_its_state_names_both_row_counts(self, rng):
+        # A state of 5 rows takes a batch of up to 5; 8 rows (within the
+        # state's 10 stacked phase rows) and 11 rows (beyond them) are named.
+        p = make_tiny_model(rng)
+        state = training_mod._StepState(p, 5)
+        fv = make_binary_data(p, rng, 11)
+        want = flatten(cd_gradient(p, [a[:5] for a in fv], 1, np.random.default_rng(3)))
+        got = cd_gradient(p, [a[:5] for a in fv], 1, np.random.default_rng(3), state)
+        assert np.array_equal(flatten(got), want)
+        for rows in (8, 11):
+            with pytest.raises(ShapeMismatchError, match=re.escape(
+                    f"batch has {rows} rows, its step state holds 5")):
+                cd_gradient(p, [a[:rows] for a in fv], 1, rng, state)
+
     def test_fixed_point_at_decoupled_model(self, rng):
         # W=0 and batch drawn from the model itself: expected dxi and dlam
         # are zero; check the empirical mean against 3 standard errors.
