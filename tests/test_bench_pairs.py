@@ -54,3 +54,16 @@ def test_metric_without_direction_and_a_single_pair(tool):
     s = tool.summarize([3.0], [4.0], None)
     assert s == {"parent": [3.0], "change": [4.0], "median_parent": 3.0,
                  "median_change": 4.0, "parent_quartiles": [3.0, 3.0]}
+
+
+def test_compact_keeps_short_lists_and_cuts_sample_lists(tool):
+    errors = [f"train[{i}]: failed" for i in range(12)]
+    record = {"sha": "ab", "setup_runs_s": [0.2, 0.1, 0.3], "blas": [{"threads": 2}],
+              "api_seconds": [float(v) for v in range(11)], "errors": errors,
+              "ref_samples": [[float(t), 0.003] for t in range(11)],
+              "stage_seconds": {"train": [1.0] * 10 + [3.0, 3.0], "extract": [2.0]}}
+    assert tool.compact(record) == {
+        "sha": "ab", "setup_runs_s": [0.2, 0.1, 0.3], "blas": [{"threads": 2}],
+        "api_seconds": {"median": 5.0, "count": 11}, "errors": errors,
+        "ref_samples": {"count": 11},
+        "stage_seconds": {"train": {"median": 1.0, "count": 12}, "extract": [2.0]}}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -159,15 +160,14 @@ class TestKnn:
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([0]), k=2) == 1.0
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([1]), k=2) == 0.0
 
-    @pytest.mark.parametrize("one_label", [False, True])
-    def test_matches_brute_force(self, rng, one_label):
+    def test_matches_brute_force(self, rng):
         # k = 20 lets every training point vote; a one-label training set
         # predicts that label for every query.
         Xtr = rng.standard_normal((20, 4))
-        ytr = np.full(20, 2) if one_label else rng.integers(0, 3, size=20)
+        labels = rng.integers(0, 3, size=20)
         Xte = rng.standard_normal((15, 4))
         yte = rng.integers(0, 3, size=15)
-        for k in (1, 3, 7, 20):
+        for ytr, k in itertools.product((labels, np.full(20, 2)), (1, 3, 7, 20)):
             correct = 0
             for q, truth in zip(Xte, yte):
                 d = np.array([np.linalg.norm(q - x) for x in Xtr])
@@ -178,39 +178,37 @@ class TestKnn:
             got = knn_classify(fm(Xtr), ytr, fm(Xte), yte, k=k)
             assert got == pytest.approx(want)
 
-    @pytest.mark.parametrize("one_label", [False, True])
-    def test_matches_per_query_loop_with_ties(self, rng, one_label):
+    def test_matches_per_query_loop_with_ties(self, rng):
         # Integer features on a small grid give many distance ties, and five
         # labels among up to 8 neighbours give vote ties; k = 40 lets every
-        # training point vote.
+        # training point vote, and one label is the only vote.
         Xtr = rng.integers(0, 3, size=(40, 2)).astype(float)
-        ytr = np.full(40, 3) if one_label else rng.integers(0, 5, size=40)
+        labels = rng.integers(0, 5, size=40)
         Xte = rng.integers(0, 3, size=(30, 2)).astype(float)
         yte = rng.integers(0, 5, size=30)
         d2 = (np.sum(Xte ** 2, axis=1)[:, None] - 2.0 * Xte @ Xtr.T
               + np.sum(Xtr ** 2, axis=1)[None, :])
-        for k in [*range(1, 9), 40]:
+        for ytr, k in itertools.product((labels, np.full(40, 3)), [*range(1, 9), 40]):
             correct = 0
             for row, truth in zip(d2, yte):
                 nearest = np.argsort(row, kind="stable")[:k]
                 correct += int(np.bincount(ytr[nearest]).argmax()) == truth
             assert knn_classify(fm(Xtr), ytr, fm(Xte), yte, k) == correct / len(yte)
 
-    @pytest.mark.parametrize("one_label", [False, True])
-    def test_matches_stable_argsort_with_duplicated_rows(self, rng, one_label):
+    def test_matches_stable_argsort_with_duplicated_rows(self, rng):
         # Each distinct training row appears several times, so many queries
         # have more than k candidates at the k-th distance: the rows whose
         # neighbours are re-ranked by a stable sort. k = 60 is every point.
         base = rng.integers(0, 4, size=(12, 3)).astype(float)
         Xtr = base[rng.integers(0, 12, size=60)]
-        ytr = np.full(60, 1) if one_label else rng.integers(0, 4, size=60)
+        labels = rng.integers(0, 4, size=60)
         Xte = rng.integers(0, 4, size=(50, 3)).astype(float)
         d2 = Xte @ Xtr.T
         d2 *= -2.0
         d2 += np.sum(Xte ** 2, axis=1)[:, None]
         d2 += np.sum(Xtr ** 2, axis=1)[None, :]
         ranked = np.argsort(d2, axis=1, kind="stable")
-        for k in (1, 7, 60):
+        for ytr, k in itertools.product((labels, np.full(60, 1)), (1, 7, 60)):
             kth = np.take_along_axis(d2, ranked[:, k - 1:k], axis=1)
             if k < 60:
                 assert np.count_nonzero(np.sum(d2 <= kth, axis=1) > k) >= 5

@@ -8,7 +8,8 @@ the change is this checkout, as it stands. Pair i (from 1) runs
 `bench/run.py` once on each side at seed `seeds[(i - 1) % len(seeds)]`, the
 parent first on odd pairs and the change first on even ones. The output file
 gets one entry, `<workload> trace<t>`, holding every run (its result line and
-record) and, per metric, each side's values, medians and parent quartiles
+its record, with per-operation samples cut by `compact`) and, per metric,
+each side's values, medians and parent quartiles
 (`statistics.quantiles(..., n=4)`), and, for a metric with a direction in
 BENCHMARK.json, the pairs the change won, lost and tied and whether the gain
 rule holds: at least 9 wins in 10 pairs, and medians further apart, in the
@@ -58,6 +59,22 @@ def summarize(parent: list[float], change: list[float], better: str | None) -> d
     return out
 
 
+def compact(value):
+    """value with each list of more than 10 samples cut, at any depth: a list
+    of numbers to its median and count, a list of number lists to its count."""
+    def numbers(v):
+        return all(isinstance(x, (int, float)) for x in v)
+
+    if isinstance(value, dict):
+        return {k: compact(v) for k, v in value.items()}
+    if isinstance(value, list) and len(value) > 10:
+        if numbers(value):
+            return {"median": statistics.median(value), "count": len(value)}
+        if all(isinstance(v, list) and numbers(v) for v in value):
+            return {"count": len(value)}
+    return value
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -81,7 +98,8 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -
                            f"{workload}-seed{seed}-trace{trace}.json")) as fh:
         record = json.load(fh)["record"]
     return {"seed": seed, "wall_s": round(wall, 3),
-            "result": json.loads(proc.stdout.strip().splitlines()[-1]), "record": record}
+            "result": json.loads(proc.stdout.strip().splitlines()[-1]),
+            "record": compact(record)}
 
 
 def main(argv=None) -> int:
@@ -122,7 +140,9 @@ def main(argv=None) -> int:
                         f"--seconds {args.seconds:g} --trace {args.trace}",
              "parent_commit": git("rev-parse", args.parent),
              "change_commit": git("rev-parse", "HEAD"),
-             "change_tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+             # Edits outside src/ and bench/ do not change what was measured.
+             "src_or_bench_dirty": bool(git("status", "--porcelain", "--", "src",
+                                            "bench")),
              "method": "parent first on odd pairs, change first on even pairs",
              "metrics": metrics, "runs": runs}
     doc = {}
