@@ -69,6 +69,11 @@ def extract_features(params: HarmoniumParams, data: MultiViewDataset,
 
 
 _RANK_CELLS = 1 << 16  # distances that knn_classify ranks at once
+# Up to this many distinct labels, knn_classify counts a block's votes as one
+# float32 product of its neighbour mask with a one-hot label matrix: the
+# product costs about the same from 1 to 16 labels and grows with them beyond,
+# where one bincount over the chosen points' labels is cheaper.
+_PRODUCT_LABELS = 16
 
 
 def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
@@ -101,43 +106,63 @@ def knn_classify(train: FeatureMatrix, train_labels, test: FeatureMatrix,
     n = X.shape[0]
     x2 = np.sum(X ** 2, axis=1)
     classes, index = np.unique(train_labels, return_inverse=True)
-    # Votes are sums of 0/1 mask entries, exact in float32 up to 2^24 rows.
-    vote = np.float32 if n <= 1 << 24 else np.float64
-    onehot = np.zeros((n, len(classes)), vote)
-    onehot[np.arange(n), index] = 1
     blocks = -(-Q.shape[0] // max(1, _RANK_CELLS // n))
     rows_max = -(-Q.shape[0] // blocks)
     dist, ranked = np.empty((rows_max, n)), np.empty((rows_max, n))
-    mask, votes = np.empty((rows_max, n), vote), np.empty((rows_max, len(classes)), vote)
+    # A vote count is a sum of at most k ones, exact in float32 to k = 2^24.
+    if len(classes) <= _PRODUCT_LABELS and k <= 1 << 24:
+        onehot = np.zeros((n, len(classes)), np.float32)
+        onehot[np.arange(n), index] = 1
+        mask = np.empty((rows_max, n), np.float32)
+        votes = np.empty((rows_max, len(classes)), np.float32)
+    else:
+        onehot, mask = None, np.empty((rows_max, n), bool)
+        labels = np.broadcast_to(index, (rows_max, n))
     correct = 0
     for i in range(blocks):
         rows = slice(i * Q.shape[0] // blocks, (i + 1) * Q.shape[0] // blocks)
         q = Q[rows]
-        d, r, m, v = dist[:len(q)], ranked[:len(q)], mask[:len(q)], votes[:len(q)]
+        d, r, m = dist[:len(q)], ranked[:len(q)], mask[:len(q)]
         np.matmul(q, X.T, out=d)
         d *= -2.0
         d += np.sum(q ** 2, axis=1)[:, None]
         d += x2
-        # Each row's k-th distance by value; the k nearest are the points at
-        # or below it wherever exactly k are, and the votes are the mask's
-        # product with the one-hot labels.
+        # Each row's k-th distance by value. At least k points of a row lie
+        # at or below it; where exactly k do, they are its k nearest.
         np.copyto(r, d)
         r.partition(k - 1, axis=1)
         np.less_equal(d, r[:, k - 1:k], out=m)
-        np.matmul(m, onehot, out=v)
-        # Where more than k points tie at the k-th distance, take the first
-        # k of a stable sort, so equal distances go to the lower training
-        # index.
-        ties = np.flatnonzero(v.sum(axis=1) != k)
-        if ties.size:
-            nearest = np.argsort(d[ties], axis=1, kind="stable")[:, :k]
-            chosen = np.zeros((ties.size, n), vote)
-            np.put_along_axis(chosen, nearest, 1, axis=1)
-            v[ties] = chosen @ onehot
+        if onehot is not None:
+            v = np.matmul(m, onehot, out=votes[:len(q)])
+            ties = np.flatnonzero(v.sum(axis=1) != k)
+            if ties.size:
+                _keep_first_k(m, d, ties, k)
+                v[ties] = m[ties] @ onehot
+        else:
+            # The labels of the chosen points, k per row in row order, and
+            # the votes per (query, distinct label) from one bincount over
+            # offset label indices.
+            cells = labels[:len(q)][m]
+            if cells.size != len(q) * k:
+                _keep_first_k(m, d, np.flatnonzero(np.count_nonzero(m, axis=1) > k), k)
+                cells = labels[:len(q)][m]
+            cells = cells.reshape(len(q), k)
+            cells += np.arange(len(q))[:, None] * len(classes)
+            v = np.bincount(cells.ravel(), minlength=len(q) * len(classes))
+            v = v.reshape(len(q), -1)
         # The labels are sorted, so argmax picks the smallest on vote ties.
         predicted = classes[v.argmax(axis=1)]
         correct += int(np.count_nonzero(predicted == test_labels[rows]))
     return correct / len(test_labels)  # a float, not np.float64: sweep_to_csv reprs it
+
+
+def _keep_first_k(mask: np.ndarray, d: np.ndarray, ties: np.ndarray, k: int) -> None:
+    """Set rows `ties` of `mask`, where more than k points tie at the k-th
+    distance, to the first k of a stable sort of `d`: equal distances go to
+    the lower training index."""
+    nearest = np.argsort(d[ties], axis=1, kind="stable")[:, :k]
+    mask[ties] = 0
+    mask[ties[:, None], nearest] = 1
 
 
 def knn_sweep(train: FeatureMatrix, train_labels, test: FeatureMatrix,

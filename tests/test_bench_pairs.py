@@ -18,11 +18,10 @@ def tool():
     return module
 
 
-def test_schedule_alternates_and_cycles_the_seeds(tool):
-    assert tool.schedule(5, [7, 8]) == [
+def test_schedule_alternates_one_pair_per_seed(tool):
+    assert tool.schedule([7, 8, 9]) == [
         (1, 7, ("parent", "change")), (2, 8, ("change", "parent")),
-        (3, 7, ("parent", "change")), (4, 8, ("change", "parent")),
-        (5, 7, ("parent", "change"))]
+        (3, 9, ("parent", "change"))]
 
 
 def test_lower_is_better_with_a_tie(tool):
@@ -54,6 +53,16 @@ def test_metric_without_direction_and_a_single_pair(tool):
     s = tool.summarize([3.0], [4.0], None)
     assert s == {"parent": [3.0], "change": [4.0], "median_parent": 3.0,
                  "median_change": 4.0, "parent_quartiles": [3.0, 3.0]}
+
+
+def test_gain_rule_needs_ten_pairs(tool):
+    # A clear win in every pair, with no parent spread, is not enough on
+    # fewer than 10 pairs.
+    assert tool.summarize([3.0], [2.0], "lower")["gain_rule_met"] is False
+    for pairs in (2, 9):
+        s = tool.summarize([3.0] * pairs, [2.0] * pairs, "lower")
+        assert (s["wins"], s["gain_rule_met"]) == (pairs, False)
+    assert tool.summarize([3.0] * 10, [2.0] * 10, "lower")["gain_rule_met"] is True
 
 
 def test_compact_keeps_short_lists_and_cuts_sample_lists(tool):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import samvh.evaluation
 from samvh.data import MultiViewDataset, train_test_split
 from samvh.evaluation import (
     _RANK_CELLS,
@@ -134,13 +135,23 @@ class TestExtractFeatures:
             extract_features(params, data, ("specific", 9))
 
 
+@pytest.fixture(params=["product", "bincount"])
+def vote_path(request, monkeypatch):
+    """Run a kNN test once with the votes as the mask's product with the
+    one-hot labels (up to `_PRODUCT_LABELS` labels) and once with one
+    bincount over the chosen points' labels (more labels)."""
+    if request.param == "bincount":
+        monkeypatch.setattr(samvh.evaluation, "_PRODUCT_LABELS", 0)
+    return request.param
+
+
 class TestKnn:
     def test_self_match_k1(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.integers(0, 4, size=10)
         assert knn_classify(fm(X), y, fm(X), y, k=1) == 1.0
 
-    def test_constant_majority(self):
+    def test_constant_majority(self, vote_path):
         X = fm(np.arange(6.0)[:, None])
         y = np.array([0, 0, 0, 0, 1, 1])
         # k = n: every query sees the same majority vote.
@@ -148,19 +159,19 @@ class TestKnn:
                            np.array([0, 1]), k=6)
         assert acc == 0.5
 
-    def test_distance_tie_prefers_lower_train_index(self):
+    def test_distance_tie_prefers_lower_train_index(self, vote_path):
         X = fm(np.array([[0.0], [0.0]]))
         y = np.array([1, 0])
         assert knn_classify(X, y, fm(np.array([[0.0]])), np.array([1]), k=1) == 1.0
 
-    def test_vote_tie_prefers_smallest_label(self):
+    def test_vote_tie_prefers_smallest_label(self, vote_path):
         X = fm(np.array([[0.0], [1.0]]))
         y = np.array([1, 0])
         # Both neighbors vote once; the smaller label (0) wins.
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([0]), k=2) == 1.0
         assert knn_classify(X, y, fm(np.array([[0.5]])), np.array([1]), k=2) == 0.0
 
-    def test_matches_brute_force(self, rng):
+    def test_matches_brute_force(self, vote_path, rng):
         # k = 20 lets every training point vote; a one-label training set
         # predicts that label for every query.
         Xtr = rng.standard_normal((20, 4))
@@ -178,7 +189,7 @@ class TestKnn:
             got = knn_classify(fm(Xtr), ytr, fm(Xte), yte, k=k)
             assert got == pytest.approx(want)
 
-    def test_matches_per_query_loop_with_ties(self, rng):
+    def test_matches_per_query_loop_with_ties(self, vote_path, rng):
         # Integer features on a small grid give many distance ties, and five
         # labels among up to 8 neighbours give vote ties; k = 40 lets every
         # training point vote, and one label is the only vote.
@@ -195,7 +206,7 @@ class TestKnn:
                 correct += int(np.bincount(ytr[nearest]).argmax()) == truth
             assert knn_classify(fm(Xtr), ytr, fm(Xte), yte, k) == correct / len(yte)
 
-    def test_matches_stable_argsort_with_duplicated_rows(self, rng):
+    def test_matches_stable_argsort_with_duplicated_rows(self, vote_path, rng):
         # Each distinct training row appears several times, so many queries
         # have more than k candidates at the k-th distance: the rows whose
         # neighbours are re-ranked by a stable sort. k = 60 is every point.
@@ -248,6 +259,38 @@ class TestKnn:
             peaks.append(self.knn_peak(X, y, Q, yq, 10))
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_one_label_per_training_row(self, rng):
+        # As many labels as training rows, so the votes take the bincount
+        # path; every k up to N against a per-query loop, ties included.
+        Xtr = rng.integers(0, 3, size=(40, 2)).astype(float)
+        ytr = rng.permutation(40) * 7 - 100
+        Xte = rng.integers(0, 3, size=(30, 2)).astype(float)
+        d2 = Xte @ Xtr.T
+        d2 *= -2.0
+        d2 += np.sum(Xte ** 2, axis=1)[:, None]
+        d2 += np.sum(Xtr ** 2, axis=1)[None, :]
+        for k in range(1, 41):
+            want = []
+            for row in d2:
+                labels, votes = np.unique(ytr[np.argsort(row, kind="stable")[:k]],
+                                          return_counts=True)
+                want.append(labels[votes.argmax()])
+            assert knn_classify(fm(Xtr), ytr, fm(Xte), want, k) == 1.0
+
+    def test_peak_memory_with_one_label_per_training_row(self, rng):
+        # 2000 labels in 2000 training rows: one block's distances, their
+        # partitioned copy and the bool mask (17 bytes per ranked distance),
+        # the chosen points' label indices (8 bytes each, up to one per
+        # ranked distance at k = N) and one vote count per query and label
+        # (8 bytes, one per ranked distance here). An (N, labels) one-hot
+        # matrix would take 16 MB.
+        X = fm(rng.random((2000, 60)))
+        y = np.arange(2000)
+        bound = 1.1 * (2000 * 60 * 8 + 33 * _RANK_CELLS)
+        for k in (10, 2000):
+            peak = self.knn_peak(X, y, X, y, k)
+            assert peak <= bound, (k, peak)
+
     def test_feature_rotation_invariant(self, rng):
         # Euclidean distances are invariant to orthogonal maps of the features.
         Xtr = rng.standard_normal((12, 3))
@@ -278,7 +321,7 @@ class TestKnn:
             with pytest.raises(ValueError, match="^test features hold a non-finite value$"):
                 knn_classify(X, y, fm(values), y, k=1)
 
-    def test_votes_over_distinct_labels(self, rng):
+    def test_votes_over_distinct_labels(self, vote_path, rng):
         # Relabelling {0, 1} as {-5, 10**9} keeps the order of the labels, so
         # every accuracy, vote ties (even k) included, stays as it was; votes
         # are counted per distinct label, not per value up to the largest.
@@ -298,7 +341,7 @@ class TestKnn:
         for k, acc in rows:
             assert acc == knn_classify(X, y, X, y, k)
 
-    def test_sweep_equals_per_k_classify_with_ties(self, rng):
+    def test_sweep_equals_per_k_classify_with_ties(self, vote_path, rng):
         # Duplicated rows on a small integer grid give exact distance ties at
         # every k, and five labels give vote ties. Each k's accuracy must be
         # that of knn_classify and of a full stable sort per query.

@@ -5,15 +5,17 @@
 
 The parent commit is unpacked with `git archive` into a temporary directory;
 the change is this checkout, as it stands. Pair i (from 1) runs
-`bench/run.py` once on each side at seed `seeds[(i - 1) % len(seeds)]`, the
-parent first on odd pairs and the change first on even ones. The output file
+`bench/run.py` once on each side at the i-th seed, for BENCHMARK.json's
+`run_seconds` unless `--seconds` says otherwise, the parent first on odd
+pairs and the change first on even ones. The output file
 gets one entry, `<workload> trace<t>`, holding every run (its result line and
 its record, with per-operation samples cut by `compact`) and, per metric,
 each side's values, medians and parent quartiles
 (`statistics.quantiles(..., n=4)`), and, for a metric with a direction in
 BENCHMARK.json, the pairs the change won, lost and tied and whether the gain
-rule holds: at least 9 wins in 10 pairs, and medians further apart, in the
-better direction, than the parent's quartiles. Other entries of an existing
+rule holds: at least 10 pairs, the change winning at least 9 in 10 of them,
+and medians further apart, in the better direction, than the parent's
+quartiles. Other entries of an existing
 output file are kept.
 """
 from __future__ import annotations
@@ -33,16 +35,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def schedule(pairs: int, seeds: list[int]) -> list[tuple[int, int, tuple[str, str]]]:
-    """(pair, seed, sides in running order) for pairs 1..pairs."""
-    return [(i, seeds[(i - 1) % len(seeds)],
-             ("parent", "change") if i % 2 else ("change", "parent"))
-            for i in range(1, pairs + 1)]
+def schedule(seeds: list[int]) -> list[tuple[int, int, tuple[str, str]]]:
+    """(pair, seed, sides in running order), one pair per seed."""
+    return [(i, seed, ("parent", "change") if i % 2 else ("change", "parent"))
+            for i, seed in enumerate(seeds, 1)]
 
 
 def summarize(parent: list[float], change: list[float], better: str | None) -> dict:
     """Medians, parent quartiles and, given 'lower' or 'higher', the pairs
-    won, lost and tied by the change and whether the gain rule holds."""
+    won, lost and tied by the change and whether the gain rule holds; it
+    never holds on fewer than 10 pairs."""
     q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
     out = {"parent": parent, "change": change,
            "median_parent": statistics.median(parent),
@@ -54,8 +56,9 @@ def summarize(parent: list[float], change: list[float], better: str | None) -> d
         wins = sum(g > 0 for g in gains)
         out.update(better=better, wins=wins, losses=sum(g < 0 for g in gains),
                    ties=sum(g == 0 for g in gains),
-                   gain_rule_met=(wins >= 0.9 * len(gains) and sign * (
-                       out["median_change"] - out["median_parent"]) > q3 - q1))
+                   gain_rule_met=(len(gains) >= 10 and wins >= 0.9 * len(gains)
+                                  and sign * (out["median_change"] - out["median_parent"])
+                                  > q3 - q1))
     return out
 
 
@@ -107,20 +110,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, help="default: one pair per seed")
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float,
+                        help="seconds per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    pairs = args.pairs or len(args.seeds)
-    if pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.seconds is None:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+            args.seconds = json.load(fh)["run_seconds"]
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         unpack(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        for pair, seed, order in schedule(pairs, args.seeds):
+        for pair, seed, order in schedule(args.seeds):
             for side in order:
                 run = run_bench(roots[side], args.workload, seed, args.seconds, args.trace)
                 runs.append({"pair": pair, "side": side, **run})
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
     for name, m in metrics.items():
         line = f"{name:48s} {m['median_parent']:>12.6g} -> {m['median_change']:>12.6g}"
         if "wins" in m:
-            line += f"  {m['wins']}/{pairs} wins, gain rule {'met' if m['gain_rule_met'] else 'not met'}"
+            line += f"  {m['wins']}/{len(args.seeds)} wins, gain rule {'met' if m['gain_rule_met'] else 'not met'}"
         print(line)
     return 0
 
